@@ -15,7 +15,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .calculus import grad_D, partial_bar, partial_sigma, sigma_inv_op
+from .calculus import grad_D, partial_sigma, sigma_inv_op
 from .errors import (
     DenominatorNonpositive,
     GramNotPositive,
@@ -36,6 +36,7 @@ from .ncpoly import (
     norm_R_sigma,
     quadratic_potential,
 )
+from .schwinger import deformed_adjoint
 from .tensor import (
     TensorPoly,
     max_pair_diff,
@@ -182,7 +183,6 @@ class XiData:
 
     q: float
     max_level: int
-    levels: list[list[NCPoly]]
     xi: TensorPoly
     xi_inv: TensorPoly | None = None
     pi_bound_value: float | None = None
@@ -190,31 +190,22 @@ class XiData:
     neumann_terms: int = 0
 
 
-def build_xi(
-    ctx: ModularContext, q: float, d: int, level_cap: int | None = None
-) -> XiData:
+def build_xi(ctx: ModularContext, q: float, d: int) -> XiData:
     """Assemble sum over levels n <= d of q^n sum_i r_i (x) r_i*.
 
     The tensor cap is 2d so no level is clipped.  At q = 0 only level zero
     survives and the kernel is the unit.
     """
-    if level_cap is None:
-        level_cap = max(d, DEFAULT_LEVEL_CAP)
     cap = max(2 * d, 2)
     memo: dict[Word, NCPoly] = {}
-    levels = []
     xi = TensorPoly.zero(ctx.num_vars, cap)
-    for n in range(d + 1):
-        if q == 0.0 and n > 0:
-            levels.append([])
-            continue
-        fam = orthonormal_basis(ctx, q, n, level_cap=max(level_cap, d), _memo=memo)
-        levels.append(fam)
+    for n in range(d + 1 if q != 0.0 else 1):
+        fam = orthonormal_basis(ctx, q, n, level_cap=d, _memo=memo)
         block = TensorPoly.zero(ctx.num_vars, cap)
         for r in fam:
             block = block + tensor_of(r, r.adjoint(), cap)
         xi = xi + block.scale(q**n)
-    return XiData(q=q, max_level=d, levels=levels, xi=xi)
+    return XiData(q=q, max_level=d, xi=xi)
 
 
 def pi_bound(q: float, N: int, A_norm: float, A_t_norm: float, c: float) -> float:
@@ -283,57 +274,15 @@ def conjugate_vars(
     """Conjugate variables of the generators for the twisted difference
     quotient under the q-state.
 
-    With eta the left-twisted adjoint of the kernel inverse, component j is,
-    elementwise on a (x) b in eta,
-
-        a X_j b  -  a CL(d_j b # xi)  -  CR(dbar_j a # xi) b,
-
-    contracted through the q-state.  At q = 0 this collapses to the
-    generators themselves.
+    With eta the left-twisted adjoint of the kernel inverse, component j is
+    the deformed adjoint of eta (``schwinger.deformed_adjoint``), contracted
+    through the q-state.  The taint of the inverse carries over.  At q = 0
+    this collapses to the generators themselves.
     """
     if xi.xi_inv is None:
         raise MissingInverse("kernel inverse not computed; run invert_xi first")
-    nv = ctx.num_vars
     eta = t_sigma(ctx, t_star(xi.xi_inv), -1.0, 0.0)
-    cap = eta.degree_cap + 1
-    out = []
-    kernel = xi.xi
-    for j in range(1, nv + 1):
-        acc: dict[Word, complex] = {}
-
-        def bump(word: Word, val: complex) -> None:
-            acc[word] = acc.get(word, 0.0) + val
-
-        # Many terms of eta share a leg; cache the contracted derivations.
-        left_cache: dict[Word, NCPoly] = {}
-        right_cache: dict[Word, NCPoly] = {}
-        for (a, b), cc in eta.coeffs.items():
-            bump(a + (j,) + b, cc)
-            cl = left_cache.get(b)
-            if cl is None:
-                pb = NCPoly.monomial(nv, b, 1.0, cap=cap)
-                db = _deformed(ctx, partial_sigma(ctx, j, pb), kernel)
-                cl = o_q.contract_left(db).with_cap(cap)
-                left_cache[b] = cl
-            for w, v in cl.coeffs.items():
-                bump(a + w, -cc * v)
-            cr = right_cache.get(a)
-            if cr is None:
-                pa1 = NCPoly.monomial(nv, a, 1.0, cap=cap)
-                da = _deformed(ctx, partial_bar(ctx, j, pa1), kernel)
-                cr = o_q.contract_right(da).with_cap(cap)
-                right_cache[a] = cr
-            for w, v in cr.coeffs.items():
-                bump(w + b, -cc * v)
-        out.append(NCPoly(nv, acc, cap))
-    return out
-
-
-def _deformed(ctx: ModularContext, base: TensorPoly, kernel: TensorPoly) -> TensorPoly:
-    if kernel.coeffs == {((), ()): 1.0 + 0.0j}:
-        return base
-    full = base.degree() + kernel.degree()
-    return t_mul(base.with_cap(full), kernel.with_cap(full))
+    return [deformed_adjoint(o_q, ctx, j, eta, xi.xi) for j in range(1, ctx.num_vars + 1)]
 
 
 @dataclass
@@ -453,14 +402,7 @@ def q_isomorphism_pipeline(
     report["potential_grad_residual"] = pot.grad_residual
 
     hyp = check_hypotheses(ctx, w_capped, cfg)
-    report["hypotheses"] = {
-        "norm_W_Rsigma": hyp.norm_W_Rsigma,
-        "sum_delta_pi_norm": hyp.sum_delta_pi_norm,
-        "bound_W": hyp.bound_W,
-        "bound_delta": hyp.bound_delta,
-        "radius_ok": hyp.radius_ok,
-        "pass": hyp.pass_,
-    }
+    report["hypotheses"] = hyp.as_dict()
     if not hyp.pass_ and q != 0.0:
         # The perturbation scales linearly in q at leading order, so this
         # estimates where both inequalities would start to hold.
@@ -493,11 +435,9 @@ def q_isomorphism_pipeline(
 
     v_target = quadratic_potential(ctx, cfg.degree_cap) + w_capped
     law = o0.law_of(sol.Y, max_degree=law_degree)
-    sol.sd_residual = _sd_residual(law, ctx, v_target, sd_degree)
-    report["sd_residual"] = sol.sd_residual
+    report["sd_residual"] = _sd_residual(law, ctx, v_target, sd_degree)
 
     cert = monotonicity_certificate(ctx, sol.f, cfg.R)
-    sol.monotone_certified = cert.certified
     report["monotone_bound"] = cert.bound
     report["monotone_lambda_min"] = cert.lambda_min
     report["monotone_certified"] = cert.certified

@@ -12,12 +12,7 @@ from __future__ import annotations
 from .errors import DimMismatch, IndexOutOfRange
 from .modular import ModularContext, apply_sigma
 from .ncpoly import NCPoly, Word, rho
-from .tensor import TensorMatrix, TensorPoly, t_diamond, t_flip_m, t_sigma
-
-
-def _check_j(ctx: ModularContext, j: int) -> None:
-    if not 1 <= j <= ctx.num_vars:
-        raise IndexOutOfRange(f"generator index {j} outside 1..{ctx.num_vars}")
+from .tensor import TensorMatrix, TensorPoly
 
 
 def delta(j: int, P: NCPoly) -> TensorPoly:
@@ -35,31 +30,24 @@ def delta(j: int, P: NCPoly) -> TensorPoly:
     return TensorPoly(P.num_vars, out, cap, P.truncated)
 
 
-def partial_sigma(ctx: ModularContext, j: int, P: NCPoly) -> TensorPoly:
-    """Twisted difference quotient sum_k alpha_kj delta_k."""
-    _check_j(ctx, j)
+def _weighted_delta(weights, P: NCPoly) -> TensorPoly:
     out = TensorPoly.zero(P.num_vars, 2 * P.degree_cap)
-    for k in range(1, ctx.num_vars + 1):
-        a = ctx.alpha[k - 1, j - 1]
+    for k, a in enumerate(weights, start=1):
         if abs(a) > 0:
             out = out + delta(k, P).scale(a)
     return out
+
+
+def partial_sigma(ctx: ModularContext, j: int, P: NCPoly) -> TensorPoly:
+    """Twisted difference quotient sum_k alpha_kj delta_k."""
+    ctx.check_index(j)
+    return _weighted_delta(ctx.alpha[:, j - 1], P)
 
 
 def partial_bar(ctx: ModularContext, j: int, P: NCPoly) -> TensorPoly:
     """Conjugate variant sum_k alpha_jk delta_k."""
-    _check_j(ctx, j)
-    out = TensorPoly.zero(P.num_vars, 2 * P.degree_cap)
-    for k in range(1, ctx.num_vars + 1):
-        a = ctx.alpha[j - 1, k - 1]
-        if abs(a) > 0:
-            out = out + delta(k, P).scale(a)
-    return out
-
-
-def partial_tilde(ctx: ModularContext, j: int, P: NCPoly) -> TensorPoly:
-    """Leg-swapped variant sum_k alpha_jk delta_k(.)^diamond."""
-    return t_diamond(partial_bar(ctx, j, P))
+    ctx.check_index(j)
+    return _weighted_delta(ctx.alpha[j - 1], P)
 
 
 def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
@@ -67,10 +55,10 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
 
     On a word, every position l contributes alpha_{j, w_l} times the tail
     (twisted by the modular action) followed by the head.  Computed by the
-    explicit word formula; the composition through the difference quotient
-    is kept as a cross-check in the tests.
+    explicit word formula; the tests cross-check it against the composition
+    through the difference quotient.
     """
-    _check_j(ctx, j)
+    ctx.check_index(j)
     alpha = ctx.alpha
     out = NCPoly.zero(P.num_vars, P.degree_cap)
     for w, c in P.coeffs.items():
@@ -83,13 +71,6 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
             head = NCPoly.monomial(P.num_vars, w[:l], c * a, cap=P.degree_cap)
             out = out + apply_sigma(ctx, tail, -1.0) * head
     return out
-
-
-def cyclic_D_composed(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
-    """Cyclic derivative as m o diamond o (1 (x) sigma_{-i}) o partial_bar."""
-    t = partial_bar(ctx, j, P)
-    t = t_sigma(ctx, t, 0.0, -1.0)
-    return t_flip_m(t_diamond(t)).with_cap(P.degree_cap)
 
 
 def grad_D(ctx: ModularContext, P: NCPoly) -> list[NCPoly]:

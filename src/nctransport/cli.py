@@ -18,7 +18,7 @@ from .errors import (
     HypothesisViolation,
     NCTransportError,
 )
-from .modular import ModularContext, build_context
+from .modular import ModularContext, build_context, modular_norm
 from .moments import MomentOracle
 from .ncpoly import NCPoly, quadratic_potential
 from .schwinger import gibbs_distance, sd_residual
@@ -87,8 +87,7 @@ def load_config(path: str) -> RunConfig:
         )
     if n == 0:
         raise ValueError("configuration describes zero generators")
-    norm_a = max([1.0] + [max(l, 1.0 / l) for l in lambdas if l > 0])
-    r_default = 4.0 * norm_a**0.5
+    r_default = 4.0 * modular_norm(lambdas) ** 0.5
     cfg = RunConfig(
         lambdas=lambdas,
         num_trivial=num_trivial,
@@ -181,14 +180,7 @@ def cmd_solve_transport(args, cfg: RunConfig) -> int:
     report = {
         "command": "solve-transport",
         "norm_W_Rsigma": sol.norm_W,
-        "hypotheses": {
-            "norm_W_Rsigma": sol.hypotheses.norm_W_Rsigma,
-            "sum_delta_pi_norm": sol.hypotheses.sum_delta_pi_norm,
-            "bound_W": sol.hypotheses.bound_W,
-            "bound_delta": sol.hypotheses.bound_delta,
-            "radius_ok": sol.hypotheses.radius_ok,
-            "pass": sol.hypotheses.pass_,
-        },
+        "hypotheses": sol.hypotheses.as_dict(),
         "iterations": sol.iterations,
         "delta_history": sol.delta_history,
         "contraction_ratios": sol.contraction_ratios,
@@ -272,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, config_required=True):
         sp.add_argument("--config", required=config_required, help="JSON run configuration")
         sp.add_argument("--report", help="write the JSON report to this path")
-        sp.add_argument("--threads", type=int, default=1, help="worker cap (reserved; evaluation is sequential)")
         sp.add_argument("--quiet", action="store_true")
 
     sp = sub.add_parser("moments", help="evaluate one monomial moment")

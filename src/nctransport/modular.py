@@ -57,6 +57,12 @@ class ModularContext:
             raise IndexOutOfRange(f"generator index {j} outside 1..{self.num_vars}")
 
 
+def modular_norm(lambdas) -> float:
+    """Operator norm of A: the largest of 1 and lambda_k^{+-1}.  Non-positive
+    lambdas, which build_context rejects, are skipped."""
+    return max([1.0] + [max(l, 1.0 / l) for l in lambdas if l > 0])
+
+
 def build_context(lambdas, num_trivial: int = 0) -> ModularContext:
     """Assemble the modular matrix from block parameters.
 
@@ -91,8 +97,6 @@ def build_context(lambdas, num_trivial: int = 0) -> ModularContext:
     # Enforce exact Hermitian symmetry lost to rounding in the solve.
     alpha = 0.5 * (alpha + alpha.conj().T)
 
-    norm_a = max([1.0] + [max(l, 1.0 / l) for l in lambdas])
-
     w, v = np.linalg.eigh(A)
     if np.min(w) < EIG_FLOOR:
         raise NonPositiveLambda(f"modular matrix lost positivity: min eig {np.min(w)}")
@@ -103,7 +107,7 @@ def build_context(lambdas, num_trivial: int = 0) -> ModularContext:
         num_trivial=num_trivial,
         A=A,
         alpha=alpha,
-        norm_A=norm_a,
+        norm_A=modular_norm(lambdas),
         _eigvals=w,
         _eigvecs=v,
     )

@@ -1,29 +1,25 @@
-"""Moment evaluation for the q-quasi-free state by pairing enumeration.
+"""Moment evaluation for the q-quasi-free state.
 
 A monomial moment is a sum over pair partitions of the letter positions,
 each pairing weighted by q per chord crossing and by the deformed inner
 product of the paired generators.  Odd-degree monomials vanish.
 
-Three routes compute the same values and are cross-checked in the tests:
+Two production routes compute the values:
 
-* pairing enumeration with incremental crossing counts (the reference);
 * a non-crossing interval recursion, exact at q = 0;
-* a truncated Fock-space walk, used for long words at q != 0, where
-  enumerating all (2n-1)!! pairings is too slow.
+* a truncated Fock-space walk for every word at q != 0.
 
-All routes memoize per word on the oracle instance, so results are
-deterministic and reproducible.
+The tests keep a third route, pairing enumeration with incremental crossing
+counts, as the reference oracle for both.  Results are memoized per word on
+the oracle instance, so they are deterministic and reproducible.
 """
 
 from __future__ import annotations
 
 from .errors import DimMismatch, IndexOutOfRange, VarCountMismatch
 from .modular import ModularContext
-from .ncpoly import NCPoly, Word
+from .ncpoly import NCPoly, Word, generators
 from .tensor import TensorPoly
-
-# Above this word length, pairing enumeration hands off to the Fock walk.
-ENUMERATION_LIMIT = 8
 
 
 class MomentOracle:
@@ -57,40 +53,11 @@ class MomentOracle:
             return got
         if self.q == 0.0:
             val = self._noncrossing(word)
-        elif len(word) <= ENUMERATION_LIMIT:
-            val = self._enumerate(word)
         else:
             val = self._fock_walk(word)
         val = complex(val)
         self._memo[word] = val
         return val
-
-    def _enumerate(self, word: Word) -> complex:
-        """Sum over all pairings, counting crossings incrementally.
-
-        Positions are paired smallest-first.  When chord (i, j) is laid
-        down, it crosses exactly the already-open chords whose far end lies
-        strictly between i and j.
-        """
-        q = self.q
-        inner = self.inner_U
-
-        def rec(remaining: tuple[int, ...], open_ends: tuple[int, ...]) -> complex:
-            if not remaining:
-                return 1.0 + 0.0j
-            i = remaining[0]
-            rest = remaining[1:]
-            active = tuple(b for b in open_ends if b > i)
-            total = 0.0 + 0.0j
-            for idx, j in enumerate(rest):
-                crossings = sum(1 for b in active if b < j)
-                w = inner[word[i] - 1, word[j] - 1] * q**crossings
-                if w == 0:
-                    continue
-                total += w * rec(rest[:idx] + rest[idx + 1:], active + (j,))
-            return total
-
-        return rec(tuple(range(len(word))), ())
 
     def _noncrossing(self, word: Word) -> complex:
         """Interval recursion over non-crossing pairings (q = 0 only)."""
@@ -177,21 +144,6 @@ class MomentOracle:
                 total += cp.conjugate() * cq * self.moment(rev + wq)
         return total
 
-    def inner_tensor(self, S: TensorPoly, T: TensorPoly) -> complex:
-        """Inner product on the tensor square:
-        <a (x) b, c (x) d> = state(a* c) state(d b*).
-        """
-        self._check_vars(S)
-        self._check_vars(T)
-        total = 0.0 + 0.0j
-        for (a, b), cs in S.coeffs.items():
-            ra, rb = a[::-1], b[::-1]
-            for (c, d), ct in T.coeffs.items():
-                total += (
-                    cs.conjugate() * ct * self.moment(ra + c) * self.moment(d + rb)
-                )
-        return total
-
     def contract_left(self, T: TensorPoly) -> NCPoly:
         """(phi (x) 1): a (x) b -> state(a) b."""
         self._check_vars(T)
@@ -220,8 +172,6 @@ class MomentOracle:
 
     def law(self) -> "Law":
         """The oracle's own moments as a law (identity substitution)."""
-        from .ncpoly import generators
-
         return Law(self, generators(self.ctx, 1), None)
 
 

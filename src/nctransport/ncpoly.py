@@ -26,8 +26,9 @@ PRUNE_TOL = 1e-14
 CENTRALIZER_TOL = 1e-9
 
 
-def _prune(coeffs: dict[Word, complex]) -> dict[Word, complex]:
-    return {w: complex(c) for w, c in coeffs.items() if abs(c) > PRUNE_TOL}
+def _prune(coeffs: dict) -> dict:
+    """Drop coefficients at noise level; keys are words or word pairs."""
+    return {k: complex(c) for k, c in coeffs.items() if abs(c) > PRUNE_TOL}
 
 
 @dataclass(frozen=True)
@@ -181,26 +182,6 @@ class NCPoly:
 
     def degrees(self):
         return sorted({len(w) for w in self.coeffs})
-
-
-def add(P: NCPoly, Q: NCPoly) -> NCPoly:
-    return P + Q
-
-
-def scalar_mul(c: complex, P: NCPoly) -> NCPoly:
-    return P.scale(c)
-
-
-def mul(P: NCPoly, Q: NCPoly) -> NCPoly:
-    return P * Q
-
-
-def adjoint(P: NCPoly) -> NCPoly:
-    return P.adjoint()
-
-
-def project_degree(P: NCPoly, n: int) -> NCPoly:
-    return P.project_degree(n)
 
 
 def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:

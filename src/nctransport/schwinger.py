@@ -12,70 +12,74 @@ from __future__ import annotations
 from itertools import product
 
 from .calculus import cyclic_D, partial_bar, partial_sigma
-from .errors import BadGamma, DimMismatch, NotCyclicallySymmetric
-from .modular import ModularContext, apply_sigma
-from .moments import MomentOracle
-from .ncpoly import NCPoly, is_cyclically_symmetric
-from .tensor import TensorMatrix, TensorPoly, t_mul
+from .errors import BadGamma, NotCyclicallySymmetric
+from .modular import ModularContext
+from .moments import Law, MomentOracle
+from .ncpoly import NCPoly, Word, is_cyclically_symmetric
+from .tensor import TensorPoly, t_mul, t_sigma
 
 
-def _q_deriv_bar(ctx: ModularContext, j: int, P: NCPoly, Xi: TensorPoly) -> TensorPoly:
-    """Deformed conjugate derivation: partial_bar followed by # with Xi.
+def deformed_adjoint(
+    o: MomentOracle, ctx: ModularContext, j: int, T: TensorPoly, Xi: TensorPoly
+) -> NCPoly:
+    """Adjoint of the deformed derivation on a tensor whose right leg already
+    carries the modular twist at -i.  Elementwise on a (x) b:
 
-    The product is computed exactly (caps lifted to the degree sum); the
-    state contractions downstream kill the high Fock levels anyway.
+        a X_j b - a CL(d_j b # Xi) - CR(dbar_j a # Xi) b,
+
+    where d_j is the twisted difference quotient, dbar_j its conjugate
+    variant, and CL/CR contract the left/right leg with the state.  The #
+    products are exact (caps lifted to the degree sum); words beyond the cap
+    |T| + 1 are dropped and taint the result, as does a tainted T or Xi.
     """
-    base = partial_bar(ctx, j, P)
-    if Xi.coeffs == {((), ()): 1.0 + 0.0j}:
-        return base
-    full = base.degree() + Xi.degree()
-    return t_mul(base.with_cap(full), Xi.with_cap(full))
+    ctx.check_index(j)
+    nv = ctx.num_vars
+    cap = T.degree_cap + 1
+    trivial = Xi.coeffs == {((), ()): 1.0 + 0.0j}
+
+    def contracted(contract, base: TensorPoly) -> NCPoly:
+        if not trivial:
+            full = base.degree() + Xi.degree()
+            base = t_mul(base.with_cap(full), Xi.with_cap(full))
+        return contract(base).with_cap(cap)
+
+    acc: dict[Word, complex] = {}
+
+    def bump(word: Word, val: complex) -> None:
+        acc[word] = acc.get(word, 0.0) + val
+
+    # Many terms share a leg; cache the contracted derivations.
+    left_cache: dict[Word, NCPoly] = {}
+    right_cache: dict[Word, NCPoly] = {}
+    for (a, b), c in T.coeffs.items():
+        bump(a + (j,) + b, c)
+        cl = left_cache.get(b)
+        if cl is None:
+            pb = NCPoly.monomial(nv, b, 1.0, cap=cap)
+            cl = left_cache[b] = contracted(o.contract_left, partial_sigma(ctx, j, pb))
+        for w, v in cl.coeffs.items():
+            bump(a + w, -c * v)
+        cr = right_cache.get(a)
+        if cr is None:
+            pa = NCPoly.monomial(nv, a, 1.0, cap=cap)
+            cr = right_cache[a] = contracted(o.contract_right, partial_bar(ctx, j, pa))
+        for w, v in cr.coeffs.items():
+            bump(w + b, -c * v)
+    kept = {w: v for w, v in acc.items() if len(w) <= cap}
+    legs = (*left_cache.values(), *right_cache.values())
+    truncated = T.truncated or Xi.truncated or len(kept) < len(acc) or any(p.truncated for p in legs)
+    return NCPoly(nv, kept, cap, truncated)
 
 
 def partial_q_star(
     o: MomentOracle, ctx: ModularContext, j: int, T: TensorPoly, Xi: TensorPoly
 ) -> NCPoly:
-    """Adjoint of the deformed derivation applied to a word-pair tensor.
-
-    Elementwise on a (x) b:
-
-        a X_j s(b) - a s(CL(dbar_j b)) - CR(dbar_j a) s(b),
-
-    where s is the modular twist at -i, CL/CR contract the left/right leg
-    with the state, and dbar_j is the deformed conjugate derivation.  With
-    Xi = 1 (x) 1 this is the q = 0 adjoint; in particular the unit maps to
-    the generator X_j.
+    """Adjoint of the deformed derivation applied to a word-pair tensor:
+    elementwise a X_j s(b) - a s(CL(dbar_j b # Xi)) - CR(dbar_j a # Xi) s(b),
+    with s the modular twist at -i.  With Xi = 1 (x) 1 this is the q = 0
+    adjoint; in particular the unit maps to the generator X_j.
     """
-    ctx.check_index(j)
-    nv = ctx.num_vars
-    cap = T.degree_cap + 1
-    out = NCPoly.zero(nv, cap)
-    xj = NCPoly.gen(nv, j, cap)
-    for (a, b), c in T.coeffs.items():
-        pa = NCPoly.monomial(nv, a, c, cap=cap)
-        pb = NCPoly.monomial(nv, b, 1.0, cap=cap)
-        sb = apply_sigma(ctx, pb, -1.0)
-        t1 = pa * xj * sb
-        t2 = pa * apply_sigma(ctx, o.contract_left(_q_deriv_bar(ctx, j, pb, Xi)), -1.0).with_cap(cap)
-        t3 = o.contract_right(_q_deriv_bar(ctx, j, pa, Xi)).with_cap(cap) * sb
-        out = out + t1 - t2 - t3
-    return out
-
-
-def jsigma_star(
-    o: MomentOracle, ctx: ModularContext, Q: TensorMatrix, Xi: TensorPoly
-) -> list[NCPoly]:
-    """Adjoint of the twisted Jacobian: component j is sum_i of the adjoint
-    derivation applied to entry (j, i)."""
-    if Q.dim != ctx.num_vars:
-        raise DimMismatch(f"matrix dim {Q.dim}, context has {ctx.num_vars}")
-    out = []
-    for j in range(1, ctx.num_vars + 1):
-        acc = NCPoly.zero(ctx.num_vars, Q.degree_cap + 1)
-        for i in range(1, ctx.num_vars + 1):
-            acc = acc + partial_q_star(o, ctx, i, Q[j - 1, i - 1], Xi)
-        out.append(acc)
-    return out
+    return deformed_adjoint(o, ctx, j, t_sigma(ctx, T, 0.0, -1.0), Xi)
 
 
 def _words_up_to(n_vars: int, d: int):
@@ -83,27 +87,17 @@ def _words_up_to(n_vars: int, d: int):
         yield from product(range(1, n_vars + 1), repeat=length)
 
 
-def sd_residual(law, ctx: ModularContext, V: NCPoly, d: int) -> float:
+def sd_residual(law: Law, ctx: ModularContext, V: NCPoly, d: int) -> float:
     """Worst deviation from the Schwinger-Dyson identity up to degree d.
 
     For each generator index j and each monomial p with |p| <= d, compares
-    law((D_j V)* p) against (law (x) law)(partial_sigma_j p).  The supplied
-    law may be a Law instance or any word -> complex callable.
+    law((D_j V)* p) against (law (x) law)(partial_sigma_j p), through the
+    linear extensions of the Law.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
     if not is_cyclically_symmetric(ctx, V):
         raise NotCyclicallySymmetric("potential is not cyclically symmetric")
-    law_w = law if callable(law) else law.__call__
-
-    def law_poly(P: NCPoly) -> complex:
-        return sum((c * law_w(w) for w, c in P.coeffs.items()), 0.0 + 0.0j)
-
-    def law_tensor(T: TensorPoly) -> complex:
-        return sum(
-            (c * law_w(a) * law_w(b) for (a, b), c in T.coeffs.items()), 0.0 + 0.0j
-        )
-
     worst = 0.0
     for j in range(1, ctx.num_vars + 1):
         dv_star = cyclic_D(ctx, j, V).adjoint()
@@ -111,8 +105,8 @@ def sd_residual(law, ctx: ModularContext, V: NCPoly, d: int) -> float:
             # Lift caps so the pairing polynomial (D_j V)* p is exact.
             need = dv_star.degree() + len(p)
             mono = NCPoly.monomial(ctx.num_vars, p, 1.0, cap=need)
-            lhs = law_poly(dv_star.with_cap(need) * mono)
-            rhs = law_tensor(partial_sigma(ctx, j, mono))
+            lhs = law.poly(dv_star.with_cap(need) * mono)
+            rhs = law.tensor(partial_sigma(ctx, j, mono))
             worst = max(worst, abs(lhs - rhs))
     return worst
 

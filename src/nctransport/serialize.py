@@ -1,4 +1,4 @@
-"""JSON formats for polynomials, tensors, and reports.
+"""JSON formats for polynomials and reports.
 
 Reports are emitted with a fixed key order (insertion order of the dicts
 built by the callers) and floats printed with 17 significant digits, so an
@@ -12,7 +12,6 @@ import json
 from typing import Any
 
 from .ncpoly import NCPoly
-from .tensor import TensorPoly
 
 
 def poly_to_terms(P: NCPoly) -> list[dict]:
@@ -35,26 +34,6 @@ def poly_from_terms(num_vars: int, terms, cap: int) -> NCPoly:
             float(t.get("re", 0.0)), float(t.get("im", 0.0))
         )
     return NCPoly(num_vars, coeffs, cap)
-
-
-def tensor_to_terms(T: TensorPoly) -> list[dict]:
-    """Tensor file format: [{"left": [...], "right": [...], "re":, "im":}]."""
-    terms = []
-    for a, b in sorted(T.coeffs, key=lambda p: (len(p[0]) + len(p[1]), p)):
-        c = T.coeffs[(a, b)]
-        terms.append({"left": list(a), "right": list(b), "re": c.real, "im": c.imag})
-    return terms
-
-
-def tensor_from_terms(num_vars: int, terms, cap: int) -> TensorPoly:
-    coeffs = {}
-    for t in terms:
-        a = tuple(int(i) for i in t["left"])
-        b = tuple(int(i) for i in t["right"])
-        coeffs[(a, b)] = coeffs.get((a, b), 0.0) + complex(
-            float(t.get("re", 0.0)), float(t.get("im", 0.0))
-        )
-    return TensorPoly(num_vars, coeffs, cap)
 
 
 def _fmt_float(x: float) -> str:

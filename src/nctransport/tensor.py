@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 from .errors import DimMismatch, VarCountMismatch
 from .modular import ModularContext, apply_sigma
-from .ncpoly import NCPoly, PRUNE_TOL, Word
+from .ncpoly import NCPoly, PRUNE_TOL, Word, _prune
 
 Pair = tuple[Word, Word]
-
-
-def _prune(coeffs: dict[Pair, complex]) -> dict[Pair, complex]:
-    return {p: complex(c) for p, c in coeffs.items() if abs(c) > PRUNE_TOL}
 
 
 @dataclass(frozen=True)
@@ -162,16 +158,6 @@ def t_apply(S: TensorPoly, g: NCPoly) -> NCPoly:
                 continue
             out[word] = out.get(word, 0.0) + c1 * c2
     return NCPoly(S.num_vars, out, cap, S.truncated or g.truncated or dropped)
-
-
-def lmul(P: NCPoly, S: TensorPoly) -> TensorPoly:
-    """Left action P . (a (x) b) = (Pa) (x) b."""
-    return t_mul(tensor_of(P, NCPoly.one(P.num_vars, S.degree_cap), S.degree_cap), S)
-
-
-def rmul(S: TensorPoly, P: NCPoly) -> TensorPoly:
-    """Right action (a (x) b) . P = a (x) (bP)."""
-    return t_mul(tensor_of(NCPoly.one(P.num_vars, S.degree_cap), P, S.degree_cap), S)
 
 
 def t_star(S: TensorPoly) -> TensorPoly:
@@ -428,12 +414,3 @@ def mat_star(Q: TensorMatrix) -> TensorMatrix:
 def mat_sigma(ctx: ModularContext, Q: TensorMatrix, s_left: float, s_right: float) -> TensorMatrix:
     """Legwise modular action applied to every entry."""
     return Q.map_entries(lambda e: t_sigma(ctx, e, s_left, s_right))
-
-
-def mat_pow(Q: TensorMatrix, m: int) -> TensorMatrix:
-    if m < 0:
-        raise ValueError("only nonnegative powers")
-    acc = TensorMatrix.identity(Q.num_vars, Q.dim, Q.degree_cap)
-    for _ in range(m):
-        acc = mat_mul(acc, Q)
-    return acc

@@ -98,6 +98,17 @@ class HypothesisReport:
     bound_delta: float = 0.125
     pass_: bool = False
 
+    def as_dict(self) -> dict:
+        """The report's "hypotheses" entry, in report key order."""
+        return {
+            "norm_W_Rsigma": self.norm_W_Rsigma,
+            "sum_delta_pi_norm": self.sum_delta_pi_norm,
+            "bound_W": self.bound_W,
+            "bound_delta": self.bound_delta,
+            "radius_ok": self.radius_ok,
+            "pass": self.pass_,
+        }
+
 
 @dataclass
 class TransportSolution:
@@ -117,8 +128,6 @@ class TransportSolution:
     hypotheses: HypothesisReport
     truncated: bool
     warnings: list[str] = field(default_factory=list)
-    sd_residual: float | None = None
-    monotone_certified: bool | None = None
 
 
 def check_hypotheses(ctx: ModularContext, W: NCPoly, cfg: TransportConfig) -> HypothesisReport:

@@ -1,0 +1,108 @@
+"""Reference implementations that only the tests use.
+
+Each one is a slower or more literal form of a quantity the library
+computes another way (or a paper identity built from library pieces); the
+tests compare the two.
+"""
+
+from nctransport.calculus import partial_bar
+from nctransport.errors import DimMismatch
+from nctransport.modular import ModularContext, apply_sigma
+from nctransport.moments import MomentOracle
+from nctransport.ncpoly import NCPoly
+from nctransport.schwinger import partial_q_star
+from nctransport.tensor import (
+    TensorMatrix,
+    TensorPoly,
+    t_diamond,
+    t_flip_m,
+    t_mul,
+    t_sigma,
+    tensor_of,
+)
+
+
+def _q_deriv_bar(ctx: ModularContext, j: int, P: NCPoly, Xi: TensorPoly) -> TensorPoly:
+    """Deformed conjugate derivation: partial_bar followed by # with Xi,
+    computed exactly (caps lifted to the degree sum)."""
+    base = partial_bar(ctx, j, P)
+    if Xi.coeffs == {((), ()): 1.0 + 0.0j}:
+        return base
+    full = base.degree() + Xi.degree()
+    return t_mul(base.with_cap(full), Xi.with_cap(full))
+
+
+def partial_q_star_reference(
+    o: MomentOracle, ctx: ModularContext, j: int, T: TensorPoly, Xi: TensorPoly
+) -> NCPoly:
+    """Adjoint of the deformed derivation, term by term on a (x) b:
+
+        a X_j s(b) - a s(CL(dbar_j b # Xi)) - CR(dbar_j a # Xi) s(b),
+
+    with s the modular twist at -i, accumulated through polynomial
+    arithmetic at the cap |T| + 1.
+    """
+    ctx.check_index(j)
+    nv = ctx.num_vars
+    cap = T.degree_cap + 1
+    out = NCPoly.zero(nv, cap)
+    xj = NCPoly.gen(nv, j, cap)
+    for (a, b), c in T.coeffs.items():
+        pa = NCPoly.monomial(nv, a, c, cap=cap)
+        pb = NCPoly.monomial(nv, b, 1.0, cap=cap)
+        sb = apply_sigma(ctx, pb, -1.0)
+        t1 = pa * xj * sb
+        t2 = pa * apply_sigma(ctx, o.contract_left(_q_deriv_bar(ctx, j, pb, Xi)), -1.0).with_cap(cap)
+        t3 = o.contract_right(_q_deriv_bar(ctx, j, pa, Xi)).with_cap(cap) * sb
+        out = out + t1 - t2 - t3
+    return out
+
+
+def jsigma_star(
+    o: MomentOracle, ctx: ModularContext, Q: TensorMatrix, Xi: TensorPoly
+) -> list[NCPoly]:
+    """Adjoint of the twisted Jacobian: component j is sum_i of the adjoint
+    derivation applied to entry (j, i)."""
+    if Q.dim != ctx.num_vars:
+        raise DimMismatch(f"matrix dim {Q.dim}, context has {ctx.num_vars}")
+    out = []
+    for j in range(1, ctx.num_vars + 1):
+        acc = NCPoly.zero(ctx.num_vars, Q.degree_cap + 1)
+        for i in range(1, ctx.num_vars + 1):
+            acc = acc + partial_q_star(o, ctx, i, Q[j - 1, i - 1], Xi)
+        out.append(acc)
+    return out
+
+
+def inner_tensor(o: MomentOracle, S: TensorPoly, T: TensorPoly) -> complex:
+    """Inner product on the tensor square:
+    <a (x) b, c (x) d> = state(a* c) state(d b*).
+    """
+    total = 0.0 + 0.0j
+    for (a, b), cs in S.coeffs.items():
+        ra, rb = a[::-1], b[::-1]
+        for (c, d), ct in T.coeffs.items():
+            total += cs.conjugate() * ct * o.moment(ra + c) * o.moment(d + rb)
+    return total
+
+
+def lmul(P: NCPoly, S: TensorPoly) -> TensorPoly:
+    """Left action P . (a (x) b) = (Pa) (x) b."""
+    return t_mul(tensor_of(P, NCPoly.one(P.num_vars, S.degree_cap), S.degree_cap), S)
+
+
+def rmul(S: TensorPoly, P: NCPoly) -> TensorPoly:
+    """Right action (a (x) b) . P = a (x) (bP)."""
+    return t_mul(tensor_of(NCPoly.one(P.num_vars, S.degree_cap), P, S.degree_cap), S)
+
+
+def partial_tilde(ctx: ModularContext, j: int, P: NCPoly) -> TensorPoly:
+    """Leg-swapped variant sum_k alpha_jk delta_k(.)^diamond."""
+    return t_diamond(partial_bar(ctx, j, P))
+
+
+def cyclic_D_composed(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
+    """Cyclic derivative as m o diamond o (1 (x) sigma_{-i}) o partial_bar."""
+    t = partial_bar(ctx, j, P)
+    t = t_sigma(ctx, t, 0.0, -1.0)
+    return t_flip_m(t_diamond(t)).with_cap(P.degree_cap)

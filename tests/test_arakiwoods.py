@@ -209,6 +209,17 @@ def test_conjugate_vars_require_inverse(ctx1):
         conjugate_vars(ctx1, 0.1, xi, MomentOracle(ctx1, 0.1))
 
 
+def test_conjugate_vars_carry_truncation(lam2):
+    # the Neumann inverse drops words beyond its cap; the conjugate variables
+    # built from it must say so
+    q = 3e-5
+    xi = build_xi(lam2, q, 4)
+    invert_xi(xi, natural_radius(q, 1.0), 1e-9, 1.0, lam2)
+    assert xi.xi_inv.truncated
+    xv = conjugate_vars(lam2, q, xi, MomentOracle(lam2, q))
+    assert all(p.truncated for p in xv)
+
+
 def test_conjugate_pairing_single_generator(ctx1):
     q = 0.05
     o = MomentOracle(ctx1, q)

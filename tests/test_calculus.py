@@ -3,7 +3,6 @@ import pytest
 
 from nctransport.calculus import (
     cyclic_D,
-    cyclic_D_composed,
     delta,
     grad_D,
     jac_J,
@@ -11,7 +10,6 @@ from nctransport.calculus import (
     number_op,
     partial_bar,
     partial_sigma,
-    partial_tilde,
     pi_op,
     sigma_inv_op,
     symmetrize_S,
@@ -36,6 +34,7 @@ from nctransport.tensor import (
     t_diamond,
     t_sigma,
 )
+from oracles import cyclic_D_composed, lmul, partial_tilde, rmul
 
 TOL = 1e-12
 
@@ -52,8 +51,6 @@ def test_delta_examples():
 def test_delta_is_derivation(ctx2, rng):
     # Leibniz in the bimodule sense: split in P keeps Q on the right leg,
     # split in Q keeps P on the left leg.
-    from nctransport.tensor import lmul, rmul
-
     p = random_poly(ctx2, rng, 3, cap=8)
     q = random_poly(ctx2, rng, 3, cap=8)
     for j in (1, 2):

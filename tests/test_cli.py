@@ -161,6 +161,10 @@ def test_usage_errors(tmp_path, capsys):
     bad.write_text("{not json")
     assert run(["moments", "--config", str(bad)]) == EXIT_USAGE
     assert run(["nonsense"]) == EXIT_USAGE
+    # the worker-cap flag was never read and is gone
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"lambdas": [], "num_trivial": 1}))
+    assert run(["moments", "--config", str(good), "--threads", "2"]) == EXIT_USAGE
     capsys.readouterr()
 
 

@@ -55,14 +55,44 @@ def test_four_point_closed_form(lam2):
             assert abs(o.moment(w) - closed) < TOL
 
 
+def _enumerate(o: MomentOracle, word) -> complex:
+    """Reference moment: sum over all pairings, counting crossings
+    incrementally.
+
+    Positions are paired smallest-first.  When chord (i, j) is laid down, it
+    crosses exactly the already-open chords whose far end lies strictly
+    between i and j.
+    """
+    q = o.q
+    inner = o.inner_U
+
+    def rec(remaining: tuple, open_ends: tuple) -> complex:
+        if not remaining:
+            return 1.0 + 0.0j
+        i = remaining[0]
+        rest = remaining[1:]
+        active = tuple(b for b in open_ends if b > i)
+        total = 0.0 + 0.0j
+        for idx, j in enumerate(rest):
+            crossings = sum(1 for b in active if b < j)
+            w = inner[word[i] - 1, word[j] - 1] * q**crossings
+            if w == 0:
+                continue
+            total += w * rec(rest[:idx] + rest[idx + 1:], active + (j,))
+        return total
+
+    return rec(tuple(range(len(word))), ())
+
+
 def test_three_routes_agree(lam2, rng):
-    o = MomentOracle(lam2, 0.41)
-    o0 = MomentOracle(lam2, 0.0)
-    for _ in range(40):
-        n = 2 * int(rng.integers(0, 5))
-        w = tuple(int(x) for x in rng.integers(1, 3, size=n))
-        assert abs(o._enumerate(w) - o._fock_walk(w)) < 1e-12
-        assert abs(o0._enumerate(w) - o0._noncrossing(w)) < 1e-12
+    # pairing enumeration is the reference for the non-crossing recursion
+    # (q = 0) and the Fock walk (q != 0)
+    oracles = [MomentOracle(lam2, q) for q in (0.0, 3e-5, 0.41, -0.3)]
+    for n in (0, 2, 4, 6, 8):
+        for _ in range(8):
+            w = tuple(int(x) for x in rng.integers(1, 3, size=n))
+            for o in oracles:
+                assert abs(_enumerate(o, w) - o.moment(w)) < 1e-12
 
 
 def test_moment_reversal_conjugation(lam2, rng):

@@ -3,19 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from nctransport.arakiwoods import build_xi, conjugate_vars, invert_xi, natural_radius
 from nctransport.calculus import grad_D, partial_bar, partial_sigma
 from nctransport.errors import BadGamma, NotCyclicallySymmetric
 from nctransport.modular import apply_sigma
 from nctransport.moments import MomentOracle
 from nctransport.ncpoly import NCPoly, max_coeff_diff, quadratic_potential
 from nctransport.randgen import random_poly, random_tensor
-from nctransport.schwinger import (
-    gibbs_distance,
-    jsigma_star,
-    partial_q_star,
-    sd_residual,
-)
-from nctransport.tensor import TensorMatrix, TensorPoly
+from nctransport.schwinger import gibbs_distance, partial_q_star, sd_residual
+from nctransport.tensor import TensorMatrix, TensorPoly, t_sigma, t_star
+from oracles import inner_tensor, jsigma_star, partial_q_star_reference
 
 TOL = 1e-12
 
@@ -29,6 +26,31 @@ def test_adjoint_of_unit_is_generator(lam2, ctx2):
             assert max_coeff_diff(got, NCPoly.gen(ctx.num_vars, j, got.degree_cap)) < TOL
 
 
+@pytest.mark.parametrize("lambdas", [[2.0], [3.0]])
+@pytest.mark.parametrize("q", [0.0, 0.05])
+def test_adjoint_matches_reference(lambdas, q, rng):
+    # the cached adjoint loop against the term-by-term polynomial formula,
+    # on random tensors and on the twisted kernel inverse that gives the
+    # conjugate variables
+    from nctransport import build_context
+
+    ctx = build_context(lambdas)
+    o = MomentOracle(ctx, q)
+    xi = build_xi(ctx, q, 2)
+    for kernel in (TensorPoly.one(2, 4), xi.xi):
+        for _ in range(4):
+            t = random_tensor(ctx, rng, 3, terms=3)
+            for j in (1, 2):
+                got = partial_q_star(o, ctx, j, t, kernel)
+                ref = partial_q_star_reference(o, ctx, j, t, kernel)
+                assert max_coeff_diff(got, ref) < 1e-12
+    invert_xi(xi, natural_radius(q, 1.0), 1e-12, 1.0, ctx)
+    eta = t_sigma(ctx, t_star(xi.xi_inv), -1.0, 1.0)
+    for j, got in enumerate(conjugate_vars(ctx, q, xi, o), start=1):
+        ref = partial_q_star_reference(o, ctx, j, eta, xi.xi)
+        assert max_coeff_diff(got, ref) < 1e-12
+
+
 def test_adjoint_pairing_identity(lam2, rng):
     # <adjoint(T), p> = <T, twisted quotient of p> through the state
     o = MomentOracle(lam2, 0.0)
@@ -40,7 +62,7 @@ def test_adjoint_pairing_identity(lam2, rng):
             for p in itertools.product((1, 2), repeat=2):
                 mono = NCPoly.monomial(2, p, 1.0)
                 lhs = o.inner(lhs_poly, mono)
-                rhs = o.inner_tensor(t, partial_sigma(lam2, j, mono))
+                rhs = inner_tensor(o, t, partial_sigma(lam2, j, mono))
                 assert abs(lhs - rhs) < 1e-10
 
 
