@@ -55,11 +55,6 @@ MAX_GRAM_DIM = 4096
 GRAM_EIG_FLOOR = 1e-12
 
 
-def u_inner(ctx: ModularContext, j: int, k: int) -> complex:
-    """Deformed generator inner product <e_j, e_k>_U = alpha_{kj}."""
-    return complex(ctx.alpha[k - 1, j - 1])
-
-
 def wick_poly(ctx: ModularContext, q: float, word, _memo=None) -> NCPoly:
     """Polynomial whose Fock vector is the plain tensor of the word's letters.
 
@@ -85,12 +80,13 @@ def _wick(ctx: ModularContext, q: float, word: Word, memo: dict) -> NCPoly:
         out = NCPoly.one(ctx.num_vars, cap)
     else:
         head, rest = word[0], word[1:]
-        out = NCPoly.gen(ctx.num_vars, head, cap) * _wick(ctx, q, rest, memo).with_cap(cap)
+        inner = ctx.inner_U[head - 1]
+        parts = [NCPoly.gen(ctx.num_vars, head, cap) * _wick(ctx, q, rest, memo).with_cap(cap)]
         for k in range(len(rest)):
-            w = q**k * u_inner(ctx, head, rest[k])
-            if w == 0:
-                continue
-            out = out - _wick(ctx, q, rest[:k] + rest[k + 1:], memo).with_cap(cap).scale(w)
+            w = q**k * complex(inner[rest[k] - 1])
+            if w != 0:
+                parts.append(_wick(ctx, q, rest[:k] + rest[k + 1:], memo).scale(-w))
+        out = NCPoly.sum(ctx.num_vars, parts, cap)
     memo[word] = out
     return out
 
@@ -114,7 +110,7 @@ def q_gram(ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL
             1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
         )
         perms.append((perm, q**inv))
-    inner = ctx.alpha.T
+    inner = ctx.inner_U
     for iu, u in enumerate(words):
         for iv, v in enumerate(words):
             total = 0.0 + 0.0j
@@ -166,15 +162,14 @@ def orthonormal_basis(
     words = _level_words(ctx.num_vars, n)
     memo = _memo if _memo is not None else {}
     wicks = [_wick(ctx, q, w, memo) for w in words]
-    out = []
-    for i in range(len(words)):
-        r = NCPoly.zero(ctx.num_vars, n)
-        for j in range(len(words)):
-            c = cols[j, i]
-            if abs(c) > 1e-16:
-                r = r + wicks[j].with_cap(n).scale(complex(c))
-        out.append(r)
-    return out
+    return [
+        NCPoly.sum(
+            ctx.num_vars,
+            (wick.scale(complex(c)) for wick, c in zip(wicks, cols[:, i]) if abs(c) > 1e-16),
+            n,
+        )
+        for i in range(len(words))
+    ]
 
 
 @dataclass
@@ -198,13 +193,13 @@ def build_xi(ctx: ModularContext, q: float, d: int) -> XiData:
     """
     cap = max(2 * d, 2)
     memo: dict[Word, NCPoly] = {}
-    xi = TensorPoly.zero(ctx.num_vars, cap)
-    for n in range(d + 1 if q != 0.0 else 1):
+
+    def level(n: int) -> TensorPoly:
         fam = orthonormal_basis(ctx, q, n, level_cap=d, _memo=memo)
-        block = TensorPoly.zero(ctx.num_vars, cap)
-        for r in fam:
-            block = block + tensor_of(r, r.adjoint(), cap)
-        xi = xi + block.scale(q**n)
+        block = TensorPoly.sum(ctx.num_vars, (tensor_of(r, r.adjoint(), cap) for r in fam), cap)
+        return block.scale(q**n)
+
+    xi = TensorPoly.sum(ctx.num_vars, map(level, range(d + 1 if q != 0.0 else 1)), cap)
     return XiData(q=q, max_level=d, xi=xi)
 
 
@@ -248,29 +243,25 @@ def invert_xi(xi: XiData, R: float, tol: float, c: float, ctx: ModularContext) -
         raise NeumannDivergence(
             f"scalar deviation {scalar_dev:.4g} >= 1; series diverges even truncated"
         )
-    acc = one
-    term = one
-    count = 0
+    terms = [one]
     while True:
-        term = t_mul(term, e)
+        term = t_mul(terms[-1], e)
         if term.is_zero():
             break
-        acc = acc + term
-        count += 1
+        terms.append(term)
         if pi_norm_bound(term, R) < tol:
             break
-        if count > 500:
+        if len(terms) > 501:
             raise NeumannDivergence("Neumann series did not settle in 500 terms")
+    acc = TensorPoly.sum(ctx.num_vars, terms, one.degree_cap)
     xi.xi_inv = acc
-    xi.neumann_terms = count
+    xi.neumann_terms = len(terms) - 1
     prodt = t_mul(xi.xi, acc)
     xi.inverse_residual = max_pair_diff(prodt, one)
     return xi
 
 
-def conjugate_vars(
-    ctx: ModularContext, q: float, xi: XiData, o_q: MomentOracle
-) -> list[NCPoly]:
+def conjugate_vars(ctx: ModularContext, xi: XiData, o_q: MomentOracle) -> list[NCPoly]:
     """Conjugate variables of the generators for the twisted difference
     quotient under the q-state.
 
@@ -310,7 +301,7 @@ def conjugate_check(
 
 
 def potential_W(
-    ctx: ModularContext, q: float, xi_vec: list[NCPoly], cs_tol: float = 1e-7
+    ctx: ModularContext, xi_vec: list[NCPoly], cs_tol: float = 1e-7
 ) -> PotentialResult:
     """Potential with cyclic gradient equal to the conjugate variables.
 
@@ -322,14 +313,13 @@ def potential_W(
     nv = ctx.num_vars
     cap = max(p.degree_cap for p in xi_vec) + 1
     half = 0.5 * (ctx.A + np.eye(nv))
-    acc = NCPoly.zero(nv, cap)
-    for j in range(nv):
-        xj = NCPoly.gen(nv, j + 1, cap)
-        for k in range(nv):
-            c = complex(half[j, k])
-            if abs(c) < 1e-16:
-                continue
-            acc = acc + (xi_vec[k].with_cap(cap) * xj).scale(c)
+    xs = [NCPoly.gen(nv, j + 1, cap) for j in range(nv)]
+    weights = ((j, k, complex(half[j, k])) for j in range(nv) for k in range(nv))
+    acc = NCPoly.sum(
+        nv,
+        ((xi_vec[k].with_cap(cap) * xs[j]).scale(c) for j, k, c in weights if abs(c) >= 1e-16),
+        cap,
+    )
     V = sigma_inv_op(acc)
     if not is_cyclically_symmetric(ctx, V, tol=cs_tol):
         raise NotCyclicallySymmetric(
@@ -390,13 +380,13 @@ def q_isomorphism_pipeline(
     report["xi_inverse_residual"] = xi.inverse_residual
     report["neumann_terms"] = xi.neumann_terms
 
-    xi_vec = conjugate_vars(ctx, q, xi, oq)
+    xi_vec = conjugate_vars(ctx, xi, oq)
     if conjugate_check_degree is not None:
         report["conjugate_check"] = conjugate_check(
             ctx, oq, xi_vec, conjugate_check_degree
         )
 
-    pot = potential_W(ctx, q, xi_vec)
+    pot = potential_W(ctx, xi_vec)
     w_capped = pot.W.with_cap(cfg.degree_cap)
     report["norm_W_Rsigma"] = norm_R_sigma(ctx, w_capped, cfg.R).value
     report["potential_grad_residual"] = pot.grad_residual

@@ -9,6 +9,8 @@ before truncation.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import DimMismatch, IndexOutOfRange
 from .modular import ModularContext, apply_sigma
 from .ncpoly import NCPoly, Word, rho
@@ -31,11 +33,11 @@ def delta(j: int, P: NCPoly) -> TensorPoly:
 
 
 def _weighted_delta(weights, P: NCPoly) -> TensorPoly:
-    out = TensorPoly.zero(P.num_vars, 2 * P.degree_cap)
-    for k, a in enumerate(weights, start=1):
-        if abs(a) > 0:
-            out = out + delta(k, P).scale(a)
-    return out
+    return TensorPoly.sum(
+        P.num_vars,
+        (delta(k, P).scale(a) for k, a in enumerate(weights, start=1) if abs(a) > 0),
+        2 * P.degree_cap,
+    )
 
 
 def partial_sigma(ctx: ModularContext, j: int, P: NCPoly) -> TensorPoly:
@@ -60,17 +62,18 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
     """
     ctx.check_index(j)
     alpha = ctx.alpha
-    out = NCPoly.zero(P.num_vars, P.degree_cap)
-    for w, c in P.coeffs.items():
-        n = len(w)
-        for l in range(n):
-            a = alpha[j - 1, w[l] - 1]
-            if abs(a) == 0.0:
-                continue
-            tail = NCPoly.monomial(P.num_vars, w[l + 1:], 1.0, cap=P.degree_cap)
-            head = NCPoly.monomial(P.num_vars, w[:l], c * a, cap=P.degree_cap)
-            out = out + apply_sigma(ctx, tail, -1.0) * head
-    return out
+
+    def terms():
+        for w, c in P.coeffs.items():
+            for l in range(len(w)):
+                a = alpha[j - 1, w[l] - 1]
+                if abs(a) == 0.0:
+                    continue
+                tail = NCPoly.monomial(P.num_vars, w[l + 1:], 1.0, cap=P.degree_cap)
+                head = NCPoly.monomial(P.num_vars, w[:l], c * a, cap=P.degree_cap)
+                yield apply_sigma(ctx, tail, -1.0) * head
+
+    return NCPoly.sum(P.num_vars, terms(), P.degree_cap)
 
 
 def grad_D(ctx: ModularContext, P: NCPoly) -> list[NCPoly]:
@@ -139,16 +142,13 @@ def symmetrize_S(ctx: ModularContext, P: NCPoly) -> NCPoly:
     Centralizer input lands on rotation-fixed output, and the map contracts
     the rotation-invariant norm there.
     """
-    out = NCPoly.zero(P.num_vars, P.degree_cap)
-    for n in P.degrees():
+
+    def averaged(n: int) -> NCPoly:
         comp = P.project_degree(n)
         if n == 0:
-            out = out + comp
-            continue
-        acc = comp
-        rotated = comp
-        for _ in range(1, n):
-            rotated = rho(ctx, rotated, 1)
-            acc = acc + rotated
-        out = out + acc.scale(1.0 / n)
-    return out
+            return comp
+        # comp and its n - 1 successive rotations, one at a time
+        orbit = accumulate(range(1, n), lambda p, _: rho(ctx, p, 1), initial=comp)
+        return NCPoly.sum(P.num_vars, orbit, P.degree_cap).scale(1.0 / n)
+
+    return NCPoly.sum(P.num_vars, map(averaged, P.degrees()), P.degree_cap)

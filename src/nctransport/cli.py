@@ -71,7 +71,6 @@ class RunConfig:
             degree_cap=self.degree_cap,
             tolerance=self.tolerance,
             max_iterations=self.max_iterations,
-            gamma=self.gamma,
         )
 
 
@@ -318,9 +317,6 @@ def run(argv=None) -> int:
         kind = "numerical" if isinstance(exc, NCTransportError) else "usage"
         print(f"{kind} error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, NCTransportError) else EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"usage error: bad JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def main() -> None:

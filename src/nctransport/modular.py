@@ -46,6 +46,12 @@ class ModularContext:
     _eigvecs: np.ndarray = field(repr=False, default=None)
 
     @property
+    def inner_U(self) -> np.ndarray:
+        """Deformed generator inner products, read-only:
+        inner_U[j-1, k-1] = <e_j, e_k>_U = alpha_{kj}."""
+        return self.alpha.T
+
+    @property
     def is_tracial(self) -> bool:
         """True when A is the identity, i.e. the state is a trace."""
         return not self.lambdas
@@ -132,7 +138,7 @@ def apply_sigma(ctx: ModularContext, P, s: float):
     Extended to words multiplicatively and to polynomials linearly.  s = -1
     sends the generator vector to A X; s = 0 is the identity.
     """
-    from .ncpoly import NCPoly, PRUNE_TOL
+    from .ncpoly import NCPoly
 
     if P.num_vars != ctx.num_vars:
         raise VarCountMismatch(
@@ -158,5 +164,4 @@ def apply_sigma(ctx: ModularContext, P, s: float):
             paths = nxt
         for w2, c2 in paths.items():
             out[w2] = out.get(w2, 0.0) + c2
-    out = {w: c for w, c in out.items() if abs(c) > PRUNE_TOL}
     return NCPoly(ctx.num_vars, out, P.degree_cap, P.truncated)

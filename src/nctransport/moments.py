@@ -25,9 +25,9 @@ from .tensor import TensorPoly
 class MomentOracle:
     """Evaluator of the q-quasi-free state, with a per-word memo cache.
 
-    The generator inner products are <e_j, e_k>_U = alpha_{kj}, pinned by
-    matching the second moments of the two-generator context against the
-    four-point closed form.
+    The generator inner products are <e_j, e_k>_U = alpha_{kj}
+    (``ModularContext.inner_U``), pinned by matching the second moments of
+    the two-generator context against the four-point closed form.
     """
 
     def __init__(self, ctx: ModularContext, q: float):
@@ -35,8 +35,6 @@ class MomentOracle:
             raise ValueError(f"q must lie in (-1, 1), got {q}")
         self.ctx = ctx
         self.q = float(q)
-        # inner[j-1][k-1] = <e_j, e_k>_U
-        self.inner_U = ctx.alpha.T.copy()
         self._memo: dict[Word, complex] = {(): 1.0 + 0.0j}
 
     # -- single-word moments -------------------------------------------
@@ -61,7 +59,7 @@ class MomentOracle:
 
     def _noncrossing(self, word: Word) -> complex:
         """Interval recursion over non-crossing pairings (q = 0 only)."""
-        inner = self.inner_U
+        inner = self.ctx.inner_U
         memo = self._memo
 
         def rec(w: Word) -> complex:
@@ -90,7 +88,7 @@ class MomentOracle:
         vacuum within the remaining steps are pruned.
         """
         q = self.q
-        inner = self.inner_U
+        inner = self.ctx.inner_U
         state: dict[Word, complex] = {(): 1.0 + 0.0j}
         n = len(word)
         for step, letter in enumerate(reversed(word)):

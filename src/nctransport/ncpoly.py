@@ -4,7 +4,9 @@ A polynomial is a finite map from words (tuples of generator indices in
 1..N) to complex coefficients.  Every instance carries a degree cap; any
 operation that would produce words beyond the cap drops them and sets the
 ``truncated`` taint flag, so downstream reports can state "exact modulo
-degree > cap" honestly.
+degree > cap" honestly.  Sums enforce the cap too: the coefficient format
+and its linear structure, including the one in-place accumulator every sum
+goes through, live in a base class shared with ``tensor.TensorPoly``.
 """
 
 from __future__ import annotations
@@ -26,28 +28,108 @@ PRUNE_TOL = 1e-14
 CENTRALIZER_TOL = 1e-9
 
 
-def _prune(coeffs: dict) -> dict:
-    """Drop coefficients at noise level; keys are words or word pairs."""
-    return {k: complex(c) for k, c in coeffs.items() if abs(c) > PRUNE_TOL}
-
-
 @dataclass(frozen=True)
-class NCPoly:
-    """Sparse non-commutative polynomial with a degree cap and taint flag."""
+class _Sparse:
+    """Sparse coefficient map with a degree cap and taint flag.
+
+    The storage and linear structure shared by ``NCPoly`` (keys are words)
+    and ``tensor.TensorPoly`` (keys are word pairs).  A subclass supplies
+    ``_size``, the degree of a key.  Coefficients at noise level are pruned
+    on construction, and every sum goes through ``sum``, which enforces the
+    cap: words beyond it are dropped and set the taint flag.  Each subclass
+    defines its own one-line ``__add__``, where the per-layer tracer of
+    ``perfbench/tracing.py`` looks it up.
+    """
 
     num_vars: int
-    coeffs: dict[Word, complex]
+    coeffs: dict
     degree_cap: int
     truncated: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _prune(self.coeffs))
+        object.__setattr__(
+            self, "coeffs", {k: complex(c) for k, c in self.coeffs.items() if abs(c) > PRUNE_TOL}
+        )
+
+    @classmethod
+    def zero(cls, num_vars: int, cap: int):
+        return cls(num_vars, {}, cap)
+
+    @classmethod
+    def sum(cls, num_vars: int, parts, cap: int):
+        """Sum of the parts under the cap, accumulated in one dict in place.
+
+        Equal, coefficient for coefficient, to the left fold of ``+`` from
+        zero: touched coefficients are pruned after each part.  A part with a
+        larger cap goes through ``with_cap(cap)`` first; the taint flags of
+        the parts are ORed.
+        """
+        acc: dict = {}
+        truncated = False
+        for part in parts:
+            if part.num_vars != num_vars:
+                raise VarCountMismatch(
+                    f"operands over {num_vars} and {part.num_vars} generators"
+                )
+            if part.degree_cap > cap:
+                part = part.with_cap(cap)
+            truncated = truncated or part.truncated
+            for k, c in part.coeffs.items():
+                v = acc.get(k, 0.0) + c
+                if abs(v) > PRUNE_TOL:
+                    acc[k] = v
+                else:
+                    acc.pop(k, None)
+        return cls(num_vars, acc, cap, truncated)
+
+    def degree(self) -> int:
+        return max(map(self._size, self.coeffs), default=0)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def with_cap(self, cap: int):
+        """Retarget the cap, dropping (and tainting on) too-long keys."""
+        size = self._size
+        kept = {k: c for k, c in self.coeffs.items() if size(k) <= cap}
+        dropped = len(kept) != len(self.coeffs)
+        return type(self)(self.num_vars, kept, cap, self.truncated or dropped)
+
+    def _check(self, other) -> None:
+        if self.num_vars != other.num_vars:
+            raise VarCountMismatch(
+                f"operands over {self.num_vars} and {other.num_vars} generators"
+            )
+
+    def __neg__(self):
+        return type(self)(
+            self.num_vars,
+            {k: -c for k, c in self.coeffs.items()},
+            self.degree_cap,
+            self.truncated,
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: complex):
+        return type(self)(
+            self.num_vars,
+            {k: c * v for k, v in self.coeffs.items()},
+            self.degree_cap,
+            self.truncated,
+        )
+
+    def __rmul__(self, c):
+        return self.scale(c)
+
+
+class NCPoly(_Sparse):
+    """Sparse non-commutative polynomial with a degree cap and taint flag."""
+
+    _size = staticmethod(len)
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(num_vars: int, cap: int) -> "NCPoly":
-        return NCPoly(num_vars, {}, cap)
 
     @staticmethod
     def one(num_vars: int, cap: int) -> "NCPoly":
@@ -73,26 +155,6 @@ class NCPoly:
             cap = max(len(word), 1)
         return NCPoly(num_vars, {word: c}, cap)
 
-    # -- bookkeeping -------------------------------------------------------
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.coeffs), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def with_cap(self, cap: int) -> "NCPoly":
-        """Retarget the cap, dropping (and tainting on) too-long words."""
-        kept = {w: c for w, c in self.coeffs.items() if len(w) <= cap}
-        dropped = len(kept) != len(self.coeffs)
-        return NCPoly(self.num_vars, kept, cap, self.truncated or dropped)
-
-    def _check(self, other: "NCPoly") -> None:
-        if self.num_vars != other.num_vars:
-            raise VarCountMismatch(
-                f"operands over {self.num_vars} and {other.num_vars} generators"
-            )
-
     def __repr__(self):
         if not self.coeffs:
             return "NCPoly<0>"
@@ -105,45 +167,8 @@ class NCPoly:
         taint = ", truncated" if self.truncated else ""
         return f"NCPoly<{' + '.join(parts)}{more}{taint}>"
 
-    # -- linear structure --------------------------------------------------
-
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        self._check(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0.0) + c
-        return NCPoly(
-            self.num_vars,
-            out,
-            min(self.degree_cap, other.degree_cap),
-            self.truncated or other.truncated,
-        )
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(
-            self.num_vars,
-            {w: -c for w, c in self.coeffs.items()},
-            self.degree_cap,
-            self.truncated,
-        )
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
-
-    def scale(self, c: complex) -> "NCPoly":
-        if c == 0:
-            return NCPoly(self.num_vars, {}, self.degree_cap, self.truncated)
-        return NCPoly(
-            self.num_vars,
-            {w: c * v for w, v in self.coeffs.items()},
-            self.degree_cap,
-            self.truncated,
-        )
-
-    def __rmul__(self, c) -> "NCPoly":
-        return self.scale(c)
-
-    # -- multiplicative structure -----------------------------------------
+        return NCPoly.sum(self.num_vars, (self, other), min(self.degree_cap, other.degree_cap))
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         """Word-concatenation product; words beyond the cap are dropped."""
@@ -198,14 +223,17 @@ def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
             raise VarCountMismatch("substituends over differing generator counts")
     if cap is None:
         cap = min(y.degree_cap for y in Y)
-    out = NCPoly.zero(nv, cap)
     one = NCPoly.one(nv, cap)
     taint = P.truncated or any(y.truncated for y in Y)
-    for word, c in P.coeffs.items():
-        term = one.scale(c)
-        for j in word:
-            term = term * Y[j - 1].with_cap(cap)
-        out = out + term
+
+    def terms():
+        for word, c in P.coeffs.items():
+            term = one.scale(c)
+            for j in word:
+                term = term * Y[j - 1].with_cap(cap)
+            yield term
+
+    out = NCPoly.sum(nv, terms(), cap)
     return NCPoly(nv, out.coeffs, cap, out.truncated or taint)
 
 
@@ -245,34 +273,37 @@ def rho(ctx: ModularContext, P: NCPoly, k: int = 1) -> NCPoly:
         raise VarCountMismatch(
             f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
         )
-    out = NCPoly.zero(ctx.num_vars, P.degree_cap)
     A = ctx.A
     n_gen = ctx.num_vars
-    for n in P.degrees():
-        comp = P.project_degree(n)
-        if n == 0 or k == 0:
-            out = out + comp
-            continue
-        l = k % n
-        m = (k - l) // n
-        coeffs = comp.coeffs
-        for _ in range(l):
-            nxt: dict[Word, complex] = {}
-            for w, c in coeffs.items():
-                last = w[-1]
-                head = w[:-1]
-                row = A[last - 1]
-                for v in range(n_gen):
-                    a = row[v]
-                    if a == 0:
-                        continue
-                    key = (v + 1,) + head
-                    nxt[key] = nxt.get(key, 0.0) + c * a
-            coeffs = nxt
-        piece = NCPoly(ctx.num_vars, coeffs, P.degree_cap, comp.truncated)
-        if m != 0:
-            piece = apply_sigma(ctx, piece, -float(m))
-        out = out + piece
+
+    def pieces():
+        for n in P.degrees():
+            comp = P.project_degree(n)
+            if n == 0 or k == 0:
+                yield comp
+                continue
+            l = k % n
+            m = (k - l) // n
+            coeffs = comp.coeffs
+            for _ in range(l):
+                nxt: dict[Word, complex] = {}
+                for w, c in coeffs.items():
+                    last = w[-1]
+                    head = w[:-1]
+                    row = A[last - 1]
+                    for v in range(n_gen):
+                        a = row[v]
+                        if a == 0:
+                            continue
+                        key = (v + 1,) + head
+                        nxt[key] = nxt.get(key, 0.0) + c * a
+                coeffs = nxt
+            piece = NCPoly(ctx.num_vars, coeffs, P.degree_cap, comp.truncated)
+            if m != 0:
+                piece = apply_sigma(ctx, piece, -float(m))
+            yield piece
+
+    out = NCPoly.sum(ctx.num_vars, pieces(), P.degree_cap)
     return NCPoly(ctx.num_vars, out.coeffs, P.degree_cap, P.truncated)
 
 
@@ -324,16 +355,9 @@ def quadratic_potential(ctx: ModularContext, cap: int) -> NCPoly:
     """The quadratic potential whose cyclic gradient is the generator vector:
     1/2 sum_{j,k} [(1+A)/2]_{jk} X_k X_j.
     """
-    half = 0.5 * (ctx.A + np.eye(ctx.num_vars))
-    coeffs: dict[Word, complex] = {}
-    for j in range(ctx.num_vars):
-        for k in range(ctx.num_vars):
-            c = 0.5 * half[j, k]
-            if abs(c) <= PRUNE_TOL:
-                continue
-            w = (k + 1, j + 1)
-            coeffs[w] = coeffs.get(w, 0.0) + c
-    return NCPoly(ctx.num_vars, coeffs, cap)
+    n = ctx.num_vars
+    half = 0.5 * (ctx.A + np.eye(n))
+    return NCPoly(n, {(k + 1, j + 1): 0.5 * half[j, k] for j in range(n) for k in range(n)}, cap)
 
 
 def generators(ctx: ModularContext, cap: int) -> list[NCPoly]:

@@ -60,19 +60,17 @@ def random_centralizer(
     cyclic average; both operations preserve the fixed space.
     """
     cap = cap if cap is not None else max_degree
-    out = NCPoly.zero(ctx.num_vars, cap)
-    for n in range(max_degree + 1):
-        words, basis = _fixed_space(ctx, n)
-        if basis.shape[1] == 0:
-            continue
-        mix = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
-        vec = basis @ mix
-        coeffs = {
-            words[i]: complex(vec[i])
-            for i in range(len(words))
-            if abs(vec[i]) > 1e-14
-        }
-        out = out + NCPoly(ctx.num_vars, coeffs, cap)
+
+    def degree_parts():
+        for n in range(max_degree + 1):
+            words, basis = _fixed_space(ctx, n)
+            if basis.shape[1] == 0:
+                continue
+            mix = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
+            vec = basis @ mix
+            yield NCPoly(ctx.num_vars, dict(zip(words, vec)), cap)
+
+    out = NCPoly.sum(ctx.num_vars, degree_parts(), cap)
     if self_adjoint:
         out = (out + out.adjoint()).scale(0.5)
     if cyclically_symmetric:

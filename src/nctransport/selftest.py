@@ -134,9 +134,11 @@ def check_gradient_eigenvector(cases: int = CASES) -> float:
         f = grad_D(ctx, g)
         sf = [apply_sigma(ctx, fj, -1.0) for fj in f]
         for j in range(ctx.num_vars):
-            acc = NCPoly.zero(ctx.num_vars, 10)
-            for k in range(ctx.num_vars):
-                acc = acc + sf[k].scale(complex(ainv[j, k]))
+            acc = NCPoly.sum(
+                ctx.num_vars,
+                (sf[k].scale(complex(ainv[j, k])) for k in range(ctx.num_vars)),
+                10,
+            )
             worst = max(worst, max_coeff_diff(acc, f[j]))
     return worst
 

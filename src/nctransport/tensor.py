@@ -2,9 +2,11 @@
 
 An elementary tensor a (x) b is stored as the pair of words (a, b); the
 product is (a (x) b) # (c (x) d) = (ac) (x) (db).  The degree cap applies to
-|a| + |b|.  The projective-norm value computed here is the upper bound read
-off the stored elementary-tensor representation, which is what every
-estimate in this library consumes.
+|a| + |b|.  Storage, pruning, the cap rule and the linear structure,
+including the in-place accumulator every sum goes through, are the ones of
+``ncpoly.NCPoly``: both classes share one base.  The projective-norm value
+computed here is the upper bound read off the stored elementary-tensor
+representation, which is what every estimate in this library consumes.
 """
 
 from __future__ import annotations
@@ -13,26 +15,17 @@ from dataclasses import dataclass
 
 from .errors import DimMismatch, VarCountMismatch
 from .modular import ModularContext, apply_sigma
-from .ncpoly import NCPoly, PRUNE_TOL, Word, _prune
+from .ncpoly import PRUNE_TOL, NCPoly, Word, _Sparse
 
 Pair = tuple[Word, Word]
 
 
-@dataclass(frozen=True)
-class TensorPoly:
+class TensorPoly(_Sparse):
     """Sparse element of P (x) P^op with a total-degree cap and taint flag."""
 
-    num_vars: int
-    coeffs: dict[Pair, complex]
-    degree_cap: int
-    truncated: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _prune(self.coeffs))
-
     @staticmethod
-    def zero(num_vars: int, cap: int) -> "TensorPoly":
-        return TensorPoly(num_vars, {}, cap)
+    def _size(pair: Pair) -> int:
+        return len(pair[0]) + len(pair[1])
 
     @staticmethod
     def one(num_vars: int, cap: int) -> "TensorPoly":
@@ -46,56 +39,8 @@ class TensorPoly:
             cap = max(len(left) + len(right), 1)
         return TensorPoly(num_vars, {(left, right): c}, cap)
 
-    def _check(self, other) -> None:
-        if self.num_vars != other.num_vars:
-            raise VarCountMismatch(
-                f"operands over {self.num_vars} and {other.num_vars} generators"
-            )
-
-    def degree(self) -> int:
-        return max((len(a) + len(b) for a, b in self.coeffs), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def with_cap(self, cap: int) -> "TensorPoly":
-        kept = {p: c for p, c in self.coeffs.items() if len(p[0]) + len(p[1]) <= cap}
-        dropped = len(kept) != len(self.coeffs)
-        return TensorPoly(self.num_vars, kept, cap, self.truncated or dropped)
-
     def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        self._check(other)
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, 0.0) + c
-        return TensorPoly(
-            self.num_vars,
-            out,
-            min(self.degree_cap, other.degree_cap),
-            self.truncated or other.truncated,
-        )
-
-    def __neg__(self) -> "TensorPoly":
-        return TensorPoly(
-            self.num_vars,
-            {p: -c for p, c in self.coeffs.items()},
-            self.degree_cap,
-            self.truncated,
-        )
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return self + (-other)
-
-    def scale(self, c: complex) -> "TensorPoly":
-        return TensorPoly(
-            self.num_vars,
-            {p: c * v for p, v in self.coeffs.items()},
-            self.degree_cap,
-            self.truncated,
-        )
-
-    def __rmul__(self, c) -> "TensorPoly":
-        return self.scale(c)
+        return TensorPoly.sum(self.num_vars, (self, other), min(self.degree_cap, other.degree_cap))
 
     def __repr__(self):
         n = len(self.coeffs)
@@ -207,15 +152,18 @@ def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -
         )
     if ctx.is_tracial or (s_left == 0.0 and s_right == 0.0):
         return S
-    out = TensorPoly.zero(S.num_vars, S.degree_cap)
-    for (a, b), c in S.coeffs.items():
-        pa = NCPoly.monomial(S.num_vars, a, c, cap=max(len(a), 1))
-        pb = NCPoly.monomial(S.num_vars, b, 1.0, cap=max(len(b), 1))
-        if s_left != 0.0:
-            pa = apply_sigma(ctx, pa, s_left)
-        if s_right != 0.0:
-            pb = apply_sigma(ctx, pb, s_right)
-        out = out + tensor_of(pa, pb, S.degree_cap)
+
+    def pieces():
+        for (a, b), c in S.coeffs.items():
+            pa = NCPoly.monomial(S.num_vars, a, c, cap=max(len(a), 1))
+            pb = NCPoly.monomial(S.num_vars, b, 1.0, cap=max(len(b), 1))
+            if s_left != 0.0:
+                pa = apply_sigma(ctx, pa, s_left)
+            if s_right != 0.0:
+                pb = apply_sigma(ctx, pb, s_right)
+            yield tensor_of(pa, pb, S.degree_cap)
+
+    out = TensorPoly.sum(S.num_vars, pieces(), S.degree_cap)
     return TensorPoly(S.num_vars, out.coeffs, S.degree_cap, S.truncated or out.truncated)
 
 
@@ -288,18 +236,13 @@ class TensorMatrix:
     def scalar(M, num_vars: int, cap: int) -> "TensorMatrix":
         """Embed a numeric matrix as degree-zero tensor entries."""
         dim = len(M)
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                c = complex(M[i][j])
-                row.append(
-                    TensorPoly(num_vars, {((), ()): c}, cap)
-                    if abs(c) > PRUNE_TOL
-                    else TensorPoly.zero(num_vars, cap)
-                )
-            rows.append(tuple(row))
-        return TensorMatrix(dim, tuple(rows))
+        return TensorMatrix(
+            dim,
+            tuple(
+                tuple(TensorPoly(num_vars, {((), ()): M[i][j]}, cap) for j in range(dim))
+                for i in range(dim)
+            ),
+        )
 
     def map_entries(self, fn) -> "TensorMatrix":
         return TensorMatrix(
@@ -330,58 +273,52 @@ def mat_mul(Q: TensorMatrix, Qp: TensorMatrix) -> TensorMatrix:
     if Q.dim != Qp.dim:
         raise DimMismatch(f"matrix dims {Q.dim} and {Qp.dim}")
     n = Q.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = TensorPoly.zero(Q.num_vars, min(Q.degree_cap, Qp.degree_cap))
-            for k in range(n):
-                acc = acc + t_mul(Q[i, k], Qp[k, j])
-            row.append(acc)
-        rows.append(tuple(row))
-    return TensorMatrix(n, tuple(rows))
+    cap = min(Q.degree_cap, Qp.degree_cap)
+    return TensorMatrix(
+        n,
+        tuple(
+            tuple(
+                TensorPoly.sum(Q.num_vars, (t_mul(Q[i, k], Qp[k, j]) for k in range(n)), cap)
+                for j in range(n)
+            )
+            for i in range(n)
+        ),
+    )
 
 
 def mat_vec(Q: TensorMatrix, g: list[NCPoly]) -> list[NCPoly]:
     """Matrix # vector: (Q # g)_i = sum_j Q_ij # g_j."""
     if Q.dim != len(g):
         raise DimMismatch(f"matrix dim {Q.dim}, vector length {len(g)}")
-    out = []
-    for i in range(Q.dim):
-        acc = NCPoly.zero(g[0].num_vars, g[0].degree_cap)
-        for j in range(Q.dim):
-            acc = acc + t_apply(Q[i, j], g[j])
-        out.append(acc)
-    return out
+    cap = min(Q.degree_cap, *(p.degree_cap for p in g))
+    return [
+        NCPoly.sum(g[0].num_vars, (t_apply(Q[i, j], g[j]) for j in range(Q.dim)), cap)
+        for i in range(Q.dim)
+    ]
 
 
 def vec_dot(f: list[NCPoly], g: list[NCPoly]) -> NCPoly:
     """Vector pairing f # g = sum_j f_j g_j."""
     if len(f) != len(g):
         raise DimMismatch(f"vector lengths {len(f)} and {len(g)}")
-    acc = NCPoly.zero(f[0].num_vars, min(p.degree_cap for p in f + g))
-    for fj, gj in zip(f, g):
-        acc = acc + fj * gj
-    return acc
+    cap = min(p.degree_cap for p in f + g)
+    return NCPoly.sum(f[0].num_vars, (fj * gj for fj, gj in zip(f, g)), cap)
 
 
 def trace(Q: TensorMatrix) -> TensorPoly:
-    acc = TensorPoly.zero(Q.num_vars, Q.degree_cap)
-    for i in range(Q.dim):
-        acc = acc + Q[i, i]
-    return acc
+    return TensorPoly.sum(Q.num_vars, (Q[i, i] for i in range(Q.dim)), Q.degree_cap)
 
 
 def _trace_weighted(ctx: ModularContext, Q: TensorMatrix, M) -> TensorPoly:
     if Q.dim != ctx.num_vars:
         raise DimMismatch(f"matrix dim {Q.dim}, context has {ctx.num_vars}")
-    acc = TensorPoly.zero(Q.num_vars, Q.degree_cap)
-    for i in range(Q.dim):
-        for j in range(Q.dim):
-            m = complex(M[i][j])
-            if abs(m) > PRUNE_TOL:
-                acc = acc + Q[j, i].scale(m)
-    return acc
+    n = Q.dim
+    weights = ((i, j, complex(M[i][j])) for i in range(n) for j in range(n))
+    return TensorPoly.sum(
+        Q.num_vars,
+        (Q[j, i].scale(m) for i, j, m in weights if abs(m) > PRUNE_TOL),
+        Q.degree_cap,
+    )
 
 
 def trace_A(ctx: ModularContext, Q: TensorMatrix) -> TensorPoly:

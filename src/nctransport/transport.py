@@ -73,7 +73,6 @@ class TransportConfig:
     degree_cap: int = 8
     tolerance: float = 1e-9
     max_iterations: int = 200
-    gamma: float = 0.25
 
     def __post_init__(self):
         if self.R_prime <= self.R:
@@ -186,20 +185,21 @@ def q_series(
         return NCPoly.zero(ctx.num_vars, ghat.degree_cap)
     f = grad_D(ctx, sigma_inv_op(ghat))
     B = jac_J(ctx, f)
-    out = NCPoly.zero(ctx.num_vars, ghat.degree_cap)
-    power = mat_mul(B, B)
-    m = 0
-    while True:
-        term = _trace_contractions(ctx, o, power)
-        out = out + term.with_cap(ghat.degree_cap).scale((-1.0) ** m / (m + 2))
-        tail = 2.0 * ctx.norm_A * r ** (m + 3) / (1.0 - r)
-        if tail < tol or m > 200:
-            break
-        power = mat_mul(power, B)
-        if all(e.is_zero() for row in power.entries for e in row):
-            break
-        m += 1
-    return out
+
+    def terms():
+        power = mat_mul(B, B)
+        m = 0
+        while True:
+            yield _trace_contractions(ctx, o, power).scale((-1.0) ** m / (m + 2))
+            tail = 2.0 * ctx.norm_A * r ** (m + 3) / (1.0 - r)
+            if tail < tol or m > 200:
+                return
+            power = mat_mul(power, B)
+            if all(e.is_zero() for row in power.entries for e in row):
+                return
+            m += 1
+
+    return NCPoly.sum(ctx.num_vars, terms(), ghat.degree_cap)
 
 
 def F_map(
@@ -226,9 +226,10 @@ def F_map(
 
     one_plus_a = ctx.A + np.eye(ctx.num_vars)
     af = [
-        sum(
+        NCPoly.sum(
+            ctx.num_vars,
             (f[k].scale(complex(one_plus_a[i, k])) for k in range(ctx.num_vars)),
-            NCPoly.zero(ctx.num_vars, cap),
+            cap,
         )
         for i in range(ctx.num_vars)
     ]

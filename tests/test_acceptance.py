@@ -315,14 +315,14 @@ def test_acceptance_10_conjugate_variables():
     o = MomentOracle(CTX1, 0.01)
     xi = build_xi(CTX1, 0.01, 8)
     invert_xi(xi, natural_radius(0.01, c), 1e-12, c, CTX1)
-    xv = conjugate_vars(CTX1, 0.01, xi, o)
+    xv = conjugate_vars(CTX1, xi, o)
     check = conjugate_check(CTX1, o, xv, 4)
     norms = {}
     for q in (0.01, 0.005, 0.002):
         oq = MomentOracle(CTX1, q)
         xq = build_xi(CTX1, q, 8)
         invert_xi(xq, natural_radius(q, c), 1e-12, c, CTX1)
-        pot = potential_W(CTX1, q, conjugate_vars(CTX1, q, xq, oq))
+        pot = potential_W(CTX1, conjugate_vars(CTX1, xq, oq))
         norms[q] = norm_R_sigma(CTX1, pot.W.with_cap(8), 4.0).value
     decreasing = norms[0.01] > norms[0.005] > norms[0.002] > 0.0
     slope = norms[0.01] / 0.01
@@ -357,7 +357,7 @@ def test_acceptance_11_pipeline():
     oq = MomentOracle(CTX1, 5e-4)
     xs = build_xi(CTX1, 5e-4, 6)
     invert_xi(xs, natural_radius(5e-4, 1.0), 1e-12, 1.0, CTX1)
-    pot = potential_W(CTX1, 5e-4, conjugate_vars(CTX1, 5e-4, xs, oq))
+    pot = potential_W(CTX1, conjugate_vars(CTX1, xs, oq))
     strict_small_q = check_hypotheses(CTX1, pot.W.with_cap(8), cfg).pass_
     max_ratio = max(rep["transport"]["contraction_ratios"])
     elapsed = time.time() - t0

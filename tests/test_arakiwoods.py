@@ -198,7 +198,7 @@ def test_conjugate_vars_trivial(ctx1, lam2):
         xi = build_xi(ctx, 0.0, 4)
         invert_xi(xi, 3.0, 1e-12, 1.0, ctx)
         o = MomentOracle(ctx, 0.0)
-        got = conjugate_vars(ctx, 0.0, xi, o)
+        got = conjugate_vars(ctx, xi, o)
         for j in range(ctx.num_vars):
             assert max_coeff_diff(got[j], NCPoly.gen(ctx.num_vars, j + 1, got[j].degree_cap)) < TOL
 
@@ -206,7 +206,7 @@ def test_conjugate_vars_trivial(ctx1, lam2):
 def test_conjugate_vars_require_inverse(ctx1):
     xi = build_xi(ctx1, 0.1, 3)
     with pytest.raises(MissingInverse):
-        conjugate_vars(ctx1, 0.1, xi, MomentOracle(ctx1, 0.1))
+        conjugate_vars(ctx1, xi, MomentOracle(ctx1, 0.1))
 
 
 def test_conjugate_vars_carry_truncation(lam2):
@@ -216,7 +216,7 @@ def test_conjugate_vars_carry_truncation(lam2):
     xi = build_xi(lam2, q, 4)
     invert_xi(xi, natural_radius(q, 1.0), 1e-9, 1.0, lam2)
     assert xi.xi_inv.truncated
-    xv = conjugate_vars(lam2, q, xi, MomentOracle(lam2, q))
+    xv = conjugate_vars(lam2, xi, MomentOracle(lam2, q))
     assert all(p.truncated for p in xv)
 
 
@@ -225,7 +225,7 @@ def test_conjugate_pairing_single_generator(ctx1):
     o = MomentOracle(ctx1, q)
     xi = build_xi(ctx1, q, 6)
     invert_xi(xi, natural_radius(q, 1.0), 1e-12, 1.0, ctx1)
-    xv = conjugate_vars(ctx1, q, xi, o)
+    xv = conjugate_vars(ctx1, xi, o)
     assert conjugate_check(ctx1, o, xv, 4) < 1e-6
     # self-adjoint
     assert max_coeff_diff(xv[0], xv[0].adjoint()) < 1e-10
@@ -241,7 +241,7 @@ def lam2_conjugates(lam2):
     o = MomentOracle(lam2, LAM2_Q)
     xi = build_xi(lam2, LAM2_Q, 4)
     invert_xi(xi, natural_radius(LAM2_Q, 1.0), 1e-12, 1.0, lam2)
-    xv = conjugate_vars(lam2, LAM2_Q, xi, o)
+    xv = conjugate_vars(lam2, xi, o)
     return o, xi, xv
 
 
@@ -283,7 +283,7 @@ class TestLambdaTwoConjugates:
 
     def test_potential(self, lam2, setup):
         _, _, xv = setup
-        pot = potential_W(lam2, self.q, xv)
+        pot = potential_W(lam2, xv)
         assert pot.grad_residual < 1e-6
         from nctransport.ncpoly import is_cyclically_symmetric
 
@@ -298,7 +298,7 @@ def test_distance_to_generator_bound(ctx1):
     r = natural_radius(q, c)
     xi = build_xi(ctx1, q, 6)
     invert_xi(xi, r, 1e-12, c, ctx1)
-    xv = conjugate_vars(ctx1, q, xi, o)
+    xv = conjugate_vars(ctx1, xi, o)
     from nctransport.ncpoly import norm_R
 
     lhs = norm_R(xv[0] - NCPoly.gen(1, 1, xv[0].degree_cap), r)
@@ -311,7 +311,7 @@ def test_distance_to_generator_bound(ctx1):
 def test_potential_trivial(ctx1, lam2):
     for ctx in (ctx1, lam2):
         xs = [NCPoly.gen(ctx.num_vars, j + 1, 8) for j in range(ctx.num_vars)]
-        pot = potential_W(ctx, 0.0, xs)
+        pot = potential_W(ctx, xs)
         v0 = quadratic_potential(ctx, pot.V.degree_cap)
         assert max_coeff_diff(pot.V, v0) < TOL
         assert pot.W.is_zero()
@@ -326,8 +326,8 @@ def test_potential_norm_shrinks_with_q(ctx1):
         o = MomentOracle(ctx1, q)
         xi = build_xi(ctx1, q, 6)
         invert_xi(xi, natural_radius(q, 1.0), 1e-12, 1.0, ctx1)
-        xv = conjugate_vars(ctx1, q, xi, o)
-        pot = potential_W(ctx1, q, xv)
+        xv = conjugate_vars(ctx1, xi, o)
+        pot = potential_W(ctx1, xv)
         norms.append(norm_R_sigma(ctx1, pot.W.with_cap(6), 4.0).value)
     assert norms[0] > norms[1] > norms[2] > 0
 

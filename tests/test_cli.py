@@ -159,7 +159,9 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["moments", "--config", str(tmp_path / "missing.json")]) == EXIT_USAGE
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    capsys.readouterr()
     assert run(["moments", "--config", str(bad)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
     assert run(["nonsense"]) == EXIT_USAGE
     # the worker-cap flag was never read and is gone
     good = tmp_path / "good.json"

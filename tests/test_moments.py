@@ -64,7 +64,7 @@ def _enumerate(o: MomentOracle, word) -> complex:
     between i and j.
     """
     q = o.q
-    inner = o.inner_U
+    inner = o.ctx.inner_U
 
     def rec(remaining: tuple, open_ends: tuple) -> complex:
         if not remaining:

@@ -1,4 +1,6 @@
 import json
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from nctransport.ncpoly import (
     rho,
     substitute,
 )
-from nctransport.randgen import random_centralizer, random_poly
+from nctransport.randgen import random_centralizer, random_poly, random_tensor
 from nctransport.serialize import poly_from_terms, poly_to_terms
+from nctransport.tensor import TensorPoly
 
 TOL = 1e-12
 
@@ -40,6 +43,48 @@ def test_add_cap_and_taint():
     assert (p + q).degree_cap == 4
     t = NCPoly(2, {(1, 2): 1.0}, 4, truncated=True)
     assert (t + q).truncated
+
+
+def _term(kind, word, c, cap, n=2):
+    """One-term NCPoly, or TensorPoly with the word split after its first letter."""
+    if kind is NCPoly:
+        return NCPoly.monomial(n, word, c, cap=cap)
+    return TensorPoly.elementary(n, word[:1], word[1:], c, cap=cap)
+
+
+def _random(kind, ctx, rng):
+    if kind is NCPoly:
+        return random_poly(ctx, rng, 4, cap=8)
+    return random_tensor(ctx, rng, 4)
+
+
+@pytest.mark.parametrize("kind", [NCPoly, TensorPoly])
+def test_sum_is_left_fold(kind, lam2, rng):
+    a, b, c = (_random(kind, lam2, rng) for _ in range(3))
+    # x + y is 3 eps, below the prune threshold: it must be pruned before
+    # x.scale(2) arrives, so that this coefficient ends at exactly 2.0
+    word = (1, 2, 1, 2, 1)  # longer than any random part
+    x = _term(kind, word, 1.0, 8)
+    y = _term(kind, word, -1.0 + 3 * np.finfo(float).eps, 8)
+    parts = [a, b, -a, -b, c, x, y, a, x.scale(2.0), c.scale(-1.0)]
+    assert reduce(add, parts[:4]).is_zero() and (x + y).is_zero()
+    want = reduce(add, parts, kind.zero(2, 8))
+    got = kind.sum(2, parts, 8)
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert (got.degree_cap, got.truncated) == (want.degree_cap, want.truncated)
+    assert got.coeffs[next(iter(x.coeffs))] == 2.0
+
+
+@pytest.mark.parametrize("kind", [NCPoly, TensorPoly])
+def test_sum_enforces_cap(kind):
+    short = _term(kind, (1, 2), 1.0, 4)
+    long = _term(kind, (1, 2), 1.0, 6) + _term(kind, (2, 1, 2, 1, 2), 1.0, 6)
+    for total in (kind.sum(2, [short, long], 4), short + long, long + short):
+        assert total.degree_cap == 4 and total.truncated
+        assert total.coeffs == {next(iter(short.coeffs)): 2.0}
+    assert not kind.sum(2, [short, short], 4).truncated
+    with pytest.raises(VarCountMismatch):
+        kind.sum(2, [short, _term(kind, (1,), 1.0, 4, n=3)], 4)
 
 
 def test_mul_examples():

@@ -46,7 +46,7 @@ def test_adjoint_matches_reference(lambdas, q, rng):
                 assert max_coeff_diff(got, ref) < 1e-12
     invert_xi(xi, natural_radius(q, 1.0), 1e-12, 1.0, ctx)
     eta = t_sigma(ctx, t_star(xi.xi_inv), -1.0, 1.0)
-    for j, got in enumerate(conjugate_vars(ctx, q, xi, o), start=1):
+    for j, got in enumerate(conjugate_vars(ctx, xi, o), start=1):
         ref = partial_q_star_reference(o, ctx, j, eta, xi.xi)
         assert max_coeff_diff(got, ref) < 1e-12
 
