@@ -11,7 +11,7 @@ series inversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .tensor import (
     t_mul,
     t_sigma,
     t_star,
-    tensor_of,
 )
 
 DEFAULT_LEVEL_CAP = 6
@@ -98,31 +97,30 @@ def _level_words(n_vars: int, n: int) -> list[Word]:
 def q_gram(ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL_CAP) -> np.ndarray:
     """Gram matrix of the plain tensor words at level n under the q-inner
     product: entry (u, v) sums q^{inversions} over permutations pairing the
-    letters of u against the permuted letters of v."""
-    if n > level_cap or ctx.num_vars**n > MAX_GRAM_DIM:
-        raise LevelTooLarge(f"level {n} over {ctx.num_vars} generators")
-    words = _level_words(ctx.num_vars, n)
-    dim = len(words)
-    gram = np.zeros((dim, dim), dtype=complex)
-    perms = []
-    for perm in permutations(range(n)):
-        inv = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        perms.append((perm, q**inv))
-    inner = ctx.inner_U
-    for iu, u in enumerate(words):
-        for iv, v in enumerate(words):
-            total = 0.0 + 0.0j
-            for perm, w in perms:
-                prod_val = w
-                for k in range(n):
-                    prod_val *= inner[u[k] - 1, v[perm[k]] - 1]
-                    if prod_val == 0:
-                        break
-                total += prod_val
-            gram[iu, iv] = total
-    return gram
+    letters of u against the permuted letters of v,
+
+        G[u, v] = sum_pi q^{inv pi} prod_k <e_{u_k}, e_{v_{pi(k)}}>_U,
+
+    with words in lexicographic order.  The permutation sum is computed by
+    the Bozejko-Speicher factorisation of the undeformed q-Fock Gram,
+    P_n = (1 (x) P_{n-1}) (1 + q T_1 + q^2 T_1 T_2 + ...) (Comm. Math. Phys.
+    137 (1991)): pairing the first letter of u with letter k of v costs q^k,
+    so P_n is the sum over k < n of q^k times the columns of 1 (x) P_{n-1}
+    taken at the words with letter k moved to the front.  The generator
+    inner product then acts on each tensor factor, G = inner_U^{(x) n} P_n.
+    """
+    nv = ctx.num_vars
+    if n > level_cap or nv**n > MAX_GRAM_DIM:
+        raise LevelTooLarge(f"level {n} over {nv} generators")
+    p = np.ones((1, 1))
+    for m in range(1, n + 1):
+        lifted = np.kron(np.eye(nv), p)
+        index = np.arange(nv**m).reshape((nv,) * m)
+        p = sum(q**k * lifted[:, np.moveaxis(index, 0, k).ravel()] for k in range(m))
+    gram = p.reshape((nv,) * n + (nv**n,))
+    for k in range(n):
+        gram = np.moveaxis(np.tensordot(ctx.inner_U, gram, axes=([1], [k])), 0, k)
+    return gram.reshape(nv**n, nv**n).astype(complex)
 
 
 def _herm_power(M: np.ndarray, p: float, what: str) -> np.ndarray:
@@ -133,20 +131,16 @@ def _herm_power(M: np.ndarray, p: float, what: str) -> np.ndarray:
     return (v * (w**p)) @ v.conj().T
 
 
-def orthonormal_basis(
-    ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL_CAP, _memo=None
-) -> list[NCPoly]:
-    """Orthonormal family spanning the level-n Wick polynomials under the
-    q-state.
+def _orthonormal_columns(ctx: ModularContext, q: float, n: int, level_cap: int) -> np.ndarray:
+    """Coefficient columns C, over the level-n words (n >= 1), of an
+    orthonormal family of Wick polynomials: r_i = sum_w C[w, i] psi_w.
 
-    Two stages, acting on the coefficient columns of the Wick family: first
-    a congruence taking the q-Gram to the undeformed Gram G0 (the transpose
-    of the n-th tensor power of alpha), then the inverse square root of G0.
-    The combined family has identity Gram; each stage is checked here only
-    through the eigenvalue floor, the Gram identity itself is a test.
+    Two stages: first a congruence taking the q-Gram to the undeformed Gram
+    G0 (the transpose of the n-th tensor power of alpha), then the inverse
+    square root of G0.  The combined family has identity Gram; each stage is
+    checked here only through the eigenvalue floor, the Gram identity itself
+    is a test.
     """
-    if n == 0:
-        return [NCPoly.one(ctx.num_vars, 1)]
     gq = q_gram(ctx, q, n, level_cap)
     alpha_n = ctx.alpha
     for _ in range(n - 1):
@@ -157,8 +151,17 @@ def orthonormal_basis(
     g0_h = _herm_power(g0, 0.5, "undeformed Gram")
     k_mid = g0_ih @ gq @ g0_ih
     s1 = g0_ih @ _herm_power(k_mid, -0.5, "reduced q-Gram") @ g0_h
-    cols = s1 @ g0_ih
+    return s1 @ g0_ih
 
+
+def orthonormal_basis(
+    ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL_CAP, _memo=None
+) -> list[NCPoly]:
+    """Orthonormal family spanning the level-n Wick polynomials under the
+    q-state: the Wick polynomials combined by ``_orthonormal_columns``."""
+    if n == 0:
+        return [NCPoly.one(ctx.num_vars, 1)]
+    cols = _orthonormal_columns(ctx, q, n, level_cap)
     words = _level_words(ctx.num_vars, n)
     memo = _memo if _memo is not None else {}
     wicks = [_wick(ctx, q, w, memo) for w in words]
@@ -188,18 +191,40 @@ class XiData:
 def build_xi(ctx: ModularContext, q: float, d: int) -> XiData:
     """Assemble sum over levels n <= d of q^n sum_i r_i (x) r_i*.
 
-    The tensor cap is 2d so no level is clipped.  At q = 0 only level zero
-    survives and the kernel is the unit.
+    Level zero is the unit; level n >= 1 is one quadratic form.  With Wk
+    the monomial x word matrix of the level-n Wick polynomials and C the
+    columns of the orthonormal family (``_orthonormal_columns``), r_i has
+    coefficient vector (Wk C)[:, i], so the level block is
+    B = q^n Wk C C^H Wk^H and the coefficient of a (x) b is B[a, reversed b].
+    The q-Gram inside C comes from the Bozejko-Speicher factorisation
+    (Comm. Math. Phys. 137 (1991); see ``q_gram``).  The tensor cap is 2d so
+    no level is clipped.  At q = 0 only level zero survives and the kernel
+    is the unit.
     """
+    nv = ctx.num_vars
     cap = max(2 * d, 2)
     memo: dict[Word, NCPoly] = {}
 
     def level(n: int) -> TensorPoly:
-        fam = orthonormal_basis(ctx, q, n, level_cap=d, _memo=memo)
-        block = TensorPoly.sum(ctx.num_vars, (tensor_of(r, r.adjoint(), cap) for r in fam), cap)
-        return block.scale(q**n)
+        cols = _orthonormal_columns(ctx, q, n, d)
+        wicks = [_wick(ctx, q, w, memo) for w in _level_words(nv, n)]
+        monos = list(dict.fromkeys(m for wick in wicks for m in wick.coeffs))
+        row = {m: i for i, m in enumerate(monos)}
+        wk = np.zeros((len(monos), len(wicks)), dtype=complex)
+        for j, wick in enumerate(wicks):
+            for m, c in wick.coeffs.items():
+                wk[row[m], j] = c
+        vecs = wk @ cols
+        block = q**n * (vecs @ vecs.conj().T)
+        # one reversed word per monomial, shared by all keys of its column
+        rights = [b[::-1] for b in monos]
+        coeffs = {
+            (a, b): block[i, j] for i, a in enumerate(monos) for j, b in enumerate(rights)
+        }
+        return TensorPoly(nv, coeffs, cap, any(wick.truncated for wick in wicks))
 
-    xi = TensorPoly.sum(ctx.num_vars, map(level, range(d + 1 if q != 0.0 else 1)), cap)
+    levels = range(1, d + 1) if q != 0.0 else ()
+    xi = TensorPoly.sum(nv, [TensorPoly.one(nv, cap), *map(level, levels)], cap)
     return XiData(q=q, max_level=d, xi=xi)
 
 

@@ -177,7 +177,9 @@ class Law:
     """Moment functional w -> state(Y_{w_1} ... Y_{w_n}), memoized.
 
     Products of the Y_j are exact by default; ``max_degree`` truncates them,
-    trading accuracy for speed on larger generator counts.
+    trading accuracy for speed on larger generator counts.  A word's product
+    is the product of its prefix times its last factor; products are kept
+    only for words that are asked for as prefixes.
     """
 
     def __init__(self, oracle: MomentOracle, Y: list[NCPoly], max_degree: int | None):
@@ -185,6 +187,7 @@ class Law:
         self.Y = list(Y)
         self.max_degree = max_degree
         self._memo: dict[Word, complex] = {}
+        self._prefixes: dict[Word, NCPoly] = {}
         self._identity = all(
             y.coeffs == {(j + 1,): 1.0 + 0.0j} for j, y in enumerate(Y)
         )
@@ -198,15 +201,26 @@ class Law:
             return got
         if not word:
             return 1.0 + 0.0j
+        val = self.oracle.state(self._product(word))
+        self._memo[word] = val
+        return val
+
+    def _product(self, word: Word) -> NCPoly:
+        """Y_{w_1} ... Y_{w_n} as the left fold from one, under the cap
+        ``max_degree`` (or the degree sum when that is None)."""
         maxdeg = self.max_degree
         if maxdeg is None:
             maxdeg = sum(max(self.Y[j - 1].degree(), 1) for j in word)
-        prod = NCPoly.one(self.oracle.ctx.num_vars, maxdeg)
-        for j in word:
-            prod = prod * self.Y[j - 1].with_cap(maxdeg)
-        val = self.oracle.state(prod)
-        self._memo[word] = val
-        return val
+        head = word[:-1]
+        if not head:
+            prod = NCPoly.one(self.oracle.ctx.num_vars, maxdeg)
+        else:
+            prod = self._prefixes.get(head)
+            if prod is None:
+                prod = self._prefixes[head] = self._product(head)
+            if prod.degree_cap != maxdeg:
+                prod = prod.with_cap(maxdeg)
+        return prod * self.Y[word[-1] - 1].with_cap(maxdeg)
 
     def poly(self, P: NCPoly) -> complex:
         """Linear extension to polynomials."""

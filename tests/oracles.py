@@ -5,6 +5,11 @@ computes another way (or a paper identity built from library pieces); the
 tests compare the two.
 """
 
+from itertools import permutations, product
+
+import numpy as np
+
+from nctransport.arakiwoods import XiData, orthonormal_basis
 from nctransport.calculus import partial_bar
 from nctransport.errors import DimMismatch
 from nctransport.modular import ModularContext, apply_sigma
@@ -106,3 +111,41 @@ def cyclic_D_composed(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
     t = partial_bar(ctx, j, P)
     t = t_sigma(ctx, t, 0.0, -1.0)
     return t_flip_m(t_diamond(t)).with_cap(P.degree_cap)
+
+
+def q_gram_reference(ctx: ModularContext, q: float, n: int) -> np.ndarray:
+    """Level-n q-Gram as the literal permutation sum: entry (u, v) is
+    sum_pi q^{inv pi} prod_k <e_{u_k}, e_{v_{pi(k)}}>_U over words in
+    lexicographic order.  Cost n! N^{2n}."""
+    words = list(product(range(1, ctx.num_vars + 1), repeat=n))
+    perms = []
+    for perm in permutations(range(n)):
+        inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        perms.append((perm, q**inv))
+    inner = ctx.inner_U
+    gram = np.zeros((len(words), len(words)), dtype=complex)
+    for iu, u in enumerate(words):
+        for iv, v in enumerate(words):
+            total = 0.0 + 0.0j
+            for perm, w in perms:
+                prod_val = w
+                for k in range(n):
+                    prod_val *= inner[u[k] - 1, v[perm[k]] - 1]
+                total += prod_val
+            gram[iu, iv] = total
+    return gram
+
+
+def build_xi_reference(ctx: ModularContext, q: float, d: int) -> XiData:
+    """Level-sum kernel assembled one basis vector at a time:
+    sum over n <= d of q^n sum_i r_i (x) r_i* over ``orthonormal_basis``."""
+    cap = max(2 * d, 2)
+    memo: dict = {}
+
+    def level(n: int) -> TensorPoly:
+        fam = orthonormal_basis(ctx, q, n, level_cap=d, _memo=memo)
+        block = TensorPoly.sum(ctx.num_vars, (tensor_of(r, r.adjoint(), cap) for r in fam), cap)
+        return block.scale(q**n)
+
+    xi = TensorPoly.sum(ctx.num_vars, map(level, range(d + 1 if q != 0.0 else 1)), cap)
+    return XiData(q=q, max_level=d, xi=xi)

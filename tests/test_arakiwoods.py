@@ -36,6 +36,7 @@ from nctransport.tensor import (
     t_sigma,
 )
 from nctransport.transport import TransportConfig
+from oracles import build_xi_reference, q_gram_reference
 
 TOL = 1e-12
 
@@ -98,6 +99,29 @@ def test_q_gram_level_cap():
     ctx = build_context([], 2)
     with pytest.raises(LevelTooLarge):
         q_gram(ctx, 0.1, 7)
+    # N^n = 8192 is over MAX_GRAM_DIM even when the level cap allows n
+    with pytest.raises(LevelTooLarge):
+        q_gram(ctx, 0.1, 13, level_cap=20)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.005, 0.3, -0.4])
+def test_q_gram_matches_permutation_sum(q):
+    for lambdas, top in (([2.0], 5), ([2.0, 3.0], 3)):
+        ctx = build_context(lambdas)
+        for n in range(top + 1):
+            got, want = q_gram(ctx, q, n), q_gram_reference(ctx, q, n)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < TOL
+
+
+def test_q_gram_single_generator_closed_form(ctx1):
+    # one generator: the level-n Gram is the q-factorial [1]_q [2]_q ... [n]_q
+    for q in (0.3, -0.4, 0.9):
+        fact = 1.0
+        for n in range(9):
+            if n:
+                fact *= sum(q**k for k in range(n))
+            assert q_gram(ctx1, q, n, level_cap=8)[0, 0] == pytest.approx(fact, rel=1e-12)
 
 
 def test_orthonormal_basis_single_generator(ctx1):
@@ -152,6 +176,19 @@ def test_build_xi_single_generator_levels(ctx1):
 
     expected = expected + tensor_of(r2, r2.adjoint(), 4).scale(q * q)
     assert max_pair_diff(xi.xi, expected) < 1e-10
+
+
+@pytest.mark.parametrize("q", [0.005, 0.2, -0.3])
+def test_build_xi_matches_per_vector_assembly(q):
+    for lambdas, top in (([2.0], 4), ([2.0, 3.0], 3)):
+        ctx = build_context(lambdas)
+        for d in range(top + 1):
+            got, want = build_xi(ctx, q, d), build_xi_reference(ctx, q, d)
+            assert got.max_level == want.max_level
+            assert got.xi.degree_cap == want.xi.degree_cap
+            assert (got.xi.truncated, want.xi.truncated) == (False, False)
+            assert got.xi.coeffs.keys() == want.xi.coeffs.keys()
+            assert max_pair_diff(got.xi, want.xi) < TOL
 
 
 def test_xi_is_dagger_fixed(lam2):
