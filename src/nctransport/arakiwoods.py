@@ -1,5 +1,5 @@
-"""Wick polynomials, q-Gram orthonormalization, the level-sum kernel Xi and
-its Neumann inverse, conjugate variables, and the q-isomorphism pipeline.
+"""Wick polynomials, the q-Gram, the level-sum kernel Xi (from the inverse
+q-Gram) with its Neumann inverse, conjugate variables, the q-isomorphism pipeline.
 
 The pipeline reduces the q-deformed problem to an undeformed transport
 problem: build the kernel, invert it, assemble conjugate variables and the
@@ -123,35 +123,15 @@ def q_gram(ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL
     return gram.reshape(nv**n, nv**n).astype(complex)
 
 
-def _herm_power(M: np.ndarray, p: float, what: str) -> np.ndarray:
-    """Real power of a Hermitian positive definite matrix via eigh."""
-    w, v = np.linalg.eigh(M)
-    if np.min(w) <= GRAM_EIG_FLOOR:
-        raise GramNotPositive(f"{what} lost positivity: min eig {np.min(w):.3g}")
-    return (v * (w**p)) @ v.conj().T
-
-
 def _orthonormal_columns(ctx: ModularContext, q: float, n: int, level_cap: int) -> np.ndarray:
-    """Coefficient columns C, over the level-n words (n >= 1), of an
-    orthonormal family of Wick polynomials: r_i = sum_w C[w, i] psi_w.
-
-    Two stages: first a congruence taking the q-Gram to the undeformed Gram
-    G0 (the transpose of the n-th tensor power of alpha), then the inverse
-    square root of G0.  The combined family has identity Gram; each stage is
-    checked here only through the eigenvalue floor, the Gram identity itself
-    is a test.
-    """
-    gq = q_gram(ctx, q, n, level_cap)
-    alpha_n = ctx.alpha
-    for _ in range(n - 1):
-        alpha_n = np.kron(alpha_n, ctx.alpha)
-    g0 = alpha_n.T
-
-    g0_ih = _herm_power(g0, -0.5, "undeformed Gram")
-    g0_h = _herm_power(g0, 0.5, "undeformed Gram")
-    k_mid = g0_ih @ gq @ g0_ih
-    s1 = g0_ih @ _herm_power(k_mid, -0.5, "reduced q-Gram") @ g0_h
-    return s1 @ g0_ih
+    """Columns C over the level-n words (n >= 1) of an orthonormal family of
+    Wick polynomials r_i = sum_w C[w, i] psi_w: with the q-Gram
+    G = V diag(w) V^H, C = V diag(w)^{-1/2}.  Then C^H G C = 1, and
+    C C^H = G^{-1} as for every orthonormal family."""
+    w, v = np.linalg.eigh(q_gram(ctx, q, n, level_cap))
+    if np.min(w) <= GRAM_EIG_FLOOR:
+        raise GramNotPositive(f"q-Gram lost positivity: min eig {np.min(w):.3g}")
+    return v / np.sqrt(w)
 
 
 def orthonormal_basis(
@@ -193,10 +173,10 @@ def build_xi(ctx: ModularContext, q: float, d: int) -> XiData:
 
     Level zero is the unit; level n >= 1 is one quadratic form.  With Wk
     the monomial x word matrix of the level-n Wick polynomials and C the
-    columns of the orthonormal family (``_orthonormal_columns``), r_i has
-    coefficient vector (Wk C)[:, i], so the level block is
-    B = q^n Wk C C^H Wk^H and the coefficient of a (x) b is B[a, reversed b].
-    The q-Gram inside C comes from the Bozejko-Speicher factorisation
+    columns of an orthonormal family (``_orthonormal_columns``), r_i has
+    coefficient vector (Wk C)[:, i], so the level block B = q^n Wk C C^H Wk^H
+    = q^n Wk G^{-1} Wk^H is basis-free; a (x) b has coefficient B[a, reversed b].
+    The q-Gram G comes from the Bozejko-Speicher factorisation
     (Comm. Math. Phys. 137 (1991); see ``q_gram``).  The tensor cap is 2d so
     no level is clipped.  At q = 0 only level zero survives and the kernel
     is the unit.

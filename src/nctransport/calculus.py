@@ -57,11 +57,14 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
 
     On a word, every position l contributes alpha_{j, w_l} times the tail
     (twisted by the modular action) followed by the head.  Computed by the
-    explicit word formula; the tests cross-check it against the composition
-    through the difference quotient.
+    explicit word formula, twisting each distinct tail once; the tests
+    cross-check it against the composition through the difference quotient.
+    The output carries the input's truncation taint.
     """
     ctx.check_index(j)
     alpha = ctx.alpha
+    nv, cap = P.num_vars, P.degree_cap
+    twisted: dict[Word, NCPoly] = {}
 
     def terms():
         for w, c in P.coeffs.items():
@@ -69,11 +72,13 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
                 a = alpha[j - 1, w[l] - 1]
                 if abs(a) == 0.0:
                     continue
-                tail = NCPoly.monomial(P.num_vars, w[l + 1:], 1.0, cap=P.degree_cap)
-                head = NCPoly.monomial(P.num_vars, w[:l], c * a, cap=P.degree_cap)
-                yield apply_sigma(ctx, tail, -1.0) * head
+                tail = w[l + 1:]
+                if tail not in twisted:
+                    twisted[tail] = apply_sigma(ctx, NCPoly.monomial(nv, tail, 1.0, cap=cap), -1.0)
+                yield twisted[tail] * NCPoly.monomial(nv, w[:l], c * a, cap=cap)
 
-    return NCPoly.sum(P.num_vars, terms(), P.degree_cap)
+    out = NCPoly.sum(nv, terms(), cap)
+    return NCPoly(nv, out.coeffs, cap, out.truncated or P.truncated)
 
 
 def grad_D(ctx: ModularContext, P: NCPoly) -> list[NCPoly]:

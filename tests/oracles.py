@@ -9,7 +9,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from nctransport.arakiwoods import XiData, orthonormal_basis
+from nctransport.arakiwoods import XiData, wick_poly
 from nctransport.calculus import partial_bar
 from nctransport.errors import DimMismatch
 from nctransport.modular import ModularContext, apply_sigma
@@ -138,14 +138,23 @@ def q_gram_reference(ctx: ModularContext, q: float, n: int) -> np.ndarray:
 
 def build_xi_reference(ctx: ModularContext, q: float, d: int) -> XiData:
     """Level-sum kernel assembled one basis vector at a time:
-    sum over n <= d of q^n sum_i r_i (x) r_i* over ``orthonormal_basis``."""
-    cap = max(2 * d, 2)
+    sum over n <= d of q^n sum_i r_i (x) r_i*, where the level-n family is
+    Gram-Schmidt on the Wick polynomials, r_i = sum_w C[w, i] psi_w with
+    C = L^{-H} for the Cholesky factor L of ``q_gram_reference``."""
+    nv, cap = ctx.num_vars, max(2 * d, 2)
     memo: dict = {}
 
     def level(n: int) -> TensorPoly:
-        fam = orthonormal_basis(ctx, q, n, level_cap=d, _memo=memo)
-        block = TensorPoly.sum(ctx.num_vars, (tensor_of(r, r.adjoint(), cap) for r in fam), cap)
+        if n == 0:
+            return TensorPoly.one(nv, cap)
+        wicks = [wick_poly(ctx, q, w, memo) for w in product(range(1, nv + 1), repeat=n)]
+        cols = np.linalg.inv(np.linalg.cholesky(q_gram_reference(ctx, q, n))).conj().T
+        fam = [
+            NCPoly.sum(nv, (wk.scale(complex(c)) for wk, c in zip(wicks, col)), n)
+            for col in cols.T
+        ]
+        block = TensorPoly.sum(nv, (tensor_of(r, r.adjoint(), cap) for r in fam), cap)
         return block.scale(q**n)
 
-    xi = TensorPoly.sum(ctx.num_vars, map(level, range(d + 1 if q != 0.0 else 1)), cap)
+    xi = TensorPoly.sum(nv, map(level, range(d + 1 if q != 0.0 else 1)), cap)
     return XiData(q=q, max_level=d, xi=xi)

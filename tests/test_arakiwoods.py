@@ -20,6 +20,7 @@ from nctransport.arakiwoods import (
 from nctransport.calculus import partial_bar, partial_sigma
 from nctransport.errors import (
     DenominatorNonpositive,
+    GramNotPositive,
     LevelTooLarge,
     MissingInverse,
 )
@@ -189,6 +190,21 @@ def test_build_xi_matches_per_vector_assembly(q):
             assert (got.xi.truncated, want.xi.truncated) == (False, False)
             assert got.xi.coeffs.keys() == want.xi.coeffs.keys()
             assert max_pair_diff(got.xi, want.xi) < TOL
+
+
+@pytest.mark.parametrize("lambdas, num_trivial", [([], 1), ([2.0], 0), ([2.0, 3.0], 0)])
+def test_build_xi_gram_not_positive(lambdas, num_trivial):
+    # at q = -1 the level-n Gram is an antisymmetrizer, singular for n >= 2;
+    # at q = 1 it is a symmetrizer, singular for n >= 2 over two or more
+    # generators.  Inside (-1, 1) it stays positive definite.
+    ctx = build_context(lambdas, num_trivial)
+    singular = [-1.0, -1.0 + 1e-13] + ([1.0, 1.0 - 1e-13] if ctx.num_vars > 1 else [])
+    for d in (2, 3):
+        for q in singular:
+            with pytest.raises(GramNotPositive):
+                build_xi(ctx, q, d)
+        for q in (0.5, -0.5, 0.999, -0.999):
+            assert build_xi(ctx, q, d).max_level == d
 
 
 def test_xi_is_dagger_fixed(lam2):

@@ -124,6 +124,17 @@ def test_cyclic_derivative_matches_composition(lam2, rng):
             )
 
 
+def test_cyclic_derivative_carries_truncation(lam2, ctx1, rng):
+    # a truncated input gives a truncated derivative, as it does through delta
+    for ctx in (lam2, ctx1):
+        p = random_poly(ctx, rng, 4, cap=8)
+        tainted = NCPoly(p.num_vars, p.coeffs, p.degree_cap, True)
+        for j in range(1, ctx.num_vars + 1):
+            assert not cyclic_D(ctx, j, p).truncated
+            assert cyclic_D(ctx, j, tainted).truncated
+            assert delta(j, tainted).truncated
+
+
 def test_homogeneous_fast_path(lam2, rng):
     # on homogeneous cyclically symmetric input, the cyclic derivative of the
     # degree-normalized element reads the coefficients off directly
