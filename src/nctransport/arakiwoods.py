@@ -29,6 +29,7 @@ from .errors import (
 from .modular import ModularContext
 from .moments import MomentOracle
 from .ncpoly import (
+    PRUNE_TOL,
     NCPoly,
     Word,
     is_cyclically_symmetric,
@@ -54,22 +55,14 @@ MAX_GRAM_DIM = 4096
 GRAM_EIG_FLOOR = 1e-12
 
 
-def wick_poly(ctx: ModularContext, q: float, word, _memo=None) -> NCPoly:
+def _wick(ctx: ModularContext, q: float, word: Word, memo: dict) -> NCPoly:
     """Polynomial whose Fock vector is the plain tensor of the word's letters.
 
     Built by the head-letter recursion: multiply by the first generator and
     subtract the q-weighted contractions with every later letter.  In one
-    variable these are the q-Hermite polynomials.
+    variable these are the q-Hermite polynomials.  ``memo`` maps words to
+    their polynomials.
     """
-    word = tuple(word)
-    for j in word:
-        ctx.check_index(j)
-    if _memo is None:
-        _memo = {}
-    return _wick(ctx, q, word, _memo)
-
-
-def _wick(ctx: ModularContext, q: float, word: Word, memo: dict) -> NCPoly:
     got = memo.get(word)
     if got is not None:
         return got
@@ -196,10 +189,13 @@ def build_xi(ctx: ModularContext, q: float, d: int) -> XiData:
                 wk[row[m], j] = c
         vecs = wk @ cols
         block = q**n * (vecs @ vecs.conj().T)
+        # only the entries the constructor would keep, in row-major order
+        kept = np.nonzero(np.abs(block) > PRUNE_TOL)
         # one reversed word per monomial, shared by all keys of its column
         rights = [b[::-1] for b in monos]
         coeffs = {
-            (a, b): block[i, j] for i, a in enumerate(monos) for j, b in enumerate(rights)
+            (monos[i], rights[j]): c
+            for i, j, c in zip(*(k.tolist() for k in kept), block[kept].tolist())
         }
         return TensorPoly(nv, coeffs, cap, any(wick.truncated for wick in wicks))
 

@@ -1,8 +1,8 @@
 """Derivations and structural operators on the polynomial algebra.
 
 Contains the free difference quotient delta_j, its alpha-weighted variants,
-the twisted cyclic gradient, Jacobian matrices, the number operator and its
-partial inverse, and the cyclic symmetrization.  Tensor-valued outputs get a
+the twisted cyclic gradient, Jacobian matrices, the partial inverse of the
+number operator, and the cyclic symmetrization.  Tensor-valued outputs get a
 degree cap of twice the input cap so that downstream # products have room
 before truncation.
 """
@@ -108,16 +108,6 @@ def jac_J_sigma(ctx: ModularContext, f: list[NCPoly]) -> TensorMatrix:
             tuple(partial_sigma(ctx, j, fi) for j in range(1, ctx.num_vars + 1))
             for fi in f
         ),
-    )
-
-
-def number_op(P: NCPoly) -> NCPoly:
-    """Multiply each word by its length."""
-    return NCPoly(
-        P.num_vars,
-        {w: len(w) * c for w, c in P.coeffs.items()},
-        P.degree_cap,
-        P.truncated,
     )
 
 

@@ -7,11 +7,18 @@ operation that would produce words beyond the cap drops them and sets the
 degree > cap" honestly.  Sums enforce the cap too: the coefficient format
 and its linear structure, including the one in-place accumulator every sum
 goes through, live in a base class shared with ``tensor.TensorPoly``.
+
+Large products are summed as numpy arrays instead of pair by pair.  Words
+then travel as exact integer codes (``WordCodes``), and ``pair_sums`` adds
+the value of every pair onto its key in pair order and prunes the sums
+exactly as the per-pair loop and the constructor do, so both routes give
+the same coefficients, bit for bit, in the same key order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +33,78 @@ Word = tuple[int, ...]
 PRUNE_TOL = 1e-14
 
 CENTRALIZER_TOL = 1e-9
+
+# Products with at least this many coefficient pairs are summed as numpy
+# arrays; below it numpy's fixed cost per call makes the per-pair loop faster.
+PAIR_BATCH_MIN = 1024
+
+
+class WordCodes:
+    """Exact integer codes for the words of at most ``cap`` letters over
+    ``num_vars`` generators.
+
+    A word is its base-N index (letter j is digit j - 1) together with its
+    length.  Every key built from these, up to a word pair of total length
+    ``cap`` with both lengths attached, stays below N^cap (cap + 1)^2.  The
+    codes are int64 while that is below 2^62 and Python ints (``object``
+    arrays) beyond, so they never wrap around.
+    """
+
+    def __init__(self, num_vars: int, cap: int):
+        self.num_vars = num_vars
+        self.cap = cap
+        self.dtype = np.int64 if num_vars**cap * (cap + 1) ** 2 < 2**62 else object
+        # powers[l] = N^l, the shift of a word's index past l more letters
+        self.powers = np.array([num_vars**l for l in range(cap + 1)], dtype=self.dtype)
+
+    def index(self, words: list[Word]) -> tuple[np.ndarray, np.ndarray]:
+        """Base-N indices and lengths of the words."""
+        lens = np.fromiter(map(len, words), np.intp, len(words))
+        letters = np.fromiter(chain.from_iterable(words), np.intp, int(lens.sum()))
+        ends = np.cumsum(lens)
+        # each letter's digit, shifted by the letters after it in its word
+        digits = (letters - 1) * self.powers[np.repeat(ends, lens) - 1 - np.arange(len(letters))]
+        idx = np.zeros(len(words), self.dtype)
+        full = lens > 0
+        if full.any():
+            idx[full] = np.add.reduceat(digits, (ends - lens)[full])
+        return idx, lens
+
+    def words(self, idx: np.ndarray, lens: np.ndarray) -> list[Word]:
+        """The words of the given indices and lengths."""
+        longest = int(lens.max(initial=0))
+        # digit k of a word of length l has place value N^(l - 1 - k)
+        places = np.maximum(lens[:, None] - 1 - np.arange(longest), 0)
+        letters = (idx[:, None] // self.powers[places] % self.num_vars + 1).tolist()
+        return [tuple(row[:n]) for row, n in zip(letters, lens.tolist())]
+
+
+def pair_sums(codes: np.ndarray, re: np.ndarray, im: np.ndarray):
+    """Sum the values of a list of pairs onto the pairs' keys.
+
+    ``codes`` holds each pair's exact key code, ``re`` and ``im`` its value.
+    The values of one key are added in pair order from 0.0, as the per-pair
+    loop adds them into its dict.  Sums with |c| <= PRUNE_TOL are dropped.
+    Returns, in order of first occurrence, the index of each kept key's first
+    pair and the real and imaginary parts of its sum.
+    """
+    if not len(codes):
+        return np.zeros(0, np.intp), re, im
+    perm = np.argsort(codes)
+    ordered = codes[perm]
+    starts = np.empty(len(codes), bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    # the sort need not be stable: a key's first pair is its least index
+    first = np.minimum.reduceat(perm, np.flatnonzero(starts))
+    key_of = np.empty(len(codes), np.intp)
+    key_of[perm] = np.cumsum(starts) - 1
+    # bincount adds each key's values in pair order
+    sum_re = np.bincount(key_of, weights=re, minlength=len(first))
+    sum_im = np.bincount(key_of, weights=im, minlength=len(first))
+    order = np.argsort(first)
+    order = order[np.hypot(sum_re[order], sum_im[order]) > PRUNE_TOL]
+    return first[order], sum_re[order], sum_im[order]
 
 
 @dataclass(frozen=True)
@@ -136,10 +215,6 @@ class NCPoly(_Sparse):
         return NCPoly(num_vars, {(): 1.0}, cap)
 
     @staticmethod
-    def constant(num_vars: int, c: complex, cap: int) -> "NCPoly":
-        return NCPoly(num_vars, {(): c}, cap)
-
-    @staticmethod
     def gen(num_vars: int, j: int, cap: int) -> "NCPoly":
         """The generator X_j."""
         if not 1 <= j <= num_vars:
@@ -171,18 +246,26 @@ class NCPoly(_Sparse):
         return NCPoly.sum(self.num_vars, (self, other), min(self.degree_cap, other.degree_cap))
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
-        """Word-concatenation product; words beyond the cap are dropped."""
+        """Word-concatenation product; words beyond the cap are dropped.
+
+        With at least ``PAIR_BATCH_MIN`` coefficient pairs the pairs are
+        summed as arrays (``_mul_batched``), with the same result.
+        """
         self._check(other)
         cap = min(self.degree_cap, other.degree_cap)
-        out: dict[Word, complex] = {}
-        dropped = False
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                if len(w1) + len(w2) > cap:
-                    dropped = True
-                    continue
-                w = w1 + w2
-                out[w] = out.get(w, 0.0) + c1 * c2
+        if len(self.coeffs) * len(other.coeffs) >= PAIR_BATCH_MIN:
+            codes = WordCodes(self.num_vars, max(cap, self.degree(), other.degree()))
+            out, dropped = _mul_batched(self.coeffs, other.coeffs, cap, codes)
+        else:
+            out = {}
+            dropped = False
+            for w1, c1 in self.coeffs.items():
+                for w2, c2 in other.coeffs.items():
+                    if len(w1) + len(w2) > cap:
+                        dropped = True
+                        continue
+                    w = w1 + w2
+                    out[w] = out.get(w, 0.0) + c1 * c2
         return NCPoly(
             self.num_vars, out, cap, self.truncated or other.truncated or dropped
         )
@@ -207,6 +290,32 @@ class NCPoly(_Sparse):
 
     def degrees(self):
         return sorted({len(w) for w in self.coeffs})
+
+
+def _mul_batched(left: dict, right: dict, cap: int, codes: WordCodes) -> tuple[dict, bool]:
+    """The coefficient dict of the product loop under ``cap``, and whether a
+    pair was dropped, from array sums over the pairs (left outer, right
+    inner).  ``codes`` must cover every word of both operands."""
+    w1, w2 = list(left), list(right)
+    i1, l1 = codes.index(w1)
+    i2, l2 = codes.index(w2)
+    c1 = np.fromiter(left.values(), complex, len(w1))
+    c2 = np.fromiter(right.values(), complex, len(w2))
+    fits = l1[:, None] + l2[None, :] <= cap
+    dropped = not fits.all()
+    # nonzero lists the pairs that fit in the loop's order
+    p, r = np.nonzero(fits)
+    lens = l1[p] + l2[r]
+    keys = (i1[p] * codes.powers[l2[r]] + i2[r]) * (codes.cap + 1) + lens
+    a, b = c1[p], c2[r]
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    first, re, im = pair_sums(keys, re, im)
+    out = {
+        w1[x] + w2[y]: complex(u, v)
+        for x, y, u, v in zip(p[first].tolist(), r[first].tolist(), re.tolist(), im.tolist())
+    }
+    return out, dropped
 
 
 def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:

@@ -9,22 +9,110 @@ from itertools import permutations, product
 
 import numpy as np
 
-from nctransport.arakiwoods import XiData, wick_poly
+from nctransport.arakiwoods import XiData, _wick
 from nctransport.calculus import partial_bar
-from nctransport.errors import DimMismatch
+from nctransport.errors import DimMismatch, NormTooLarge
 from nctransport.modular import ModularContext, apply_sigma
 from nctransport.moments import MomentOracle
-from nctransport.ncpoly import NCPoly
+from nctransport.ncpoly import NCPoly, Word, norm_R_sigma
 from nctransport.schwinger import partial_q_star
 from nctransport.tensor import (
     TensorMatrix,
     TensorPoly,
+    mat_mul,
+    t_apply,
     t_diamond,
-    t_flip_m,
     t_mul,
     t_sigma,
     tensor_of,
+    trace_A,
+    trace_Ainv,
 )
+
+
+def constant(num_vars: int, c: complex, cap: int) -> NCPoly:
+    """The constant polynomial c."""
+    return NCPoly(num_vars, {(): c}, cap)
+
+
+def number_op(P: NCPoly) -> NCPoly:
+    """Multiply each word by its length."""
+    return NCPoly(
+        P.num_vars,
+        {w: len(w) * c for w, c in P.coeffs.items()},
+        P.degree_cap,
+        P.truncated,
+    )
+
+
+def wick_poly(ctx: ModularContext, q: float, word, _memo=None) -> NCPoly:
+    """Wick polynomial of a word (``arakiwoods._wick``), with the letters
+    checked."""
+    word = tuple(word)
+    for j in word:
+        ctx.check_index(j)
+    return _wick(ctx, q, word, {} if _memo is None else _memo)
+
+
+def t_flip_m(S: TensorPoly) -> NCPoly:
+    """Multiplication map m(a (x) b) = ab."""
+    out: dict[Word, complex] = {}
+    for (a, b), c in S.coeffs.items():
+        w = a + b
+        out[w] = out.get(w, 0.0) + c
+    return NCPoly(S.num_vars, out, S.degree_cap, S.truncated)
+
+
+def identity_matrix(num_vars: int, dim: int, cap: int) -> TensorMatrix:
+    """The dim x dim matrix with 1 (x) 1 on the diagonal."""
+    one = TensorPoly.one(num_vars, cap)
+    zero = TensorPoly.zero(num_vars, cap)
+    return TensorMatrix(
+        dim,
+        tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim)),
+    )
+
+
+def mat_vec(Q: TensorMatrix, g: list[NCPoly]) -> list[NCPoly]:
+    """Matrix # vector: (Q # g)_i = sum_j Q_ij # g_j."""
+    if Q.dim != len(g):
+        raise DimMismatch(f"matrix dim {Q.dim}, vector length {len(g)}")
+    cap = min(Q.degree_cap, *(p.degree_cap for p in g))
+    return [
+        NCPoly.sum(g[0].num_vars, (t_apply(Q[i, j], g[j]) for j in range(Q.dim)), cap)
+        for i in range(Q.dim)
+    ]
+
+
+def q_series_reference(
+    ctx: ModularContext, o: MomentOracle, ghat: NCPoly, B: TensorMatrix, R: float, tol: float
+) -> NCPoly:
+    """``transport.q_series`` with sparse # powers: ``mat_mul`` and the
+    weighted traces ``trace_A``/``trace_Ainv`` on TensorMatrix entries."""
+    if o.q != 0.0:
+        raise ValueError("series is defined against the undeformed state")
+    norm_g = norm_R_sigma(ctx, ghat, R).value
+    r = 2.0 * norm_g / (R * R)
+    if r >= 1.0:
+        raise NormTooLarge(f"|ghat| = {norm_g} exceeds R^2/2 = {R * R / 2}")
+    if ghat.is_zero():
+        return NCPoly.zero(ctx.num_vars, ghat.degree_cap)
+
+    def terms():
+        power = mat_mul(B, B)
+        m = 0
+        while True:
+            traces = o.contract_right(trace_A(ctx, power)) + o.contract_left(trace_Ainv(ctx, power))
+            yield traces.scale((-1.0) ** m / (m + 2))
+            tail = 2.0 * ctx.norm_A * r ** (m + 3) / (1.0 - r)
+            if tail < tol or m > 200:
+                return
+            power = mat_mul(power, B)
+            if all(e.is_zero() for row in power.entries for e in row):
+                return
+            m += 1
+
+    return NCPoly.sum(ctx.num_vars, terms(), ghat.degree_cap)
 
 
 def _q_deriv_bar(ctx: ModularContext, j: int, P: NCPoly, Xi: TensorPoly) -> TensorPoly:

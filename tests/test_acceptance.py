@@ -23,7 +23,7 @@ from nctransport.arakiwoods import (
     potential_W,
     q_isomorphism_pipeline,
 )
-from nctransport.calculus import grad_D, jac_J, number_op, partial_sigma
+from nctransport.calculus import grad_D, jac_J, partial_sigma
 from nctransport.moments import MomentOracle
 from nctransport.ncpoly import (
     NCPoly,
@@ -37,7 +37,6 @@ from nctransport.schwinger import partial_q_star, sd_residual
 from nctransport.tensor import (
     TensorPoly,
     mat_sigma,
-    mat_vec,
     pi_norm_bound,
     t_mul,
     trace_A,
@@ -50,7 +49,7 @@ from nctransport.transport import (
     inversion_residual,
     solve_transport,
 )
-from oracles import inner_tensor, jsigma_star
+from oracles import inner_tensor, jsigma_star, mat_vec, number_op
 
 CTX1 = build_context([], 1)
 CTX2 = build_context([], 2)

@@ -15,7 +15,6 @@ from nctransport.arakiwoods import (
     potential_W,
     q_gram,
     q_isomorphism_pipeline,
-    wick_poly,
 )
 from nctransport.calculus import partial_bar, partial_sigma
 from nctransport.errors import (
@@ -37,7 +36,7 @@ from nctransport.tensor import (
     t_sigma,
 )
 from nctransport.transport import TransportConfig
-from oracles import build_xi_reference, q_gram_reference
+from oracles import build_xi_reference, q_gram_reference, wick_poly
 
 TOL = 1e-12
 

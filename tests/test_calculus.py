@@ -7,7 +7,6 @@ from nctransport.calculus import (
     grad_D,
     jac_J,
     jac_J_sigma,
-    number_op,
     partial_bar,
     partial_sigma,
     pi_op,
@@ -34,7 +33,15 @@ from nctransport.tensor import (
     t_diamond,
     t_sigma,
 )
-from oracles import cyclic_D_composed, lmul, partial_tilde, rmul
+from oracles import (
+    constant,
+    cyclic_D_composed,
+    identity_matrix,
+    lmul,
+    number_op,
+    partial_tilde,
+    rmul,
+)
 
 TOL = 1e-12
 
@@ -173,7 +180,7 @@ def test_jacobians(lam2):
             got = js[i, j].coeffs.get(((), ()), 0.0)
             assert abs(got - expected) < TOL
     jj = jac_J(lam2, xs)
-    ident = TensorMatrix.identity(2, 2, jj.degree_cap)
+    ident = identity_matrix(2, 2, jj.degree_cap)
     for i in range(2):
         for j in range(2):
             assert max_pair_diff(jj[i, j], ident[i, j]) < TOL
@@ -194,7 +201,7 @@ def test_jacobian_b_identity(lam2, rng):
 def test_number_and_inverse_ops(ctx2, rng):
     p = NCPoly.monomial(2, (1, 2), 1.0, cap=4)
     assert number_op(p).coeffs == {(1, 2): 2.0 + 0.0j}
-    assert sigma_inv_op(NCPoly.constant(2, 3.0, 4)).is_zero()
+    assert sigma_inv_op(constant(2, 3.0, 4)).is_zero()
     q = random_poly(ctx2, rng, 4, cap=8)
     assert max_coeff_diff(number_op(sigma_inv_op(q)), pi_op(q)) < TOL
 
@@ -219,7 +226,7 @@ def test_symmetrize_examples(ctx2, lam2):
     ) < TOL
     v0 = quadratic_potential(lam2, 6)
     assert max_coeff_diff(symmetrize_S(lam2, v0), v0) < TOL
-    c = NCPoly.constant(2, 4.2, 4)
+    c = constant(2, 4.2, 4)
     assert max_coeff_diff(symmetrize_S(lam2, c), c) == 0.0
 
 

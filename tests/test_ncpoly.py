@@ -5,6 +5,7 @@ from operator import add
 import numpy as np
 import pytest
 
+from nctransport import ncpoly
 from nctransport.errors import VarCountMismatch
 from nctransport.modular import apply_sigma
 from nctransport.ncpoly import (
@@ -21,6 +22,7 @@ from nctransport.ncpoly import (
 from nctransport.randgen import random_centralizer, random_poly, random_tensor
 from nctransport.serialize import poly_from_terms, poly_to_terms
 from nctransport.tensor import TensorPoly
+from oracles import constant
 
 TOL = 1e-12
 
@@ -103,6 +105,54 @@ def random_poly_fixture():
     from nctransport import build_context
 
     return random_poly(build_context([], 2), rng, 3, cap=8)
+
+
+def _word_poly(rng, n, terms, max_len, cap, seed_terms):
+    """Random polynomial with exactly ``terms`` coefficients, ``seed_terms``
+    among them, the rest spread over eight decades so that some products
+    fall below the prune threshold."""
+    coeffs = dict(seed_terms)
+    while len(coeffs) < terms:
+        word = tuple(int(j) for j in rng.integers(1, n + 1, rng.integers(0, max_len + 1)))
+        coeffs.setdefault(word, complex(*rng.standard_normal(2)) * 10.0 ** -rng.integers(0, 8))
+    return NCPoly(n, coeffs, cap)
+
+
+def _bits(p):
+    return [(w, c.real.hex(), c.imag.hex()) for w, c in p.coeffs.items()], p.truncated
+
+
+@pytest.mark.parametrize(
+    "n, cap, left_cap, max_len, code_type",
+    [
+        (2, 8, 8, 5, np.int64),
+        (3, 7, 7, 4, np.int64),
+        # the left operand holds words longer than the product's cap
+        (2, 6, 11, 11, np.int64),
+        (2, 62, 62, 31, object),
+        (30, 12, 12, 6, object),
+    ],
+)
+def test_mul_batched_matches_loop(monkeypatch, n, cap, left_cap, max_len, code_type):
+    # the array route and the per-pair loop give the same product bit for
+    # bit, key order, dropped words and taint included, on both sides of
+    # the threshold, with int64 and with Python-int word codes
+    assert ncpoly.WordCodes(n, left_cap).dtype is code_type
+    rng = np.random.default_rng(cap)
+    limit = ncpoly.PAIR_BATCH_MIN
+    for pairs in (limit - 1, limit):
+        rows = next(r for r in range(40, 1, -1) if pairs % r == 0)
+        # X1 * (X1X1 / 4) cancels X1X1 * (-X1 / 4)
+        a = _word_poly(rng, n, rows, max_len, left_cap, {(1,): 1.0, (1, 1): 1.0})
+        b = _word_poly(rng, n, pairs // rows, max_len, cap, {(1, 1): 0.25, (1,): -0.25})
+        assert len(a.coeffs) * len(b.coeffs) == pairs
+        default = a * b
+        monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 10**9)
+        loop = a * b
+        monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
+        batched = a * b
+        monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
+        assert _bits(default) == _bits(loop) == _bits(batched)
 
 
 def test_mul_var_mismatch():
@@ -203,7 +253,7 @@ def test_rho_twisted(lam2):
 
 
 def test_rho_fixes_constants(lam2):
-    c = NCPoly.constant(2, 2.5 - 1j, 4)
+    c = constant(2, 2.5 - 1j, 4)
     assert max_coeff_diff(rho(lam2, c, 3), c) == 0.0
 
 

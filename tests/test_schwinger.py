@@ -12,7 +12,14 @@ from nctransport.ncpoly import NCPoly, max_coeff_diff, quadratic_potential
 from nctransport.randgen import random_poly, random_tensor
 from nctransport.schwinger import gibbs_distance, partial_q_star, sd_residual
 from nctransport.tensor import TensorMatrix, TensorPoly, t_sigma, t_star
-from oracles import inner_tensor, jsigma_star, partial_q_star_reference
+from oracles import (
+    identity_matrix,
+    inner_tensor,
+    jsigma_star,
+    mat_vec,
+    number_op,
+    partial_q_star_reference,
+)
 
 TOL = 1e-12
 
@@ -83,7 +90,7 @@ def test_jsigma_star_identity_matrix(lam2, ctx2):
         o = MomentOracle(ctx, 0.0)
         n = ctx.num_vars
         one = TensorPoly.one(n, 6)
-        ident = TensorMatrix.identity(n, n, 6)
+        ident = identity_matrix(n, n, 6)
         got = jsigma_star(o, ctx, ident, one)
         for j in range(n):
             assert max_coeff_diff(got[j], NCPoly.gen(n, j + 1, got[j].degree_cap)) < TOL
@@ -152,10 +159,10 @@ def test_trace_gradient_identity_and_k_assembly(lam2, ctx1, rng):
     # for B the Jacobian of a centralizer gradient: the adjoint Jacobian of
     # the half-twisted B recombines with B # X into the gradient of the
     # weighted traces of B; subtracting the number-operator part gives K
-    from nctransport.calculus import jac_J, number_op
+    from nctransport.calculus import jac_J
     from nctransport.ncpoly import generators
     from nctransport.randgen import random_centralizer
-    from nctransport.tensor import mat_sigma, mat_vec, trace_A, trace_Ainv
+    from nctransport.tensor import mat_sigma, trace_A, trace_Ainv
 
     for ctx in (ctx1, lam2):
         o = MomentOracle(ctx, 0.0)

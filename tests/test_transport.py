@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nctransport import build_context
-from nctransport.calculus import grad_D, pi_op, sigma_inv_op, symmetrize_S
+from nctransport.calculus import grad_D, jac_J, pi_op, sigma_inv_op, symmetrize_S
 from nctransport.errors import (
     ContractionFailure,
     HypothesisViolation,
@@ -33,6 +33,8 @@ from nctransport.transport import (
     q_series,
     solve_transport,
 )
+
+from oracles import constant, mat_vec, q_series_reference
 
 CFG = TransportConfig(R=4.0, R_prime=5.0, rho=1.0, degree_cap=8, tolerance=1e-10, max_iterations=80)
 
@@ -76,22 +78,27 @@ def test_check_hypotheses_rejects_asymmetric(lam2):
         check_hypotheses(lam2, NCPoly.gen(2, 1, 6), cfg)
 
 
+def jacobian(ctx, ghat):
+    """The Jacobian of the cyclic gradient of Sigma ghat, as F_map builds it."""
+    return jac_J(ctx, grad_D(ctx, sigma_inv_op(ghat)))
+
+
 def test_q_series_zero(ctx1):
     o = MomentOracle(ctx1, 0.0)
-    assert q_series(ctx1, o, NCPoly.zero(1, 8), 4.0, 1e-10).is_zero()
+    zero = NCPoly.zero(1, 8)
+    assert q_series(ctx1, o, zero, jacobian(ctx1, zero), 4.0, 1e-10).is_zero()
 
 
 def test_q_series_leading_order(ctx1):
     # the m = 0 term is half the weighted traces of the squared Jacobian
-    from nctransport.calculus import jac_J
     from nctransport.tensor import mat_mul, trace_A, trace_Ainv
 
     o = MomentOracle(ctx1, 0.0)
     eps = 1e-6
     ghat = quartic(eps)
-    got = q_series(ctx1, o, ghat, 4.0, 1e-16)
-    f = grad_D(ctx1, sigma_inv_op(ghat))
-    b2 = mat_mul(jac_J(ctx1, f), jac_J(ctx1, f))
+    b = jacobian(ctx1, ghat)
+    got = q_series(ctx1, o, ghat, b, 4.0, 1e-16)
+    b2 = mat_mul(b, b)
     lead = (
         o.contract_right(trace_A(ctx1, b2)) + o.contract_left(trace_Ainv(ctx1, b2))
     ).scale(0.5)
@@ -104,17 +111,83 @@ def test_q_series_norm_bound(ctx1, lam2, rng):
         for _ in range(5):
             g = random_centralizer(ctx, rng, 4, cap=8, cyclically_symmetric=True)
             g = g.scale(0.3 / max(norm_R_sigma(ctx, g, 4.0).value, 1e-12))
-            got = q_series(ctx, o, g, 4.0, 1e-12)
+            got = q_series(ctx, o, g, jacobian(ctx, g), 4.0, 1e-12)
             ng = norm_R_sigma(ctx, g, 4.0).value
             bound = 4 * ctx.norm_A * ng**2 / (4.0**4 - 2 * 4.0**2 * ng)
             assert norm_R_sigma(ctx, got, 4.0).value <= bound + 1e-9
+
+
+def _random_ghat(degree):
+    def make(ctx, cap):
+        rng = np.random.default_rng(cap)
+        return random_centralizer(ctx, rng, degree, cap=cap, cyclically_symmetric=True)
+
+    return make
+
+
+def _two_block_quartic(ctx, cap):
+    words = {(1, 2, 2, 1): 1.0, (3, 4, 4, 3): 1.0}
+    return symmetrize_S(ctx, NCPoly(4, words, cap)) + quadratic_potential(ctx, cap).scale(0.01)
+
+
+@pytest.mark.parametrize(
+    "lambdas, trivial, cap, make, R",
+    [
+        ([], 1, 8, _random_ghat(4), 4.0),
+        ([], 1, 10, _random_ghat(6), 4.0),
+        ([2.0], 0, 6, _random_ghat(4), 6.0),
+        ([2.0], 0, 8, _random_ghat(4), 6.0),
+        # at R = 2 the quartic part is large enough that B^5 and later
+        # powers lose products to the tensor cap 8
+        ([2.0, 3.0], 0, 4, _two_block_quartic, 2.0),
+    ],
+)
+def test_q_series_matches_reference(lambdas, trivial, cap, make, R):
+    # the array powers prune where mat_mul prunes, so the series equals
+    # the sparse one: same keys in the same order, same coefficients, same taint
+    from nctransport.tensor import mat_mul
+
+    ctx = build_context(lambdas, trivial)
+    o = MomentOracle(ctx, 0.0)
+    g = make(ctx, cap)
+    g = g.scale(0.3 * R * R / 2 / norm_R_sigma(ctx, g, R).value)
+    b = jacobian(ctx, g)
+    got = q_series(ctx, o, g, b, R, 1e-10)
+    want = q_series_reference(ctx, o, g, b, R, 1e-10)
+    assert set(got.coeffs) == set(want.coeffs) and got.truncated == want.truncated
+    scale = max(map(abs, want.coeffs.values()))
+    assert max_coeff_diff(got, want) <= 1e-12 * scale
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    if len(lambdas) == 2:
+        powers = [b]
+        for _ in range(4):
+            powers.append(mat_mul(powers[-1], b))
+        assert not powers[3].truncated and powers[4].truncated
+
+
+def test_f_map_builds_the_gradient_once(lam2, monkeypatch):
+    import nctransport.transport as transport
+
+    calls = []
+
+    def counted(ctx, p):
+        calls.append(p)
+        return grad_D(ctx, p)
+
+    monkeypatch.setattr(transport, "grad_D", counted)
+    o = MomentOracle(lam2, 0.0)
+    w = random_centralizer(lam2, np.random.default_rng(3), 4, cap=6, cyclically_symmetric=True)
+    w = w.scale(0.05 / norm_R_sigma(lam2, w, 6.0).value)
+    cfg = TransportConfig(R=6.0, R_prime=7.0, degree_cap=6)
+    F_map(lam2, o, w, w, cfg)
+    assert len(calls) == 1
 
 
 def test_q_series_rejects_large_argument(ctx1):
     o = MomentOracle(ctx1, 0.0)
     big = NCPoly.monomial(1, (1, 1), 10.0, cap=8)
     with pytest.raises(NormTooLarge):
-        q_series(ctx1, o, big, 4.0, 1e-10)
+        q_series(ctx1, o, big, jacobian(ctx1, big), 4.0, 1e-10)
 
 
 def test_f_map_at_zero(ctx1):
@@ -219,9 +292,9 @@ def test_invert_trivial_and_constants(ctx1):
     xs = generators(ctx1, 8)
     h = invert_series(xs, CFG)
     assert max_coeff_diff(h[0], xs[0]) == 0.0
-    y = [xs[0] + NCPoly.constant(1, 0.3, 8)]
+    y = [xs[0] + constant(1, 0.3, 8)]
     h = invert_series(y, CFG)
-    expected = xs[0] + NCPoly.constant(1, -0.3, 8)
+    expected = xs[0] + constant(1, -0.3, 8)
     assert max_coeff_diff(h[0], expected) < 1e-12
 
 
@@ -247,8 +320,7 @@ def test_invert_contraction_failure(ctx1):
 def test_gradient_quadratic_identity(lam2, rng):
     # D(1/2 JX^{-1} # f # f) = Jf # f for gradients of self-adjoint
     # centralizer elements
-    from nctransport.calculus import jac_J
-    from nctransport.tensor import mat_vec, vec_dot
+    from nctransport.tensor import vec_dot
 
     one_plus_a = np.eye(2) + lam2.A
     for _ in range(5):
