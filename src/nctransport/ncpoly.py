@@ -8,11 +8,12 @@ degree > cap" honestly.  Sums enforce the cap too: the coefficient format
 and its linear structure, including the one in-place accumulator every sum
 goes through, live in a base class shared with ``tensor.TensorPoly``.
 
-Large products are summed as numpy arrays instead of pair by pair.  Words
-then travel as exact integer codes (``WordCodes``), and ``pair_sums`` adds
-the value of every pair onto its key in pair order and prunes the sums
-exactly as the per-pair loop and the constructor do, so both routes give
-the same coefficients, bit for bit, in the same key order.
+Large products are summed as numpy arrays instead of pair by pair, here and
+in ``tensor.t_mul``, through ``batched_pairs``.  Words then travel as exact
+integer codes (``WordCodes``), and ``pair_sums`` adds the value of every
+pair onto its key in pair order and prunes the sums exactly as the per-pair
+loop and the constructor do, so both routes give the same coefficients, bit
+for bit, in the same key order.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ PRUNE_TOL = 1e-14
 
 CENTRALIZER_TOL = 1e-9
 
-# Products with at least this many coefficient pairs are summed as numpy
-# arrays; below it numpy's fixed cost per call makes the per-pair loop faster.
+# Products (NCPoly and #) with at least this many coefficient pairs are summed
+# as numpy arrays; below it numpy's fixed cost per call makes the per-pair
+# loop faster.
 PAIR_BATCH_MIN = 1024
 
 
@@ -69,14 +71,6 @@ class WordCodes:
         if full.any():
             idx[full] = np.add.reduceat(digits, (ends - lens)[full])
         return idx, lens
-
-    def words(self, idx: np.ndarray, lens: np.ndarray) -> list[Word]:
-        """The words of the given indices and lengths."""
-        longest = int(lens.max(initial=0))
-        # digit k of a word of length l has place value N^(l - 1 - k)
-        places = np.maximum(lens[:, None] - 1 - np.arange(longest), 0)
-        letters = (idx[:, None] // self.powers[places] % self.num_vars + 1).tolist()
-        return [tuple(row[:n]) for row, n in zip(letters, lens.tolist())]
 
 
 def pair_sums(codes: np.ndarray, re: np.ndarray, im: np.ndarray):
@@ -265,7 +259,9 @@ class NCPoly(_Sparse):
                         dropped = True
                         continue
                     w = w1 + w2
-                    out[w] = out.get(w, 0.0) + c1 * c2
+                    # a new key starts from 0j, as pair_sums starts from 0.0
+                    # in each part: Python 3.14's 0.0 + c would keep a -0.0
+                    out[w] = out.get(w, 0j) + c1 * c2
         return NCPoly(
             self.num_vars, out, cap, self.truncated or other.truncated or dropped
         )
@@ -292,30 +288,48 @@ class NCPoly(_Sparse):
         return sorted({len(w) for w in self.coeffs})
 
 
+def batched_pairs(c1: np.ndarray, c2: np.ndarray, fits: np.ndarray, key, outer_second: bool = False):
+    """The per-pair product loop of two coefficient lists, as array sums.
+
+    Over the pairs (p, r) with ``fits[p, r]``, p in the outer loop (r with
+    ``outer_second``), adds c1[p] * c2[r] onto the exact key code
+    ``key(p, r)`` of integer arrays p and r, and prunes as ``pair_sums``
+    does.  Each product uses Python's complex-product formula on the parts,
+    so it is bit-identical to ``c1[p] * c2[r]``.  Returns p and r of each
+    kept key's first pair and the real and imaginary parts of its sum, in
+    order of first occurrence.
+    """
+    if outer_second:
+        r, p = np.nonzero(fits.T)
+    else:
+        p, r = np.nonzero(fits)
+    a, b = c1[p], c2[r]
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    first, re, im = pair_sums(key(p, r), re, im)
+    return p[first], r[first], re, im
+
+
 def _mul_batched(left: dict, right: dict, cap: int, codes: WordCodes) -> tuple[dict, bool]:
     """The coefficient dict of the product loop under ``cap``, and whether a
-    pair was dropped, from array sums over the pairs (left outer, right
-    inner).  ``codes`` must cover every word of both operands."""
+    pair was dropped, from ``batched_pairs``.  ``codes`` must cover every
+    word of both operands."""
     w1, w2 = list(left), list(right)
     i1, l1 = codes.index(w1)
     i2, l2 = codes.index(w2)
     c1 = np.fromiter(left.values(), complex, len(w1))
     c2 = np.fromiter(right.values(), complex, len(w2))
     fits = l1[:, None] + l2[None, :] <= cap
-    dropped = not fits.all()
-    # nonzero lists the pairs that fit in the loop's order
-    p, r = np.nonzero(fits)
-    lens = l1[p] + l2[r]
-    keys = (i1[p] * codes.powers[l2[r]] + i2[r]) * (codes.cap + 1) + lens
-    a, b = c1[p], c2[r]
-    re = a.real * b.real - a.imag * b.imag
-    im = a.real * b.imag + a.imag * b.real
-    first, re, im = pair_sums(keys, re, im)
+
+    def key(p, r):
+        return (i1[p] * codes.powers[l2[r]] + i2[r]) * (codes.cap + 1) + l1[p] + l2[r]
+
+    p, r, re, im = batched_pairs(c1, c2, fits, key)
     out = {
         w1[x] + w2[y]: complex(u, v)
-        for x, y, u, v in zip(p[first].tolist(), r[first].tolist(), re.tolist(), im.tolist())
+        for x, y, u, v in zip(p.tolist(), r.tolist(), re.tolist(), im.tolist())
     }
-    return out, dropped
+    return out, not fits.all()
 
 
 def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:

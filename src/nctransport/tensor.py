@@ -8,23 +8,21 @@ including the in-place accumulator every sum goes through, are the ones of
 computed here is the upper bound read off the stored elementary-tensor
 representation, which is what every estimate in this library consumes.
 
-``FlatMatrix`` holds a matrix with its entries as numpy arrays of word codes
-and coefficients, for the repeated # powers of the log-Jacobian series.  Its
-product and weighted trace prune at every point where ``mat_mul``, ``t_mul``,
-``scale`` and ``TensorPoly.sum`` prune, in the same key order, so the two
-forms agree bit for bit.
+Large # products are summed as numpy arrays, through the helper that
+``NCPoly`` products use (``ncpoly.batched_pairs``), with the per-pair loop's
+result bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimMismatch, VarCountMismatch
 from .modular import ModularContext, apply_sigma
-from .ncpoly import PRUNE_TOL, NCPoly, Word, WordCodes, _Sparse, pair_sums
+from . import ncpoly
+from .ncpoly import PRUNE_TOL, NCPoly, Word, WordCodes, _Sparse, batched_pairs
 
 Pair = tuple[Word, Word]
 
@@ -75,13 +73,23 @@ def tensor_of(P: NCPoly, Q: NCPoly, cap: int | None = None) -> TensorPoly:
 
 
 def t_mul(S: TensorPoly, T: TensorPoly) -> TensorPoly:
-    """# product: (a (x) b) # (c (x) d) = (ac) (x) (db)."""
+    """# product: (a (x) b) # (c (x) d) = (ac) (x) (db).
+
+    The outer loop runs over the operand with fewer terms, over S on a tie
+    but over T when S is T.  With at least ``ncpoly.PAIR_BATCH_MIN``
+    coefficient pairs the pairs are summed as arrays (``_t_mul_batched``),
+    with the same result.
+    """
     S._check(T)
     cap = min(S.degree_cap, T.degree_cap)
+    swapped = len(S.coeffs) > len(T.coeffs) or S is T
+    if len(S.coeffs) * len(T.coeffs) >= ncpoly.PAIR_BATCH_MIN:
+        codes = WordCodes(S.num_vars, max(cap, S.degree(), T.degree()))
+        out, dropped = _t_mul_batched(S.coeffs, T.coeffs, cap, codes, swapped)
+        return TensorPoly(S.num_vars, out, cap, S.truncated or T.truncated or dropped)
     out: dict[Pair, complex] = {}
     dropped = False
-    small, big = (S, T) if len(S.coeffs) <= len(T.coeffs) else (T, S)
-    swapped = small is T
+    small, big = (T, S) if swapped else (S, T)
     for (a1, b1), c1 in small.coeffs.items():
         for (a2, b2), c2 in big.coeffs.items():
             if swapped:
@@ -92,10 +100,44 @@ def t_mul(S: TensorPoly, T: TensorPoly) -> TensorPoly:
                 dropped = True
                 continue
             key = (pa, pb)
-            out[key] = out.get(key, 0.0) + c1 * c2
+            # from 0j, as in NCPoly.__mul__
+            out[key] = out.get(key, 0j) + c1 * c2
     return TensorPoly(
         S.num_vars, out, cap, S.truncated or T.truncated or dropped
     )
+
+
+def _t_mul_batched(
+    left: dict, right: dict, cap: int, codes: WordCodes, outer_right: bool
+) -> tuple[dict, bool]:
+    """The coefficient dict of the # product loop under ``cap``, and whether
+    a pair was dropped, from ``ncpoly.batched_pairs``; the loop runs over
+    ``right`` outside with ``outer_right``.  ``codes`` must cover every word
+    of both operands."""
+    k1, k2 = list(left), list(right)
+    ia1, la1 = codes.index([a for a, _ in k1])
+    ib1, lb1 = codes.index([b for _, b in k1])
+    ia2, la2 = codes.index([a for a, _ in k2])
+    ib2, lb2 = codes.index([b for _, b in k2])
+    c1 = np.fromiter(left.values(), complex, len(k1))
+    c2 = np.fromiter(right.values(), complex, len(k2))
+    fits = (la1 + lb1)[:, None] + (la2 + lb2)[None, :] <= cap
+
+    def key(s, t):
+        # (a1 (x) b1) # (a2 (x) b2) = a1 a2 (x) b2 b1: the index of the word
+        # a1 a2 b2 b1, then the lengths of both legs
+        pa, pb = la1[s] + la2[t], lb2[t] + lb1[s]
+        ia = ia1[s] * codes.powers[la2[t]] + ia2[t]
+        ib = ib2[t] * codes.powers[lb1[s]] + ib1[s]
+        c = codes.cap + 1
+        return ((ia * codes.powers[pb] + ib) * c + pa) * c + pb
+
+    s, t, re, im = batched_pairs(c1, c2, fits, key, outer_right)
+    out = {
+        (k1[x][0] + k2[y][0], k2[y][1] + k1[x][1]): complex(u, v)
+        for x, y, u, v in zip(s.tolist(), t.tolist(), re.tolist(), im.tolist())
+    }
+    return out, not fits.all()
 
 
 def t_apply(S: TensorPoly, g: NCPoly) -> NCPoly:
@@ -329,160 +371,3 @@ def mat_star(Q: TensorMatrix) -> TensorMatrix:
 def mat_sigma(ctx: ModularContext, Q: TensorMatrix, s_left: float, s_right: float) -> TensorMatrix:
     """Legwise modular action applied to every entry."""
     return Q.map_entries(lambda e: t_sigma(ctx, e, s_left, s_right))
-
-
-# -- matrices as arrays, for repeated # products -----------------------------
-
-
-class _Flat(NamedTuple):
-    """One TensorPoly as arrays in its key order: base-N index and length of
-    each leg (``ncpoly.WordCodes``), the exact key code, and the real and
-    imaginary parts of the coefficients; the taint flag rides along."""
-
-    ia: np.ndarray
-    la: np.ndarray
-    ib: np.ndarray
-    lb: np.ndarray
-    code: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
-    truncated: bool
-
-
-def _key(codes: WordCodes, ia, la, ib, lb):
-    """Exact code of the word pair (a, b): index of ab, then both lengths."""
-    c1 = codes.cap + 1
-    return ((ia * codes.powers[lb] + ib) * c1 + la) * c1 + lb
-
-
-def _flatten(codes: WordCodes, S: TensorPoly) -> _Flat:
-    keys = list(S.coeffs)
-    ia, la = codes.index([a for a, _ in keys])
-    ib, lb = codes.index([b for _, b in keys])
-    c = np.fromiter(S.coeffs.values(), complex, len(keys))
-    return _Flat(ia, la, ib, lb, _key(codes, ia, la, ib, lb), c.real.copy(), c.imag.copy(), S.truncated)
-
-
-def _t_mul_flat(codes: WordCodes, cap: int, S: _Flat, T: _Flat) -> _Flat:
-    """``t_mul`` on arrays: the same pairs in the same order, the same sums
-    and the same prune.  The outer loop of ``t_mul`` runs over the operand
-    with fewer terms, over S on a tie, but over T when S is T."""
-    fits = (S.la + S.lb)[:, None] + (T.la + T.lb)[None, :] <= cap
-    dropped = not fits.all()
-    # nonzero lists the pairs that fit in row-major order: outer loop first
-    if len(S.re) <= len(T.re) and S is not T:
-        s, t = np.nonzero(fits)
-    else:
-        t, s = np.nonzero(fits.T)
-    la = S.la[s] + T.la[t]
-    lb = T.lb[t] + S.lb[s]
-    # (a1 (x) b1) # (a2 (x) b2) = a1 a2 (x) b2 b1
-    ia = S.ia[s] * codes.powers[T.la[t]] + T.ia[t]
-    ib = T.ib[t] * codes.powers[S.lb[s]] + S.ib[s]
-    code = _key(codes, ia, la, ib, lb)
-    re = S.re[s] * T.re[t] - S.im[s] * T.im[t]
-    im = S.re[s] * T.im[t] + S.im[s] * T.re[t]
-    first, re, im = pair_sums(code, re, im)
-    return _Flat(
-        ia[first], la[first], ib[first], lb[first], code[first], re, im,
-        S.truncated or T.truncated or dropped,
-    )
-
-
-def _scale_flat(S: _Flat, c: complex) -> _Flat:
-    """``TensorPoly.scale`` on arrays, with its prune."""
-    re = c.real * S.re - c.imag * S.im
-    im = c.real * S.im + c.imag * S.re
-    keep = np.hypot(re, im) > PRUNE_TOL
-    return _Flat(*(f[keep] for f in S[:5]), re[keep], im[keep], S.truncated)
-
-
-def _add_flat(acc: _Flat, part: _Flat) -> _Flat:
-    """One step of ``TensorPoly.sum``: a key of the part already in the sum
-    takes the part's value and is dropped if the sum is noise; any other key
-    is appended after the kept ones, in the part's order."""
-    hit = np.zeros(len(part.re), bool)
-    at = np.zeros(0, np.intp)
-    if len(acc.re):
-        order = np.argsort(acc.code)
-        at = order[np.minimum(np.searchsorted(acc.code, part.code, sorter=order), len(order) - 1)]
-        hit = acc.code[at] == part.code
-        at = at[hit]
-    re, im = acc.re.copy(), acc.im.copy()
-    re[at] += part.re[hit]
-    im[at] += part.im[hit]
-    alive = np.ones(len(re), bool)
-    alive[at] = np.hypot(re[at], im[at]) > PRUNE_TOL
-    new = ~hit
-    # a new key enters the sum's dict as 0.0 + c
-    return _Flat(
-        *(np.concatenate((f[alive], g[new])) for f, g in zip(acc[:5], part[:5])),
-        np.concatenate((re[alive], part.re[new] + 0.0)),
-        np.concatenate((im[alive], part.im[new] + 0.0)),
-        acc.truncated or part.truncated,
-    )
-
-
-def _sum_flat(codes: WordCodes, parts) -> _Flat:
-    """``TensorPoly.sum`` of parts with the sum's cap, pruned after each."""
-    ints = np.zeros(0, codes.dtype)
-    sizes = np.zeros(0, np.intp)
-    reals = np.zeros(0)
-    acc = _Flat(ints, sizes, ints, sizes, ints, reals, reals, False)
-    for part in parts:
-        acc = _add_flat(acc, part)
-    return acc
-
-
-class FlatMatrix:
-    """A square matrix of TensorPolys held as arrays, for # powers.
-
-    The entries share one cap, as those of ``calculus.jac_J`` do.  ``mul``
-    and ``trace_weighted`` prune where ``mat_mul`` and ``_trace_weighted``
-    prune: each # product of two entries, each step of a sum, each scaled
-    entry.  They keep keys in the same order and add in the same order, so
-    their coefficients equal the sparse ones bit for bit.
-    """
-
-    def __init__(self, cap: int, codes: WordCodes, entries: list[list[_Flat]]):
-        self.cap = cap
-        self.codes = codes
-        self.entries = entries
-
-    @staticmethod
-    def of(Q: TensorMatrix) -> "FlatMatrix":
-        cap = Q.degree_cap
-        if any(e.degree_cap != cap for row in Q.entries for e in row):
-            raise ValueError("matrix entries with differing degree caps")
-        longest = max(e.degree() for row in Q.entries for e in row)
-        codes = WordCodes(Q.num_vars, max(cap, longest))
-        return FlatMatrix(cap, codes, [[_flatten(codes, e) for e in row] for row in Q.entries])
-
-    def mul(self, other: "FlatMatrix") -> "FlatMatrix":
-        """Entrywise # matrix product, as ``mat_mul``; ``other`` shares the
-        cap and the codes."""
-        n, cap, codes = len(self.entries), self.cap, self.codes
-
-        def entry(i: int, j: int) -> _Flat:
-            products = (
-                _t_mul_flat(codes, cap, self.entries[i][k], other.entries[k][j]) for k in range(n)
-            )
-            return _sum_flat(codes, products)
-
-        return FlatMatrix(cap, codes, [[entry(i, j) for j in range(n)] for i in range(n)])
-
-    def is_zero(self) -> bool:
-        return not any(len(e.re) for row in self.entries for e in row)
-
-    def trace_weighted(self, M) -> TensorPoly:
-        """sum_{ij} M_ij Q_ji, as ``_trace_weighted``, as a TensorPoly."""
-        n = len(self.entries)
-        weights = ((i, j, complex(M[i][j])) for i in range(n) for j in range(n))
-        acc = _sum_flat(
-            self.codes,
-            (_scale_flat(self.entries[j][i], m) for i, j, m in weights if abs(m) > PRUNE_TOL),
-        )
-        words = self.codes.words
-        keys = zip(words(acc.ia, acc.la), words(acc.ib, acc.lb))
-        coeffs = dict(zip(keys, map(complex, acc.re.tolist(), acc.im.tolist())))
-        return TensorPoly(self.codes.num_vars, coeffs, self.cap, acc.truncated)

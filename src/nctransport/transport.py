@@ -10,8 +10,7 @@ until the twisted-norm difference of successive iterates is below
 tolerance.  The transported tuple is Y = X + D(Sigma ghat); certificates
 (contraction ratios, fixed-point residual, gradient positivity bound,
 series inversion) are measured, not assumed.  Each application of the map
-builds the cyclic gradient and its Jacobian once; the series of Jacobian
-powers runs on numpy arrays (``tensor.FlatMatrix``).
+builds the cyclic gradient and its Jacobian once.
 """
 
 from __future__ import annotations
@@ -50,16 +49,13 @@ from .ncpoly import (
     substitute,
 )
 from .tensor import (
-    FlatMatrix,
     TensorMatrix,
-    TensorPoly,
+    mat_mul,
     mat_sigma,
     mat_star,
     max_pair_diff,
     pi_norm_bound,
     pi_norm_bound_mat,
-    trace_A,
-    trace_Ainv,
     vec_dot,
 )
 
@@ -159,9 +155,11 @@ def check_hypotheses(ctx: ModularContext, W: NCPoly, cfg: TransportConfig) -> Hy
     return rep
 
 
-def _trace_contractions(o: MomentOracle, trace_a: TensorPoly, trace_ainv: TensorPoly) -> NCPoly:
-    """(1 (x) phi) Tr_A + (phi (x) 1) Tr_{A^{-1}}, from the two weighted traces."""
-    return o.contract_right(trace_a) + o.contract_left(trace_ainv)
+def _trace_contractions(ctx: ModularContext, o: MomentOracle, B: TensorMatrix) -> NCPoly:
+    """(1 (x) phi) Tr_A + (phi (x) 1) Tr_{A^{-1}} applied to a matrix."""
+    from .tensor import trace_A, trace_Ainv
+
+    return o.contract_right(trace_A(ctx, B)) + o.contract_left(trace_Ainv(ctx, B))
 
 
 def q_series(
@@ -177,8 +175,7 @@ def q_series(
     Sums (-1)^m / (m+2) times the trace contractions of the (m+2)-nd #
     power of B, the Jacobian of the cyclic gradient of Sigma ghat.  The tail
     is controlled geometrically through r = 2 |ghat| / R^2; summation stops
-    when the bound on the remainder drops below tol.  The powers are held as
-    arrays (``tensor.FlatMatrix``), pruned where ``mat_mul`` prunes.
+    when the bound on the remainder drops below tol.
     """
     if o.q != 0.0:
         raise ValueError("series is defined against the undeformed state")
@@ -188,20 +185,17 @@ def q_series(
         raise NormTooLarge(f"|ghat| = {norm_g} exceeds R^2/2 = {R * R / 2}")
     if ghat.is_zero():
         return NCPoly.zero(ctx.num_vars, ghat.degree_cap)
-    flat = FlatMatrix.of(B)
-    A, A_inv = ctx.A, ctx.A.T
 
     def terms():
-        power = flat.mul(flat)
+        power = mat_mul(B, B)
         m = 0
         while True:
-            traces = power.trace_weighted(A), power.trace_weighted(A_inv)
-            yield _trace_contractions(o, *traces).scale((-1.0) ** m / (m + 2))
+            yield _trace_contractions(ctx, o, power).scale((-1.0) ** m / (m + 2))
             tail = 2.0 * ctx.norm_A * r ** (m + 3) / (1.0 - r)
             if tail < tol or m > 200:
                 return
-            power = power.mul(flat)
-            if power.is_zero():
+            power = mat_mul(power, B)
+            if all(e.is_zero() for row in power.entries for e in row):
                 return
             m += 1
 
@@ -243,7 +237,7 @@ def F_map(
     t_quad = vec_dot(af, f).with_cap(cap).scale(-0.25)
 
     B = jac_J(ctx, f)
-    t_lin = _trace_contractions(o, trace_A(ctx, B), trace_Ainv(ctx, B)).with_cap(cap)
+    t_lin = _trace_contractions(ctx, o, B).with_cap(cap)
 
     t_series = q_series(ctx, o, ghat, B, cfg.R, cfg.tolerance)
 

@@ -11,22 +11,19 @@ import numpy as np
 
 from nctransport.arakiwoods import XiData, _wick
 from nctransport.calculus import partial_bar
-from nctransport.errors import DimMismatch, NormTooLarge
+from nctransport.errors import DimMismatch
 from nctransport.modular import ModularContext, apply_sigma
 from nctransport.moments import MomentOracle
-from nctransport.ncpoly import NCPoly, Word, norm_R_sigma
+from nctransport.ncpoly import NCPoly, Word
 from nctransport.schwinger import partial_q_star
 from nctransport.tensor import (
     TensorMatrix,
     TensorPoly,
-    mat_mul,
     t_apply,
     t_diamond,
     t_mul,
     t_sigma,
     tensor_of,
-    trace_A,
-    trace_Ainv,
 )
 
 
@@ -82,37 +79,6 @@ def mat_vec(Q: TensorMatrix, g: list[NCPoly]) -> list[NCPoly]:
         NCPoly.sum(g[0].num_vars, (t_apply(Q[i, j], g[j]) for j in range(Q.dim)), cap)
         for i in range(Q.dim)
     ]
-
-
-def q_series_reference(
-    ctx: ModularContext, o: MomentOracle, ghat: NCPoly, B: TensorMatrix, R: float, tol: float
-) -> NCPoly:
-    """``transport.q_series`` with sparse # powers: ``mat_mul`` and the
-    weighted traces ``trace_A``/``trace_Ainv`` on TensorMatrix entries."""
-    if o.q != 0.0:
-        raise ValueError("series is defined against the undeformed state")
-    norm_g = norm_R_sigma(ctx, ghat, R).value
-    r = 2.0 * norm_g / (R * R)
-    if r >= 1.0:
-        raise NormTooLarge(f"|ghat| = {norm_g} exceeds R^2/2 = {R * R / 2}")
-    if ghat.is_zero():
-        return NCPoly.zero(ctx.num_vars, ghat.degree_cap)
-
-    def terms():
-        power = mat_mul(B, B)
-        m = 0
-        while True:
-            traces = o.contract_right(trace_A(ctx, power)) + o.contract_left(trace_Ainv(ctx, power))
-            yield traces.scale((-1.0) ** m / (m + 2))
-            tail = 2.0 * ctx.norm_A * r ** (m + 3) / (1.0 - r)
-            if tail < tol or m > 200:
-                return
-            power = mat_mul(power, B)
-            if all(e.is_zero() for row in power.entries for e in row):
-                return
-            m += 1
-
-    return NCPoly.sum(ctx.num_vars, terms(), ghat.degree_cap)
 
 
 def _q_deriv_bar(ctx: ModularContext, j: int, P: NCPoly, Xi: TensorPoly) -> TensorPoly:

@@ -142,9 +142,12 @@ def test_mul_batched_matches_loop(monkeypatch, n, cap, left_cap, max_len, code_t
     limit = ncpoly.PAIR_BATCH_MIN
     for pairs in (limit - 1, limit):
         rows = next(r for r in range(40, 1, -1) if pairs % r == 0)
-        # X1 * (X1X1 / 4) cancels X1X1 * (-X1 / 4)
-        a = _word_poly(rng, n, rows, max_len, left_cap, {(1,): 1.0, (1, 1): 1.0})
-        b = _word_poly(rng, n, pairs // rows, max_len, cap, {(1, 1): 0.25, (1,): -0.25})
+        # X1 * (X1X1 / 4) cancels X1X1 * (-X1 / 4); (-2 X2) * (-3 X2X2) has
+        # the imaginary part -0.0
+        a = _word_poly(rng, n, rows, max_len, left_cap, {(1,): 1.0, (1, 1): 1.0, (2,): -2.0})
+        b = _word_poly(
+            rng, n, pairs // rows, max_len, cap, {(1, 1): 0.25, (1,): -0.25, (2, 2): -3.0}
+        )
         assert len(a.coeffs) * len(b.coeffs) == pairs
         default = a * b
         monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 10**9)
@@ -153,6 +156,16 @@ def test_mul_batched_matches_loop(monkeypatch, n, cap, left_cap, max_len, code_t
         batched = a * b
         monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
         assert _bits(default) == _bits(loop) == _bits(batched)
+
+
+def test_mul_new_key_has_no_negative_zero(monkeypatch):
+    # (-2) * (-3) is 6 - 0j; the loop starts a new key from 0j, as the
+    # array sums start from 0.0, so both routes store +0.0 on every Python
+    a = NCPoly.monomial(2, (2,), -2.0, cap=4)
+    b = NCPoly.monomial(2, (2, 2), -3.0, cap=4)
+    for limit in (10**9, 0):
+        monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
+        assert _bits(a * b) == ([((2, 2, 2), (6.0).hex(), (0.0).hex())], False)
 
 
 def test_mul_var_mismatch():

@@ -1,9 +1,12 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 
+from nctransport import ncpoly
 from nctransport.calculus import grad_D, jac_J_sigma
 from nctransport.errors import DimMismatch, VarCountMismatch
-from nctransport.ncpoly import NCPoly, max_coeff_diff, norm_R
+from nctransport.ncpoly import NCPoly, WordCodes, max_coeff_diff, norm_R
 from nctransport.randgen import random_centralizer, random_poly, random_tensor
 from nctransport.tensor import (
     TensorMatrix,
@@ -55,6 +58,69 @@ def test_t_mul_associative(ctx2, rng):
         b = random_tensor(ctx2, rng, 2)
         c = random_tensor(ctx2, rng, 2)
         assert max_pair_diff(t_mul(t_mul(a, b), c), t_mul(a, t_mul(b, c))) < TOL
+
+
+def _pair_poly(rng, n, terms, max_len, cap, seed_terms):
+    """Random tensor with exactly ``terms`` coefficients, ``seed_terms``
+    among them, the rest spread over eight decades so that some products
+    fall below the prune threshold."""
+    coeffs = dict(seed_terms)
+    while len(coeffs) < terms:
+        a, b = (tuple(int(j) for j in rng.integers(1, n + 1, rng.integers(0, max_len + 1))) for _ in "ab")
+        coeffs.setdefault((a, b), complex(*rng.standard_normal(2)) * 10.0 ** -rng.integers(0, 8))
+    return TensorPoly(n, coeffs, cap)
+
+
+def _bits(S):
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in S.coeffs.items()], S.truncated
+
+
+@pytest.mark.parametrize(
+    "n, cap, left_cap, max_len, code_type",
+    [
+        (2, 8, 8, 3, np.int64),
+        (3, 7, 7, 2, np.int64),
+        # the left operand holds word pairs longer than the product's cap
+        (2, 6, 11, 5, np.int64),
+        (2, 60, 60, 20, object),
+    ],
+)
+def test_t_mul_batched_matches_loop(monkeypatch, n, cap, left_cap, max_len, code_type):
+    # the array route and the per-pair loop give the same # product bit for
+    # bit (key order, dropped pairs and taint included) on both sides of the
+    # threshold, with either operand in the outer loop, for t_mul(S, S), and
+    # with int64 and with Python-int word codes
+    assert WordCodes(n, left_cap).dtype is code_type
+    rng = np.random.default_rng(cap)
+    limit = ncpoly.PAIR_BATCH_MIN
+    # (X1 (x) 1) # (1 (x) X1 / 4) cancels (1 (x) X1) # (-X1 (x) 1 / 4), and
+    # (-2 X2 (x) 1) # (-3 X2 (x) 1) has the imaginary part -0.0
+    seed_s = {((1,), ()): 1.0, ((), (1,)): 1.0, ((2,), ()): -2.0}
+    seed_t = {((), (1,)): 0.25, ((1,), ()): -0.25, ((2,), ()): -3.0}
+
+    def routes(fn):
+        # fn() at the default threshold, with the loop only, with arrays only
+        out = []
+        for route in (limit, 10**9, 0):
+            monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", route)
+            out.append([_bits(x) for x in fn()])
+        return out
+
+    for pairs in (limit - 1, limit):
+        rows = next(r for r in range(40, 1, -1) if pairs % r == 0)
+        S = _pair_poly(rng, n, rows, max_len, left_cap, seed_s)
+        T = _pair_poly(rng, n, pairs // rows, max_len, cap, seed_t)
+        assert len(S.coeffs) * len(T.coeffs) == pairs
+        default, loop, batched = routes(lambda: [t_mul(S, T), t_mul(T, S)])
+        assert default == loop == batched
+    for side in (isqrt(limit - 1), isqrt(limit)):
+        S = _pair_poly(rng, n, side, max_len, left_cap, seed_s)
+        copy = TensorPoly(n, dict(S.coeffs), left_cap)
+        # mat_mul(Q, Q) takes t_mul(S, S) on its diagonal, t_mul(S, copy)
+        # (a tie) off it
+        Q = TensorMatrix(2, ((S, copy), (copy, S)))
+        default, loop, batched = routes(lambda: [t_mul(S, S), *mat_mul(Q, Q).entries[0]])
+        assert default == loop == batched
 
 
 def test_t_apply():

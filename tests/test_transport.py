@@ -34,7 +34,7 @@ from nctransport.transport import (
     solve_transport,
 )
 
-from oracles import constant, mat_vec, q_series_reference
+from oracles import constant, mat_vec
 
 CFG = TransportConfig(R=4.0, R_prime=5.0, rho=1.0, degree_cap=8, tolerance=1e-10, max_iterations=80)
 
@@ -142,9 +142,11 @@ def _two_block_quartic(ctx, cap):
         ([2.0, 3.0], 0, 4, _two_block_quartic, 2.0),
     ],
 )
-def test_q_series_matches_reference(lambdas, trivial, cap, make, R):
-    # the array powers prune where mat_mul prunes, so the series equals
-    # the sparse one: same keys in the same order, same coefficients, same taint
+def test_q_series_batched_matches_loop(monkeypatch, lambdas, trivial, cap, make, R):
+    # the # powers with every t_mul summed as arrays, with none, and with the
+    # default threshold give the same series bit for bit: keys, key order,
+    # coefficients and taint
+    from nctransport import ncpoly
     from nctransport.tensor import mat_mul
 
     ctx = build_context(lambdas, trivial)
@@ -152,12 +154,12 @@ def test_q_series_matches_reference(lambdas, trivial, cap, make, R):
     g = make(ctx, cap)
     g = g.scale(0.3 * R * R / 2 / norm_R_sigma(ctx, g, R).value)
     b = jacobian(ctx, g)
-    got = q_series(ctx, o, g, b, R, 1e-10)
-    want = q_series_reference(ctx, o, g, b, R, 1e-10)
-    assert set(got.coeffs) == set(want.coeffs) and got.truncated == want.truncated
-    scale = max(map(abs, want.coeffs.values()))
-    assert max_coeff_diff(got, want) <= 1e-12 * scale
-    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    runs = []
+    for limit in (ncpoly.PAIR_BATCH_MIN, 10**9, 0):
+        monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
+        got = q_series(ctx, o, g, b, R, 1e-10)
+        runs.append(([(w, c.real.hex(), c.imag.hex()) for w, c in got.coeffs.items()], got.truncated))
+    assert runs[0] == runs[1] == runs[2]
     if len(lambdas) == 2:
         powers = [b]
         for _ in range(4):
