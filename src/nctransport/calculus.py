@@ -13,7 +13,7 @@ from itertools import accumulate
 
 from .errors import DimMismatch, IndexOutOfRange
 from .modular import ModularContext, apply_sigma
-from .ncpoly import NCPoly, Word, rho
+from .ncpoly import PRUNE_TOL, NCPoly, Word, rho
 from .tensor import TensorMatrix, TensorPoly
 
 
@@ -57,28 +57,46 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
 
     On a word, every position l contributes alpha_{j, w_l} times the tail
     (twisted by the modular action) followed by the head.  Computed by the
-    explicit word formula, twisting each distinct tail once; the tests
-    cross-check it against the composition through the difference quotient.
-    The output carries the input's truncation taint.
+    explicit word formula, twisting each distinct tail once and adding the
+    terms into one dict as ``NCPoly.sum`` adds the per-term products; the
+    tests cross-check it against those and against the composition through
+    the difference quotient.  The output carries the input's truncation taint.
     """
     ctx.check_index(j)
     alpha = ctx.alpha
     nv, cap = P.num_vars, P.degree_cap
-    twisted: dict[Word, NCPoly] = {}
-
-    def terms():
-        for w, c in P.coeffs.items():
-            for l in range(len(w)):
-                a = alpha[j - 1, w[l] - 1]
-                if abs(a) == 0.0:
+    twisted: dict[Word, dict] = {}
+    acc: dict[Word, complex] = {}
+    dropped = False
+    for w, c in P.coeffs.items():
+        for l in range(len(w)):
+            a = alpha[j - 1, w[l] - 1]
+            if abs(a) == 0.0:
+                continue
+            tail = w[l + 1:]
+            tw = twisted.get(tail)
+            if tw is None:
+                mono = NCPoly.monomial(nv, tail, 1.0, cap=cap)
+                tw = twisted[tail] = apply_sigma(ctx, mono, -1.0).coeffs
+            m = complex(c * a)
+            if abs(m) <= PRUNE_TOL:
+                continue
+            if len(w) - 1 > cap:
+                dropped = dropped or bool(tw)
+                continue
+            head = w[:l]
+            for t, ct in tw.items():
+                # the product's new key from 0j and its prune, then the sum's
+                v = 0j + ct * m
+                if abs(v) <= PRUNE_TOL:
                     continue
-                tail = w[l + 1:]
-                if tail not in twisted:
-                    twisted[tail] = apply_sigma(ctx, NCPoly.monomial(nv, tail, 1.0, cap=cap), -1.0)
-                yield twisted[tail] * NCPoly.monomial(nv, w[:l], c * a, cap=cap)
-
-    out = NCPoly.sum(nv, terms(), cap)
-    return NCPoly(nv, out.coeffs, cap, out.truncated or P.truncated)
+                key = t + head
+                v = acc.get(key, 0.0) + v
+                if abs(v) > PRUNE_TOL:
+                    acc[key] = v
+                else:
+                    acc.pop(key, None)
+    return NCPoly._pruned(nv, acc, cap, dropped or P.truncated)
 
 
 def grad_D(ctx: ModularContext, P: NCPoly) -> list[NCPoly]:

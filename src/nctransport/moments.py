@@ -41,14 +41,15 @@ class MomentOracle:
 
     def moment(self, word) -> complex:
         word = tuple(word)
+        # the memo holds only words whose letters were checked
+        got = self._memo.get(word)
+        if got is not None:
+            return got
         for j in word:
             if not 1 <= j <= self.ctx.num_vars:
                 raise IndexOutOfRange(f"index {j} outside 1..{self.ctx.num_vars}")
         if len(word) % 2 == 1:
             return 0.0 + 0.0j
-        got = self._memo.get(word)
-        if got is not None:
-            return got
         if self.q == 0.0:
             val = self._noncrossing(word)
         else:
@@ -188,6 +189,7 @@ class Law:
         self.max_degree = max_degree
         self._memo: dict[Word, complex] = {}
         self._prefixes: dict[Word, NCPoly] = {}
+        self._capped: dict[tuple[int, int], NCPoly] = {}
         self._identity = all(
             y.coeffs == {(j + 1,): 1.0 + 0.0j} for j, y in enumerate(Y)
         )
@@ -220,7 +222,10 @@ class Law:
                 prod = self._prefixes[head] = self._product(head)
             if prod.degree_cap != maxdeg:
                 prod = prod.with_cap(maxdeg)
-        return prod * self.Y[word[-1] - 1].with_cap(maxdeg)
+        factor = self._capped.get((word[-1], maxdeg))
+        if factor is None:
+            factor = self._capped[word[-1], maxdeg] = self.Y[word[-1] - 1].with_cap(maxdeg)
+        return prod * factor
 
     def poly(self, P: NCPoly) -> complex:
         """Linear extension to polynomials."""

@@ -111,7 +111,8 @@ class _Sparse:
     on construction, and every sum goes through ``sum``, which enforces the
     cap: words beyond it are dropped and set the taint flag.  Each subclass
     defines its own one-line ``__add__``, where the per-layer tracer of
-    ``perfbench/tracing.py`` looks it up.
+    ``perfbench/tracing.py`` looks it up.  Code whose map is already pruned
+    and holds ``complex`` values wraps it with ``_pruned``, which keeps it.
     """
 
     num_vars: int
@@ -123,6 +124,14 @@ class _Sparse:
         object.__setattr__(
             self, "coeffs", {k: complex(c) for k, c in self.coeffs.items() if abs(c) > PRUNE_TOL}
         )
+
+    @classmethod
+    def _pruned(cls, num_vars: int, coeffs: dict, cap: int, truncated: bool = False):
+        """An instance on ``coeffs`` as given: every value a ``complex`` with
+        |c| > PRUNE_TOL, so ``__post_init__`` would keep it unchanged."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(num_vars=num_vars, coeffs=coeffs, degree_cap=cap, truncated=truncated)
+        return obj
 
     @classmethod
     def zero(cls, num_vars: int, cap: int):
@@ -153,7 +162,7 @@ class _Sparse:
                     acc[k] = v
                 else:
                     acc.pop(k, None)
-        return cls(num_vars, acc, cap, truncated)
+        return cls._pruned(num_vars, acc, cap, truncated)
 
     def degree(self) -> int:
         return max(map(self._size, self.coeffs), default=0)
@@ -163,10 +172,12 @@ class _Sparse:
 
     def with_cap(self, cap: int):
         """Retarget the cap, dropping (and tainting on) too-long keys."""
+        if self.degree() <= cap:
+            # nothing to drop: share the map, which no instance changes
+            return self._pruned(self.num_vars, self.coeffs, cap, self.truncated)
         size = self._size
         kept = {k: c for k, c in self.coeffs.items() if size(k) <= cap}
-        dropped = len(kept) != len(self.coeffs)
-        return type(self)(self.num_vars, kept, cap, self.truncated or dropped)
+        return self._pruned(self.num_vars, kept, cap, True)
 
     def _check(self, other) -> None:
         if self.num_vars != other.num_vars:
@@ -175,7 +186,7 @@ class _Sparse:
             )
 
     def __neg__(self):
-        return type(self)(
+        return self._pruned(
             self.num_vars,
             {k: -c for k, c in self.coeffs.items()},
             self.degree_cap,
@@ -247,28 +258,27 @@ class NCPoly(_Sparse):
         """
         self._check(other)
         cap = min(self.degree_cap, other.degree_cap)
+        taint = self.truncated or other.truncated
         if len(self.coeffs) * len(other.coeffs) >= PAIR_BATCH_MIN:
             codes = WordCodes(self.num_vars, max(cap, self.degree(), other.degree()))
             out, dropped = _mul_batched(self.coeffs, other.coeffs, cap, codes)
-        else:
-            out = {}
-            dropped = False
-            for w1, c1 in self.coeffs.items():
-                for w2, c2 in other.coeffs.items():
-                    if len(w1) + len(w2) > cap:
-                        dropped = True
-                        continue
-                    w = w1 + w2
-                    # a new key starts from 0j, as pair_sums starts from 0.0
-                    # in each part: Python 3.14's 0.0 + c would keep a -0.0
-                    out[w] = out.get(w, 0j) + c1 * c2
-        return NCPoly(
-            self.num_vars, out, cap, self.truncated or other.truncated or dropped
-        )
+            return NCPoly._pruned(self.num_vars, out, cap, taint or dropped)
+        out = {}
+        dropped = False
+        for w1, c1 in self.coeffs.items():
+            for w2, c2 in other.coeffs.items():
+                if len(w1) + len(w2) > cap:
+                    dropped = True
+                    continue
+                w = w1 + w2
+                # a new key starts from 0j, as pair_sums starts from 0.0
+                # in each part: Python 3.14's 0.0 + c would keep a -0.0
+                out[w] = out.get(w, 0j) + c1 * c2
+        return NCPoly(self.num_vars, out, cap, taint or dropped)
 
     def adjoint(self) -> "NCPoly":
         """Word reversal with conjugated coefficients; an involution."""
-        return NCPoly(
+        return NCPoly._pruned(
             self.num_vars,
             {w[::-1]: c.conjugate() for w, c in self.coeffs.items()},
             self.degree_cap,
@@ -277,7 +287,7 @@ class NCPoly(_Sparse):
 
     def project_degree(self, n: int) -> "NCPoly":
         """Keep exactly the words of length n."""
-        return NCPoly(
+        return NCPoly._pruned(
             self.num_vars,
             {w: c for w, c in self.coeffs.items() if len(w) == n},
             self.degree_cap,
@@ -348,16 +358,17 @@ def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
         cap = min(y.degree_cap for y in Y)
     one = NCPoly.one(nv, cap)
     taint = P.truncated or any(y.truncated for y in Y)
+    capped = [y.with_cap(cap) for y in Y]
 
     def terms():
         for word, c in P.coeffs.items():
             term = one.scale(c)
             for j in word:
-                term = term * Y[j - 1].with_cap(cap)
+                term = term * capped[j - 1]
             yield term
 
     out = NCPoly.sum(nv, terms(), cap)
-    return NCPoly(nv, out.coeffs, cap, out.truncated or taint)
+    return NCPoly._pruned(nv, out.coeffs, cap, out.truncated or taint)
 
 
 def norm_R(P: NCPoly, R: float) -> float:
@@ -374,13 +385,6 @@ def max_coeff_diff(P: NCPoly, Q: NCPoly) -> float:
     return max(
         (abs(P.coeffs.get(w, 0.0) - Q.coeffs.get(w, 0.0)) for w in words), default=0.0
     )
-
-
-def is_centralizer(ctx: ModularContext, P: NCPoly, tol: float = CENTRALIZER_TOL) -> bool:
-    """True when P is fixed by the modular action (sigma_{-i} P = P)."""
-    if ctx.is_tracial:
-        return True
-    return max_coeff_diff(apply_sigma(ctx, P, -1.0), P) <= tol
 
 
 def rho(ctx: ModularContext, P: NCPoly, k: int = 1) -> NCPoly:
@@ -427,7 +431,7 @@ def rho(ctx: ModularContext, P: NCPoly, k: int = 1) -> NCPoly:
             yield piece
 
     out = NCPoly.sum(ctx.num_vars, pieces(), P.degree_cap)
-    return NCPoly(ctx.num_vars, out.coeffs, P.degree_cap, P.truncated)
+    return NCPoly._pruned(ctx.num_vars, out.coeffs, P.degree_cap, P.truncated)
 
 
 def is_cyclically_symmetric(
@@ -451,7 +455,9 @@ def norm_R_sigma(ctx: ModularContext, P: NCPoly, R: float) -> NormValue:
     On centralizer input the supremum over all rotations is a finite max
     over one period per degree, returned exactly.  Outside the centralizer
     the rotation orbit is unbounded in general; the returned value is the
-    norm_A^{deg-1} * norm_R majorant with ``exact=False``.
+    norm_A^{deg-1} * norm_R majorant with ``exact=False``.  The centralizer
+    test (sigma_{-i} P = P) takes one rotation past the period of a degree-n
+    component: n twisted rotations are one full modular twist.
     """
     if R <= 0:
         raise ValueError("R must be positive")
@@ -461,15 +467,15 @@ def norm_R_sigma(ctx: ModularContext, P: NCPoly, R: float) -> NormValue:
         if n == 0:
             total += norm_R(comp, R)
             continue
-        if not is_centralizer(ctx, comp):
-            deg = P.degree()
-            bound = ctx.norm_A ** max(deg - 1, 0) * norm_R(P, R)
-            return NormValue(float(bound), False)
         best = norm_R(comp, R)
         rotated = comp
         for _ in range(1, n):
             rotated = rho(ctx, rotated, 1)
             best = max(best, norm_R(rotated, R))
+        if not (ctx.is_tracial or max_coeff_diff(rho(ctx, rotated, 1), comp) <= CENTRALIZER_TOL):
+            deg = P.degree()
+            bound = ctx.norm_A ** max(deg - 1, 0) * norm_R(P, R)
+            return NormValue(float(bound), False)
         total += best
     return NormValue(float(total), True)
 

@@ -86,7 +86,7 @@ def t_mul(S: TensorPoly, T: TensorPoly) -> TensorPoly:
     if len(S.coeffs) * len(T.coeffs) >= ncpoly.PAIR_BATCH_MIN:
         codes = WordCodes(S.num_vars, max(cap, S.degree(), T.degree()))
         out, dropped = _t_mul_batched(S.coeffs, T.coeffs, cap, codes, swapped)
-        return TensorPoly(S.num_vars, out, cap, S.truncated or T.truncated or dropped)
+        return TensorPoly._pruned(S.num_vars, out, cap, S.truncated or T.truncated or dropped)
     out: dict[Pair, complex] = {}
     dropped = False
     small, big = (T, S) if swapped else (S, T)
@@ -140,22 +140,6 @@ def _t_mul_batched(
     return out, not fits.all()
 
 
-def t_apply(S: TensorPoly, g: NCPoly) -> NCPoly:
-    """Two-sided action (a (x) b) # c = a c b, extended bilinearly."""
-    S._check(g)
-    cap = min(S.degree_cap, g.degree_cap)
-    out: dict[Word, complex] = {}
-    dropped = False
-    for (a, b), c1 in S.coeffs.items():
-        for w, c2 in g.coeffs.items():
-            word = a + w + b
-            if len(word) > cap:
-                dropped = True
-                continue
-            out[word] = out.get(word, 0.0) + c1 * c2
-    return NCPoly(S.num_vars, out, cap, S.truncated or g.truncated or dropped)
-
-
 def t_star(S: TensorPoly) -> TensorPoly:
     """Adjoint on each leg: conjugate coefficients, reverse both words."""
     return TensorPoly(
@@ -206,7 +190,7 @@ def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -
             yield tensor_of(pa, pb, S.degree_cap)
 
     out = TensorPoly.sum(S.num_vars, pieces(), S.degree_cap)
-    return TensorPoly(S.num_vars, out.coeffs, S.degree_cap, S.truncated or out.truncated)
+    return TensorPoly._pruned(S.num_vars, out.coeffs, S.degree_cap, S.truncated or out.truncated)
 
 
 def pi_norm_bound(S: TensorPoly, R: float) -> float:

@@ -14,12 +14,19 @@ from nctransport.calculus import partial_bar
 from nctransport.errors import DimMismatch
 from nctransport.modular import ModularContext, apply_sigma
 from nctransport.moments import MomentOracle
-from nctransport.ncpoly import NCPoly, Word
+from nctransport.ncpoly import (
+    CENTRALIZER_TOL,
+    NCPoly,
+    NormValue,
+    Word,
+    max_coeff_diff,
+    norm_R,
+    rho,
+)
 from nctransport.schwinger import partial_q_star
 from nctransport.tensor import (
     TensorMatrix,
     TensorPoly,
-    t_apply,
     t_diamond,
     t_mul,
     t_sigma,
@@ -49,6 +56,29 @@ def wick_poly(ctx: ModularContext, q: float, word, _memo=None) -> NCPoly:
     for j in word:
         ctx.check_index(j)
     return _wick(ctx, q, word, {} if _memo is None else _memo)
+
+
+def is_centralizer(ctx: ModularContext, P: NCPoly, tol: float = CENTRALIZER_TOL) -> bool:
+    """True when P is fixed by the modular action (sigma_{-i} P = P)."""
+    if ctx.is_tracial:
+        return True
+    return max_coeff_diff(apply_sigma(ctx, P, -1.0), P) <= tol
+
+
+def t_apply(S: TensorPoly, g: NCPoly) -> NCPoly:
+    """Two-sided action (a (x) b) # c = a c b, extended bilinearly."""
+    S._check(g)
+    cap = min(S.degree_cap, g.degree_cap)
+    out: dict[Word, complex] = {}
+    dropped = False
+    for (a, b), c1 in S.coeffs.items():
+        for w, c2 in g.coeffs.items():
+            word = a + w + b
+            if len(word) > cap:
+                dropped = True
+                continue
+            out[word] = out.get(word, 0.0) + c1 * c2
+    return NCPoly(S.num_vars, out, cap, S.truncated or g.truncated or dropped)
 
 
 def t_flip_m(S: TensorPoly) -> NCPoly:
@@ -165,6 +195,51 @@ def cyclic_D_composed(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
     t = partial_bar(ctx, j, P)
     t = t_sigma(ctx, t, 0.0, -1.0)
     return t_flip_m(t_diamond(t)).with_cap(P.degree_cap)
+
+
+def cyclic_D_reference(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
+    """Cyclic derivative term by term: each (word, position) term is the
+    product twist(tail) * (c alpha_{j, w_l}) head, with one twist per
+    distinct tail, and the terms are summed by ``NCPoly.sum``."""
+    ctx.check_index(j)
+    alpha = ctx.alpha
+    nv, cap = P.num_vars, P.degree_cap
+    twisted: dict[Word, NCPoly] = {}
+
+    def terms():
+        for w, c in P.coeffs.items():
+            for l in range(len(w)):
+                a = alpha[j - 1, w[l] - 1]
+                if abs(a) == 0.0:
+                    continue
+                tail = w[l + 1:]
+                if tail not in twisted:
+                    twisted[tail] = apply_sigma(ctx, NCPoly.monomial(nv, tail, 1.0, cap=cap), -1.0)
+                yield twisted[tail] * NCPoly.monomial(nv, w[:l], c * a, cap=cap)
+
+    out = NCPoly.sum(nv, terms(), cap)
+    return NCPoly(nv, out.coeffs, cap, out.truncated or P.truncated)
+
+
+def norm_R_sigma_reference(ctx: ModularContext, P: NCPoly, R: float) -> NormValue:
+    """Rotation-invariant norm with the centralizer test done first, by the
+    modular action (``is_centralizer``), before any rotation."""
+    total = 0.0
+    for n in P.degrees():
+        comp = P.project_degree(n)
+        if n == 0:
+            total += norm_R(comp, R)
+            continue
+        if not is_centralizer(ctx, comp):
+            bound = ctx.norm_A ** max(P.degree() - 1, 0) * norm_R(P, R)
+            return NormValue(float(bound), False)
+        best = norm_R(comp, R)
+        rotated = comp
+        for _ in range(1, n):
+            rotated = rho(ctx, rotated, 1)
+            best = max(best, norm_R(rotated, R))
+        total += best
+    return NormValue(float(total), True)
 
 
 def q_gram_reference(ctx: ModularContext, q: float, n: int) -> np.ndarray:

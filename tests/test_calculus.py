@@ -14,8 +14,9 @@ from nctransport.calculus import (
     symmetrize_S,
 )
 from nctransport.errors import IndexOutOfRange
-from nctransport.modular import apply_sigma
+from nctransport.modular import apply_sigma, build_context
 from nctransport.ncpoly import (
+    PRUNE_TOL,
     NCPoly,
     generators,
     max_coeff_diff,
@@ -36,6 +37,7 @@ from nctransport.tensor import (
 from oracles import (
     constant,
     cyclic_D_composed,
+    cyclic_D_reference,
     identity_matrix,
     lmul,
     number_op,
@@ -140,6 +142,43 @@ def test_cyclic_derivative_carries_truncation(lam2, ctx1, rng):
             assert not cyclic_D(ctx, j, p).truncated
             assert cyclic_D(ctx, j, tainted).truncated
             assert delta(j, tainted).truncated
+
+
+def _bits(p):
+    return [(w, c.real.hex(), c.imag.hex()) for w, c in p.coeffs.items()], p.truncated
+
+
+@pytest.mark.parametrize(
+    "lambdas, num_trivial", [([2.0], 0), ([2.0, 3.0], 0), ([], 1)], ids=["lam2", "lam2_3", "trivial1"]
+)
+def test_cyclic_derivative_matches_per_term_form(lambdas, num_trivial, rng):
+    # the one-dict accumulation gives the per-term products summed by
+    # NCPoly.sum bit for bit: keys, key order, coefficients and taint
+    ctx = build_context(lambdas, num_trivial)
+    n = ctx.num_vars
+    inputs = [random_poly(ctx, rng, 6, cap=6, terms=12) for _ in range(4)]
+    p = inputs[0]
+    inputs.append(NCPoly(n, p.coeffs, p.degree_cap, True))
+    # the word beyond the cap drops its terms and taints
+    inputs.append(NCPoly(n, {(1, 1): 0.5, (1,) * 6: 1.0}, 4))
+    if lambdas:
+        # on the lambda=2 block: in D_1, X_2^3 at 2.7e-14 has a term
+        # c alpha_12 at or below PRUNE_TOL whose twisted products are not;
+        # in D_2, X_2^2 at 1.2e-14 has a product at or below PRUNE_TOL on
+        # the key X_1, which X_1^2 has made before
+        inputs.append(NCPoly(n, {(1, 1): 0.5, (2, 2): 1.2e-14, (2, 2, 2): 2.7e-14}, 6))
+        # in D_1 the X_1 terms of X_2 X_1 and x X_1 X_2 cancel below
+        # PRUNE_TOL, and X_1 X_1 brings the key X_1 back, behind X_2
+        A, alpha = ctx.A, ctx.alpha
+        x = complex(-alpha[0, 1] * A[0, 0] / (A[1, 0] + alpha[0, 1]))
+        cancel = NCPoly(n, {(2, 1): 1.0, (1, 2): x}, 6)
+        assert (1,) not in cyclic_D(ctx, 1, cancel).coeffs
+        back = NCPoly(n, {**cancel.coeffs, (1, 1): 0.5}, 6)
+        assert list(cyclic_D(ctx, 1, back).coeffs) == [(2,), (1,)]
+        inputs += [cancel, back]
+    for P in inputs:
+        for j in range(1, n + 1):
+            assert _bits(cyclic_D(ctx, j, P)) == _bits(cyclic_D_reference(ctx, j, P))
 
 
 def test_homogeneous_fast_path(lam2, rng):

@@ -198,6 +198,18 @@ def test_index_validation(ctx1):
         MomentOracle(ctx1, 1.0)
 
 
+def test_index_validation_after_memo_hits(lam2):
+    # the memo is looked up before the letters are checked; a word with an
+    # out-of-range letter still raises once valid words are memoised
+    for q in (0.0, 0.3):
+        o = MomentOracle(lam2, q)
+        for w in ((1, 2), (2, 1, 1, 2), (1, 2), (2, 1, 1, 2), (1,)):
+            o.moment(w)
+        for bad in ((1, 3), (3,), (2, 1, 1, 3), (0, 1)):
+            with pytest.raises(IndexOutOfRange):
+                o.moment(bad)
+
+
 def test_memo_determinism(lam2):
     a = MomentOracle(lam2, 0.3)
     b = MomentOracle(lam2, 0.3)

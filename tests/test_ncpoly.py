@@ -7,10 +7,10 @@ import pytest
 
 from nctransport import ncpoly
 from nctransport.errors import VarCountMismatch
-from nctransport.modular import apply_sigma
+from nctransport.modular import apply_sigma, build_context
 from nctransport.ncpoly import (
+    PRUNE_TOL,
     NCPoly,
-    is_centralizer,
     is_cyclically_symmetric,
     max_coeff_diff,
     norm_R,
@@ -21,8 +21,8 @@ from nctransport.ncpoly import (
 )
 from nctransport.randgen import random_centralizer, random_poly, random_tensor
 from nctransport.serialize import poly_from_terms, poly_to_terms
-from nctransport.tensor import TensorPoly
-from oracles import constant
+from nctransport.tensor import TensorPoly, t_mul
+from oracles import constant, is_centralizer, norm_R_sigma_reference
 
 TOL = 1e-12
 
@@ -320,6 +320,56 @@ def test_norm_R_sigma_invariant_under_integer_twist(lam2, rng):
     for m in (-2, -1, 1, 2):
         moved = apply_sigma(lam2, p, float(m))
         assert norm_R_sigma(lam2, moved, 2.0).value == pytest.approx(base, abs=1e-9)
+
+
+def test_norm_R_sigma_matches_centralizer_first_form(ctx2, lam2, rng):
+    # the centralizer test from the rotation one past the period agrees
+    # with sigma_{-i} applied up front, in value and exactness
+    triv = build_context([2.0], 1)
+    cases = [
+        (lam2, quadratic_potential(lam2, 6)),
+        (lam2, NCPoly.gen(2, 1, 4)),
+        (triv, NCPoly.gen(3, 3, 4)),
+        (triv, NCPoly(3, {(3,): 1.0, (1,): 0.5, (3, 3): 2.0}, 4)),
+        (ctx2, random_poly(ctx2, rng, 4, cap=8)),
+        (ctx2, NCPoly.gen(2, 2, 4)),
+    ]
+    for _ in range(4):
+        cases.append((lam2, random_centralizer(lam2, rng, 4, cap=8)))
+        cases.append((triv, random_centralizer(triv, rng, 3, cap=6)))
+        cases.append((lam2, random_poly(lam2, rng, 4, cap=8)))
+        # centralizer up to degree 3, then a degree-4 part outside it
+        mixed = random_centralizer(lam2, rng, 3, cap=8) + random_poly(lam2, rng, 4, cap=8).project_degree(4)
+        cases.append((lam2, mixed))
+    exact = [norm_R_sigma(ctx, p, 2.0).exact for ctx, p in cases]
+    assert any(exact) and not all(exact)
+    for ctx, p in cases:
+        assert norm_R_sigma(ctx, p, 2.0) == norm_R_sigma_reference(ctx, p, 2.0)
+
+
+def test_pruned_constructions_hold_the_prune_contract(monkeypatch, lam2, rng):
+    # the paths that wrap an already-pruned map without re-pruning return
+    # only complex coefficients above PRUNE_TOL, as the constructor would
+    def held(p):
+        assert all(type(c) is complex and abs(c) > PRUNE_TOL for c in p.coeffs.values())
+        again = type(p)(p.num_vars, dict(p.coeffs), p.degree_cap, p.truncated)
+        assert again == p and list(again.coeffs) == list(p.coeffs)
+
+    a = random_poly(lam2, rng, 4, cap=8, terms=40)
+    b = random_poly(lam2, rng, 4, cap=8, terms=40)
+    near = NCPoly(2, {w: -c + 5e-15 for w, c in a.coeffs.items()}, 8)
+    t = random_tensor(lam2, rng, 3)
+    summed = (NCPoly.sum(2, (a, b, near), 8), a + near)
+    for p in (*summed, -a, a.with_cap(3), a.with_cap(10), a.adjoint(), a.project_degree(2)):
+        held(p)
+    t_sum = TensorPoly.sum(2, (t, t.scale(-1 + 1e-16)), t.degree_cap)
+    for p in (t_sum, t.with_cap(2), t.with_cap(10), -t):
+        held(p)
+    for limit in (10**9, 0):
+        monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
+        held(a * b)
+        held(near * b)
+        held(t_mul(t, t))
 
 
 def test_centralizer_predicates(lam2, rng):

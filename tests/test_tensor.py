@@ -17,7 +17,6 @@ from nctransport.tensor import (
     max_pair_diff,
     pi_norm_bound,
     pi_norm_bound_mat,
-    t_apply,
     t_dagger,
     t_diamond,
     t_mul,
@@ -29,7 +28,7 @@ from nctransport.tensor import (
     trace_Ainv,
     vec_dot,
 )
-from oracles import identity_matrix, mat_vec, t_flip_m
+from oracles import identity_matrix, mat_vec, t_apply, t_flip_m
 
 TOL = 1e-12
 

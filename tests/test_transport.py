@@ -34,7 +34,7 @@ from nctransport.transport import (
     solve_transport,
 )
 
-from oracles import constant, mat_vec
+from oracles import constant, is_centralizer, mat_vec
 
 CFG = TransportConfig(R=4.0, R_prime=5.0, rho=1.0, degree_cap=8, tolerance=1e-10, max_iterations=80)
 
@@ -214,8 +214,6 @@ def test_f_map_first_iterate_expansion(ctx1):
 def test_f_map_lands_in_centralizer(lam2, rng):
     o = MomentOracle(lam2, 0.0)
     cfg = TransportConfig(R=6.0, R_prime=7.0, rho=1.0, degree_cap=6, tolerance=1e-9)
-    from nctransport.ncpoly import is_centralizer
-
     for _ in range(3):
         w = random_centralizer(lam2, rng, 4, cap=6, self_adjoint=True, cyclically_symmetric=True)
         w = w.scale(1e-3 / max(norm_R_sigma(lam2, w, 6.0).value, 1e-12))
