@@ -179,8 +179,12 @@ class Law:
 
     Products of the Y_j are exact by default; ``max_degree`` truncates them,
     trading accuracy for speed on larger generator counts.  A word's product
-    is the product of its prefix times its last factor; products are kept
-    only for words that are asked for as prefixes.
+    is the left fold of its factors from one.  The law keeps the products of
+    the prefixes of the last word it multiplied out, and a new word starts
+    from the longest prefix it shares with that word: asked for in
+    lexicographic order, every word is multiplied out once, and one word's
+    prefix products are alive at a time.  The values do not depend on the
+    order.
     """
 
     def __init__(self, oracle: MomentOracle, Y: list[NCPoly], max_degree: int | None):
@@ -188,7 +192,10 @@ class Law:
         self.Y = list(Y)
         self.max_degree = max_degree
         self._memo: dict[Word, complex] = {}
-        self._prefixes: dict[Word, NCPoly] = {}
+        # _chain[i] is the product of _last[:i + 1]
+        self._last: Word = ()
+        self._chain: list[NCPoly] = []
+        self._degrees = [max(y.degree(), 1) for y in self.Y]
         self._capped: dict[tuple[int, int], NCPoly] = {}
         self._identity = all(
             y.coeffs == {(j + 1,): 1.0 + 0.0j} for j, y in enumerate(Y)
@@ -208,24 +215,31 @@ class Law:
         return val
 
     def _product(self, word: Word) -> NCPoly:
-        """Y_{w_1} ... Y_{w_n} as the left fold from one, under the cap
-        ``max_degree`` (or the degree sum when that is None)."""
-        maxdeg = self.max_degree
-        if maxdeg is None:
-            maxdeg = sum(max(self.Y[j - 1].degree(), 1) for j in word)
-        head = word[:-1]
-        if not head:
-            prod = NCPoly.one(self.oracle.ctx.num_vars, maxdeg)
-        else:
-            prod = self._prefixes.get(head)
-            if prod is None:
-                prod = self._prefixes[head] = self._product(head)
-            if prod.degree_cap != maxdeg:
-                prod = prod.with_cap(maxdeg)
-        factor = self._capped.get((word[-1], maxdeg))
-        if factor is None:
-            factor = self._capped[word[-1], maxdeg] = self.Y[word[-1] - 1].with_cap(maxdeg)
-        return prod * factor
+        """Y_{w_1} ... Y_{w_n} as the left fold from one; the product of
+        each prefix is under the cap ``max_degree`` (or the prefix's degree
+        sum when that is None)."""
+        chain, last = self._chain, self._last
+        shared = 0
+        while shared < min(len(word), len(last)) and word[shared] == last[shared]:
+            shared += 1
+        del chain[shared:]
+        for n in range(shared + 1, len(word) + 1):
+            maxdeg = self.max_degree
+            if maxdeg is None:
+                maxdeg = sum(self._degrees[j - 1] for j in word[:n])
+            if chain:
+                prod = chain[-1]
+                if prod.degree_cap != maxdeg:
+                    prod = prod.with_cap(maxdeg)
+            else:
+                prod = NCPoly.one(self.oracle.ctx.num_vars, maxdeg)
+            j = word[n - 1]
+            factor = self._capped.get((j, maxdeg))
+            if factor is None:
+                factor = self._capped[j, maxdeg] = self.Y[j - 1].with_cap(maxdeg)
+            chain.append(prod * factor)
+        self._last = word
+        return chain[-1]
 
     def poly(self, P: NCPoly) -> complex:
         """Linear extension to polynomials."""

@@ -13,7 +13,8 @@ in ``tensor.t_mul``, through ``batched_pairs``.  Words then travel as exact
 integer codes (``WordCodes``), and ``pair_sums`` adds the value of every
 pair onto its key in pair order and prunes the sums exactly as the per-pair
 loop and the constructor do, so both routes give the same coefficients, bit
-for bit, in the same key order.
+for bit, in the same key order.  Pairs in a grade whose bound proves every
+key pruned are not formed (``batched_pairs``).
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def pair_sums(codes: np.ndarray, re: np.ndarray, im: np.ndarray):
     # bincount adds each key's values in pair order
     sum_re = np.bincount(key_of, weights=re, minlength=len(first))
     sum_im = np.bincount(key_of, weights=im, minlength=len(first))
-    order = np.argsort(first)
-    order = order[np.hypot(sum_re[order], sum_im[order]) > PRUNE_TOL]
+    kept = np.flatnonzero(np.hypot(sum_re, sum_im) > PRUNE_TOL)
+    order = kept[np.argsort(first[kept])]
     return first[order], sum_re[order], sum_im[order]
 
 
@@ -251,30 +252,11 @@ class NCPoly(_Sparse):
         return NCPoly.sum(self.num_vars, (self, other), min(self.degree_cap, other.degree_cap))
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
-        """Word-concatenation product; words beyond the cap are dropped.
-
-        With at least ``PAIR_BATCH_MIN`` coefficient pairs the pairs are
-        summed as arrays (``_mul_batched``), with the same result.
-        """
+        """Word-concatenation product; words beyond the cap are dropped."""
         self._check(other)
         cap = min(self.degree_cap, other.degree_cap)
-        taint = self.truncated or other.truncated
-        if len(self.coeffs) * len(other.coeffs) >= PAIR_BATCH_MIN:
-            codes = WordCodes(self.num_vars, max(cap, self.degree(), other.degree()))
-            out, dropped = _mul_batched(self.coeffs, other.coeffs, cap, codes)
-            return NCPoly._pruned(self.num_vars, out, cap, taint or dropped)
-        out = {}
-        dropped = False
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                if len(w1) + len(w2) > cap:
-                    dropped = True
-                    continue
-                w = w1 + w2
-                # a new key starts from 0j, as pair_sums starts from 0.0
-                # in each part: Python 3.14's 0.0 + c would keep a -0.0
-                out[w] = out.get(w, 0j) + c1 * c2
-        return NCPoly(self.num_vars, out, cap, taint or dropped)
+        out, dropped = _word_product(self.coeffs, other.coeffs, self.num_vars, cap)
+        return NCPoly._pruned(self.num_vars, out, cap, self.truncated or other.truncated or dropped)
 
     def adjoint(self) -> "NCPoly":
         """Word reversal with conjugated coefficients; an involution."""
@@ -298,7 +280,34 @@ class NCPoly(_Sparse):
         return sorted({len(w) for w in self.coeffs})
 
 
-def batched_pairs(c1: np.ndarray, c2: np.ndarray, fits: np.ndarray, key, outer_second: bool = False):
+def _word_product(left: dict, right: dict, num_vars: int, cap: int) -> tuple[dict, bool]:
+    """The pruned coefficient dict of the word-concatenation product of two
+    pruned maps under ``cap``, and whether a pair was dropped.
+
+    With at least ``PAIR_BATCH_MIN`` coefficient pairs the pairs are summed
+    as arrays (``_mul_batched``), with the per-pair loop's result.
+    """
+    if len(left) * len(right) >= PAIR_BATCH_MIN:
+        degree = max(chain(map(len, left), map(len, right)), default=0)
+        return _mul_batched(left, right, cap, WordCodes(num_vars, max(cap, degree)))
+    out = {}
+    dropped = False
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            if len(w1) + len(w2) > cap:
+                dropped = True
+                continue
+            w = w1 + w2
+            # a new key starts from 0j, as pair_sums starts from 0.0 in each
+            # part: Python 3.14's 0.0 + c would keep a -0.0
+            out[w] = out.get(w, 0j) + c1 * c2
+    return {w: c for w, c in out.items() if abs(c) > PRUNE_TOL}, dropped
+
+
+def batched_pairs(
+    c1: np.ndarray, g1: np.ndarray, c2: np.ndarray, g2: np.ndarray, fits: np.ndarray, key,
+    outer_second: bool = False,
+):
     """The per-pair product loop of two coefficient lists, as array sums.
 
     Over the pairs (p, r) with ``fits[p, r]``, p in the outer loop (r with
@@ -308,7 +317,25 @@ def batched_pairs(c1: np.ndarray, c2: np.ndarray, fits: np.ndarray, key, outer_s
     so it is bit-identical to ``c1[p] * c2[r]``.  Returns p and r of each
     kept key's first pair and the real and imaginary parts of its sum, in
     order of first occurrence.
+
+    ``g1`` and ``g2`` grade the terms by nonnegative integers that add under
+    the product: the pairs onto a key of grade G split it as g1 + g2 = G, at
+    most one pair per split.  Such a key's sum is then at most
+    bound(G) = sum over g1 + g2 = G of max|c1 at g1| * max|c2 at g2|.  Where
+    bound(G) is at most PRUNE_TOL, with a margin far above the rounding of
+    the sums, ``pair_sums`` prunes every key of grade G whatever the order
+    of its sums, and those pairs are not formed.  The pairs of every other
+    key stay, in loop order, so the result is the one over all pairs.
     """
+    m1 = np.zeros(g1.max(initial=0) + 1)
+    m2 = np.zeros(g2.max(initial=0) + 1)
+    # a NaN coefficient makes its grade's maximum and every bound it enters
+    # NaN, and a NaN bound keeps its grade
+    with np.errstate(invalid="ignore"):
+        np.maximum.at(m1, g1, np.abs(c1))
+        np.maximum.at(m2, g2, np.abs(c2))
+        live = ~(np.convolve(m1, m2) * (1 + 1e-9) <= PRUNE_TOL)
+    fits = fits & live[g1[:, None] + g2[None, :]]
     if outer_second:
         r, p = np.nonzero(fits.T)
     else:
@@ -322,8 +349,8 @@ def batched_pairs(c1: np.ndarray, c2: np.ndarray, fits: np.ndarray, key, outer_s
 
 def _mul_batched(left: dict, right: dict, cap: int, codes: WordCodes) -> tuple[dict, bool]:
     """The coefficient dict of the product loop under ``cap``, and whether a
-    pair was dropped, from ``batched_pairs``.  ``codes`` must cover every
-    word of both operands."""
+    pair was dropped, from ``batched_pairs`` with words graded by length.
+    ``codes`` must cover every word of both operands."""
     w1, w2 = list(left), list(right)
     i1, l1 = codes.index(w1)
     i2, l2 = codes.index(w2)
@@ -334,7 +361,7 @@ def _mul_batched(left: dict, right: dict, cap: int, codes: WordCodes) -> tuple[d
     def key(p, r):
         return (i1[p] * codes.powers[l2[r]] + i2[r]) * (codes.cap + 1) + l1[p] + l2[r]
 
-    p, r, re, im = batched_pairs(c1, c2, fits, key)
+    p, r, re, im = batched_pairs(c1, l1, c2, l2, fits, key)
     out = {
         w1[x] + w2[y]: complex(u, v)
         for x, y, u, v in zip(p.tolist(), r.tolist(), re.tolist(), im.tolist())
@@ -356,16 +383,21 @@ def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
             raise VarCountMismatch("substituends over differing generator counts")
     if cap is None:
         cap = min(y.degree_cap for y in Y)
-    one = NCPoly.one(nv, cap)
     taint = P.truncated or any(y.truncated for y in Y)
     capped = [y.with_cap(cap) for y in Y]
 
     def terms():
+        # each word's product is the left fold from c times the unit, pruned
+        # as a constructed constant, so c enters every product first
         for word, c in P.coeffs.items():
-            term = one.scale(c)
+            c = c * (1 + 0j)
+            coeffs = {(): c} if abs(c) > PRUNE_TOL else {}
+            truncated = False
             for j in word:
-                term = term * capped[j - 1]
-            yield term
+                y = capped[j - 1]
+                coeffs, dropped = _word_product(coeffs, y.coeffs, nv, cap)
+                truncated = truncated or y.truncated or dropped
+            yield NCPoly._pruned(nv, coeffs, cap, truncated)
 
     out = NCPoly.sum(nv, terms(), cap)
     return NCPoly._pruned(nv, out.coeffs, cap, out.truncated or taint)

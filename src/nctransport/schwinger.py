@@ -92,22 +92,32 @@ def sd_residual(law: Law, ctx: ModularContext, V: NCPoly, d: int) -> float:
 
     For each generator index j and each monomial p with |p| <= d, compares
     law((D_j V)* p) against (law (x) law)(partial_sigma_j p), through the
-    linear extensions of the Law.
+    linear extensions of the Law.  The law is first asked for every word
+    the comparisons need, in lexicographic order, so that it multiplies out
+    each word's product once.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
     if not is_cyclically_symmetric(ctx, V):
         raise NotCyclicallySymmetric("potential is not cyclically symmetric")
-    worst = 0.0
+    sides = []
     for j in range(1, ctx.num_vars + 1):
         dv_star = cyclic_D(ctx, j, V).adjoint()
         for p in _words_up_to(ctx.num_vars, d):
             # Lift caps so the pairing polynomial (D_j V)* p is exact.
             need = dv_star.degree() + len(p)
             mono = NCPoly.monomial(ctx.num_vars, p, 1.0, cap=need)
-            lhs = law.poly(dv_star.with_cap(need) * mono)
-            rhs = law.tensor(partial_sigma(ctx, j, mono))
-            worst = max(worst, abs(lhs - rhs))
+            sides.append((dv_star.with_cap(need) * mono, partial_sigma(ctx, j, mono)))
+    words = set()
+    for lhs, rhs in sides:
+        words.update(lhs.coeffs)
+        for a, b in rhs.coeffs:
+            words.update((a, b))
+    for w in sorted(words):
+        law(w)
+    worst = 0.0
+    for lhs, rhs in sides:
+        worst = max(worst, abs(law.poly(lhs) - law.tensor(rhs)))
     return worst
 
 

@@ -113,7 +113,8 @@ def _t_mul_batched(
     """The coefficient dict of the # product loop under ``cap``, and whether
     a pair was dropped, from ``ncpoly.batched_pairs``; the loop runs over
     ``right`` outside with ``outer_right``.  ``codes`` must cover every word
-    of both operands."""
+    of both operands.  A term's grade codes its bidegree (|a|, |b|): the
+    pair (a1 (x) b1, a2 (x) b2) onto a key is fixed by (|a1|, |b1|)."""
     k1, k2 = list(left), list(right)
     ia1, la1 = codes.index([a for a, _ in k1])
     ib1, lb1 = codes.index([b for _, b in k1])
@@ -122,6 +123,8 @@ def _t_mul_batched(
     c1 = np.fromiter(left.values(), complex, len(k1))
     c2 = np.fromiter(right.values(), complex, len(k2))
     fits = (la1 + lb1)[:, None] + (la2 + lb2)[None, :] <= cap
+    # no leg is longer than codes.cap, so distinct bidegrees get distinct grades
+    g1, g2 = la1 * (codes.cap + 1) + lb1, la2 * (codes.cap + 1) + lb2
 
     def key(s, t):
         # (a1 (x) b1) # (a2 (x) b2) = a1 a2 (x) b2 b1: the index of the word
@@ -132,7 +135,7 @@ def _t_mul_batched(
         c = codes.cap + 1
         return ((ia * codes.powers[pb] + ib) * c + pa) * c + pb
 
-    s, t, re, im = batched_pairs(c1, c2, fits, key, outer_right)
+    s, t, re, im = batched_pairs(c1, g1, c2, g2, fits, key, outer_right)
     out = {
         (k1[x][0] + k2[y][0], k2[y][1] + k1[x][1]): complex(u, v)
         for x, y, u, v in zip(s.tolist(), t.tolist(), re.tolist(), im.tolist())

@@ -221,6 +221,26 @@ def cyclic_D_reference(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
     return NCPoly(nv, out.coeffs, cap, out.truncated or P.truncated)
 
 
+def substitute_reference(P: NCPoly, Y: list[NCPoly], cap: int) -> NCPoly:
+    """Composition P(Y_1, ..., Y_N) term by term: each word's product is
+    ``one.scale(c)`` times one ``NCPoly`` product per letter, and the terms
+    are summed by ``NCPoly.sum``."""
+    nv = Y[0].num_vars
+    one = NCPoly.one(nv, cap)
+    capped = [y.with_cap(cap) for y in Y]
+
+    def terms():
+        for word, c in P.coeffs.items():
+            term = one.scale(c)
+            for j in word:
+                term = term * capped[j - 1]
+            yield term
+
+    out = NCPoly.sum(nv, terms(), cap)
+    taint = P.truncated or any(y.truncated for y in Y)
+    return NCPoly(nv, out.coeffs, cap, out.truncated or taint)
+
+
 def norm_R_sigma_reference(ctx: ModularContext, P: NCPoly, R: float) -> NormValue:
     """Rotation-invariant norm with the centralizer test done first, by the
     modular action (``is_centralizer``), before any rotation."""

@@ -171,6 +171,38 @@ def test_law_of(ctx1):
     assert abs(law2(()) - 1.0) < TOL
 
 
+@pytest.mark.parametrize("max_degree", [None, 9])
+def test_law_values_do_not_depend_on_order(monkeypatch, lam2, max_degree):
+    # a law asked for every word of length 1 to 6 gives the same values bit
+    # for bit in sorted, reversed and shuffled order, and in sorted order
+    # multiplies out each word once
+    y = [
+        NCPoly(2, {(1,): 1.0, (2, 1, 2): 0.05, (): 0.01j}, 8),
+        NCPoly(2, {(2,): 1.0, (1, 1, 1): -0.03}, 8),
+    ]
+    words = [w for n in range(1, 7) for w in itertools.product((1, 2), repeat=n)]
+    shuffled = list(words)
+    np.random.default_rng(5).shuffle(shuffled)
+    products = []
+    mul = NCPoly.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(NCPoly, "__mul__", counting)
+    values = []
+    for order in (sorted(words), sorted(words, reverse=True), shuffled):
+        products.clear()
+        law = MomentOracle(lam2, 0.1).law_of(y, max_degree)
+        for w in order:
+            law(w)
+        values.append([(law(w).real.hex(), law(w).imag.hex()) for w in words])
+        if order == sorted(words):
+            assert len(products) == len(words) == 126
+    assert values[0] == values[1] == values[2]
+
+
 def test_law_truncation_option(ctx1):
     o = MomentOracle(ctx1, 0.0)
     y = [NCPoly(1, {(1,): 1.0, (1, 1, 1): 0.01}, 8)]

@@ -22,7 +22,7 @@ from nctransport.ncpoly import (
 from nctransport.randgen import random_centralizer, random_poly, random_tensor
 from nctransport.serialize import poly_from_terms, poly_to_terms
 from nctransport.tensor import TensorPoly, t_mul
-from oracles import constant, is_centralizer, norm_R_sigma_reference
+from oracles import constant, is_centralizer, norm_R_sigma_reference, substitute_reference
 
 TOL = 1e-12
 
@@ -158,6 +158,70 @@ def test_mul_batched_matches_loop(monkeypatch, n, cap, left_cap, max_len, code_t
         assert _bits(default) == _bits(loop) == _bits(batched)
 
 
+def _graded_poly(rng, n, terms, max_len, cap, seed_terms):
+    """Random polynomial with exactly ``terms`` coefficients, ``seed_terms``
+    among them, the rest of modulus between 0.05 and 0.5 times 10^(-3 |w|):
+    products of more than five letters fall below the prune threshold grade
+    by grade.  Seed terms are kept as given, a NaN one included."""
+    coeffs = {w: complex(c) for w, c in seed_terms.items()}
+    while len(coeffs) < terms:
+        word = tuple(int(j) for j in rng.integers(1, n + 1, rng.integers(0, max_len + 1)))
+        c = rng.uniform(0.05, 0.5) * np.exp(2j * np.pi * rng.uniform()) * 10.0 ** (-3 * len(word))
+        coeffs.setdefault(word, complex(c))
+    return NCPoly._pruned(n, coeffs, cap)
+
+
+@pytest.mark.parametrize(
+    "n, cap, nan, code_type",
+    [
+        # every pair beyond the cap lies in a grade the bound skips
+        (3, 5, False, np.int64),
+        (3, 8, False, np.int64),
+        # a NaN coefficient of degree 1 keeps degrees 1 to 5, which its
+        # pairs reach
+        (3, 8, True, np.int64),
+        (30, 12, False, object),
+    ],
+)
+def test_mul_grade_bound_matches_loop(monkeypatch, n, cap, nan, code_type):
+    # the batched route skips the grades whose bound proves every key pruned
+    # and still gives the loop's product bit for bit: keys, key order and
+    # taint, on both sides of the batching threshold
+    assert ncpoly.WordCodes(n, cap).dtype is code_type
+    rng = np.random.default_rng(cap + nan)
+    limit = ncpoly.PAIR_BATCH_MIN
+    # X1X1 * X1X1X1 and X1X1X1 * X1X1 add 0.6e-14 each onto X1^5: the sum
+    # survives the prune, while no one split of degree 5 bounds it above
+    seed = {(1, 1): 1e-6, (1, 1, 1): 0.6e-8}
+    formed = []
+    pair_sums = ncpoly.pair_sums
+
+    def counting(codes, re, im):
+        formed.append(len(codes))
+        return pair_sums(codes, re, im)
+
+    monkeypatch.setattr(ncpoly, "pair_sums", counting)
+    for pairs in (limit - 1, limit):
+        rows = next(r for r in range(40, 1, -1) if pairs % r == 0)
+        a = _graded_poly(rng, n, rows, 4, cap, {**seed, (2,): complex("nan")} if nan else seed)
+        b = _graded_poly(rng, n, pairs // rows, 4, cap, seed)
+        assert len(a.coeffs) * len(b.coeffs) == pairs
+        fitting = sum(len(u) + len(v) <= cap for u in a.coeffs for v in b.coeffs)
+        kept = sum(len(u) + len(v) <= 5 for u in a.coeffs for v in b.coeffs)
+        for left, right in ((a, b), (b, a)):
+            monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 10**9)
+            loop = left * right
+            monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
+            formed.clear()
+            batched = left * right
+            monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
+            assert _bits(left * right) == _bits(loop) == _bits(batched)
+            assert loop.truncated == (fitting < pairs)
+            assert abs(loop.coeffs[(1,) * 5] - 1.2e-14) < 1e-15
+            # the pairs of degree 6 and more are not formed
+            assert set(formed) == {kept} and (kept < fitting) == (cap > 5)
+
+
 def test_mul_new_key_has_no_negative_zero(monkeypatch):
     # (-2) * (-3) is 6 - 0j; the loop starts a new key from 0j, as the
     # array sums start from 0.0, so both routes store +0.0 on every Python
@@ -217,6 +281,28 @@ def test_substitute_identity_and_binomial(ctx2):
     sq = substitute(NCPoly.monomial(1, (1, 1), 1.0, cap=8), [shifted])
     expected = NCPoly(1, {(1, 1): 1.0, (1,): 2 * c, (): c * c}, 8)
     assert max_coeff_diff(sq, expected) < TOL
+
+
+def test_substitute_matches_product_fold(monkeypatch, lam2):
+    # substitute folds each word through the product's coefficient helper
+    # and gives the per-letter NCPoly products' result bit for bit, taint
+    # included, on both product routes
+    rng = np.random.default_rng(11)
+    P = random_poly(lam2, rng, 4, cap=6, terms=12)
+    # an imaginary -0.0, a word whose products pass the cap of 5, and a
+    # substituend of degree above it
+    P = P + NCPoly(2, {(): complex(1.0, -0.0), (2, 2, 2, 2): 0.5}, 6)
+    Y = [random_poly(lam2, rng, 2, cap=6, terms=6) + x(j, cap=6) for j in (1, 2)]
+    Y[1] = Y[1] + NCPoly.monomial(2, (1, 2, 1, 2, 1, 2), 0.1, cap=6)
+    for limit in (ncpoly.PAIR_BATCH_MIN, 10**9, 0):
+        monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
+        # X2 alone is tainted only by the substituend cut to the cap of 5
+        for Q in (P, x(2, cap=6)):
+            for cap in (5, 6):
+                assert _bits(substitute(Q, Y, cap)) == _bits(substitute_reference(Q, Y, cap))
+        assert substitute(x(2, cap=6), Y, 5).truncated
+        tainted = [Y[0], NCPoly(2, Y[1].coeffs, 6, truncated=True)]
+        assert _bits(substitute(P, tainted)) == _bits(substitute_reference(P, tainted, 6))
 
 
 def test_substitute_matches_modular_action(lam2):

@@ -122,6 +122,80 @@ def test_t_mul_batched_matches_loop(monkeypatch, n, cap, left_cap, max_len, code
         assert default == loop == batched
 
 
+def _graded_pair_poly(rng, n, terms, cap, seed_terms):
+    """Random tensor with exactly ``terms`` coefficients, ``seed_terms``
+    among them, the rest on legs of at most two letters and of modulus
+    between 0.05 and 0.5 times 10^(-3 (|a| + |b|)).  Seed terms are kept as
+    given, a NaN one included."""
+    coeffs = {k: complex(c) for k, c in seed_terms.items()}
+    while len(coeffs) < terms:
+        a, b = (tuple(int(j) for j in rng.integers(1, n + 1, rng.integers(0, 3))) for _ in "ab")
+        c = rng.uniform(0.05, 0.5) * np.exp(2j * np.pi * rng.uniform()) * 10.0 ** (-3 * len(a + b))
+        coeffs.setdefault((a, b), complex(c))
+    return TensorPoly._pruned(n, coeffs, cap)
+
+
+@pytest.mark.parametrize(
+    "n, cap, nan, code_type",
+    [
+        # every pair beyond the cap lies in a bidegree the bound skips
+        (3, 5, False, np.int64),
+        (3, 8, False, np.int64),
+        # a NaN coefficient of bidegree (1, 0) keeps every bidegree whose
+        # bound it enters
+        (3, 8, True, np.int64),
+        (30, 12, False, object),
+    ],
+)
+def test_t_mul_grade_bound_matches_loop(monkeypatch, n, cap, nan, code_type):
+    # the batched # product skips the bidegrees whose bound proves every key
+    # pruned and still gives the loop's product bit for bit, with either
+    # operand in the outer loop and for t_mul(S, S)
+    assert WordCodes(n, cap).dtype is code_type
+    rng = np.random.default_rng(cap + nan)
+    limit = ncpoly.PAIR_BATCH_MIN
+    # (X1X1 (x) X1) # (X1 (x) X1) and (X1 (x) X1X1) # (X1X1 (x) 1) add
+    # 0.6e-14 each onto X1X1X1 (x) X1X1, both with degrees 3 + 2: the sum
+    # survives the prune, while no one split of bidegree (3, 2), and no
+    # bound by total degree, exceeds it
+    seed_s = {((1, 1), (1,)): 0.6e-8, ((1,), (1, 1)): 0.6e-8}
+    seed_t = {((1,), (1,)): 1e-6, ((1, 1), ()): 1e-6}
+    key = ((1, 1, 1), (1, 1))
+    formed = []
+    pair_sums = ncpoly.pair_sums
+
+    def counting(codes, re, im):
+        formed.append(len(codes))
+        return pair_sums(codes, re, im)
+
+    monkeypatch.setattr(ncpoly, "pair_sums", counting)
+    for pairs in (limit - 1, limit):
+        rows = next(r for r in range(40, 1, -1) if pairs % r == 0)
+        if nan:
+            seed_s[(2,), ()] = complex("nan")
+        S = _graded_pair_poly(rng, n, rows, cap, seed_s)
+        T = _graded_pair_poly(rng, n, pairs // rows, cap, seed_t)
+        assert len(S.coeffs) * len(T.coeffs) == pairs
+        for left, right in ((S, T), (T, S), (S, S)):
+            sizes = [sum(map(len, k)) for k in left.coeffs], [sum(map(len, k)) for k in right.coeffs]
+            fitting = sum(u + v <= cap for u in sizes[0] for v in sizes[1])
+            low = sum(u + v <= 5 for u in sizes[0] for v in sizes[1])
+            monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 10**9)
+            loop = t_mul(left, right)
+            monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
+            formed.clear()
+            batched = t_mul(left, right)
+            monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
+            assert _bits(t_mul(left, right)) == _bits(loop) == _bits(batched)
+            assert loop.truncated == (fitting < len(left.coeffs) * len(right.coeffs))
+            if left is not right:
+                assert abs(loop.coeffs[key] - 1.2e-14) < 1.5e-15
+            assert 0 < formed[0] < fitting
+            if not nan:
+                # no pair of total degree 6 or more is formed
+                assert formed[0] <= low
+
+
 def test_t_apply():
     one = TensorPoly.one(2, 8)
     g = NCPoly.monomial(2, (1, 2), 2.0, cap=8)
