@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .errors import DimMismatch, IndexOutOfRange
-from .modular import ModularContext, apply_sigma
+from .errors import DimMismatch, IndexOutOfRange, VarCountMismatch
+from .modular import ModularContext
 from .ncpoly import PRUNE_TOL, NCPoly, Word, rho
 from .tensor import TensorMatrix, TensorPoly
 
@@ -57,15 +57,19 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
 
     On a word, every position l contributes alpha_{j, w_l} times the tail
     (twisted by the modular action) followed by the head.  Computed by the
-    explicit word formula, twisting each distinct tail once and adding the
-    terms into one dict as ``NCPoly.sum`` adds the per-term products; the
-    tests cross-check it against those and against the composition through
-    the difference quotient.  The output carries the input's truncation taint.
+    explicit word formula, with each tail's twist read from the context's
+    sigma table and the terms added into one dict as ``NCPoly.sum`` adds
+    the per-term products; the tests cross-check it against those and
+    against the composition through the difference quotient.  The output
+    carries the input's truncation taint.
     """
     ctx.check_index(j)
+    if P.num_vars != ctx.num_vars:
+        raise VarCountMismatch(
+            f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
+        )
     alpha = ctx.alpha
     nv, cap = P.num_vars, P.degree_cap
-    twisted: dict[Word, dict] = {}
     acc: dict[Word, complex] = {}
     dropped = False
     for w, c in P.coeffs.items():
@@ -73,11 +77,7 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
             a = alpha[j - 1, w[l] - 1]
             if abs(a) == 0.0:
                 continue
-            tail = w[l + 1:]
-            tw = twisted.get(tail)
-            if tw is None:
-                mono = NCPoly.monomial(nv, tail, 1.0, cap=cap)
-                tw = twisted[tail] = apply_sigma(ctx, mono, -1.0).coeffs
+            tw = ctx.twist(-1.0, w[l + 1:]).unit
             m = complex(c * a)
             if abs(m) <= PRUNE_TOL:
                 continue

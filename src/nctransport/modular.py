@@ -20,6 +20,53 @@ EIG_FLOOR = 1e-12
 
 MATRIX_TOL = 1e-10
 
+Word = tuple[int, ...]
+
+
+class Twist:
+    """The image of one word under X_j -> sum_k [A^{-s}]_{jk} X_k.
+
+    ``paths`` holds each twisted word with the matrix entries
+    ([A^{-s}]_{w_1 k_1}, ..., [A^{-s}]_{w_n k_n}) along it, zero entries
+    skipped, in the order of the letter-by-letter expansion (k ascending at
+    each letter).  ``unit`` is the twist of the word with coefficient one as
+    ``apply_sigma`` returns it: each path's ``fold`` of 1 + 0j, added to 0.0
+    and pruned.
+    """
+
+    __slots__ = ("paths", "unit")
+
+    def __init__(self, paths: tuple[tuple[Word, tuple], ...], unit: dict[Word, complex]):
+        self.paths = paths
+        self.unit = unit
+
+    def fold(self, c: complex) -> list[tuple[Word, complex]]:
+        """Each twisted word with c carried along its path by v -> 0.0 + v * m,
+        the steps of the letter-by-letter expansion."""
+        out = []
+        for w, ms in self.paths:
+            v = c
+            for m in ms:
+                v = 0.0 + v * m
+            out.append((w, v))
+        return out
+
+
+class SigmaTable:
+    """The modular twists a context has computed, filled on demand by
+    ``ModularContext.twist``: per power s the nonzero entries of each row of
+    A^{-s} (``rows``), and per (s, word) the word's ``Twist`` (``twists``).
+    Its length is the number of twisted (s, word) pairs."""
+
+    __slots__ = ("rows", "twists")
+
+    def __init__(self):
+        self.rows: dict[float, list] = {}
+        self.twists: dict[tuple[float, Word], Twist] = {}
+
+    def __len__(self) -> int:
+        return len(self.twists)
+
 
 @dataclass(frozen=True)
 class ModularContext:
@@ -44,6 +91,11 @@ class ModularContext:
     # Eigendecomposition of A, cached for real matrix powers.
     _eigvals: np.ndarray = field(repr=False, default=None)
     _eigvecs: np.ndarray = field(repr=False, default=None)
+    # Every twist by A^{-s} computed on this context; a fresh context, or one
+    # made from it by ``dataclasses.replace``, starts with an empty table.
+    sigma_table: SigmaTable = field(
+        default_factory=SigmaTable, init=False, repr=False, compare=False
+    )
 
     @property
     def inner_U(self) -> np.ndarray:
@@ -61,6 +113,37 @@ class ModularContext:
 
         if not 1 <= j <= self.num_vars:
             raise IndexOutOfRange(f"generator index {j} outside 1..{self.num_vars}")
+
+    def twist(self, s: float, word: Word) -> Twist:
+        """The ``Twist`` of ``word`` at s, expanded on the first request for
+        (s, word) and read from the sigma table after that."""
+        table = self.sigma_table
+        got = table.twists.get((s, word))
+        if got is None:
+            rows = table.rows.get(s)
+            if rows is None:
+                M = matrix_power(self, -s)
+                rows = table.rows[s] = [
+                    [(k + 1, m) for k, m in enumerate(row) if m != 0] for row in M
+                ]
+            got = table.twists[s, word] = _expand(rows, word)
+        return got
+
+
+def _expand(rows: list, word: Word) -> Twist:
+    """The ``Twist`` of a word, one row of nonzero (index, entry) pairs per
+    letter."""
+    from .ncpoly import PRUNE_TOL
+
+    paths = [((), ())]
+    for letter in word:
+        paths = [(w + (k,), ms + (m,)) for w, ms in paths for k, m in rows[letter - 1]]
+    twist = Twist(tuple(paths), {})
+    for w, v in twist.fold(1.0 + 0j):
+        v = 0.0 + v
+        if abs(v) > PRUNE_TOL:
+            twist.unit[w] = complex(v)
+    return twist
 
 
 def modular_norm(lambdas) -> float:
@@ -136,7 +219,8 @@ def apply_sigma(ctx: ModularContext, P, s: float):
     """Modular action at imaginary parameter: X_j -> sum_k [A^{-s}]_{jk} X_k.
 
     Extended to words multiplicatively and to polynomials linearly.  s = -1
-    sends the generator vector to A X; s = 0 is the identity.
+    sends the generator vector to A X; s = 0 is the identity.  Each word's
+    paths come from the context's sigma table.
     """
     from .ncpoly import NCPoly
 
@@ -146,22 +230,8 @@ def apply_sigma(ctx: ModularContext, P, s: float):
         )
     if s == 0.0 or ctx.is_tracial:
         return P
-    M = matrix_power(ctx, -s)
-    out: dict[tuple[int, ...], complex] = {}
+    out: dict[Word, complex] = {}
     for word, c in P.coeffs.items():
-        # Expand the product of one matrix row per letter.
-        paths = {(): c}
-        for letter in word:
-            row = M[letter - 1]
-            nxt: dict[tuple[int, ...], complex] = {}
-            for prefix, pc in paths.items():
-                for k in range(ctx.num_vars):
-                    m = row[k]
-                    if m == 0:
-                        continue
-                    key = prefix + (k + 1,)
-                    nxt[key] = nxt.get(key, 0.0) + pc * m
-            paths = nxt
-        for w2, c2 in paths.items():
-            out[w2] = out.get(w2, 0.0) + c2
+        for w2, v in ctx.twist(s, word).fold(c):
+            out[w2] = out.get(w2, 0.0) + v
     return NCPoly(ctx.num_vars, out, P.degree_cap, P.truncated)

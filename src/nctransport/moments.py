@@ -49,8 +49,8 @@ class MomentOracle:
             if not 1 <= j <= self.ctx.num_vars:
                 raise IndexOutOfRange(f"index {j} outside 1..{self.ctx.num_vars}")
         if len(word) % 2 == 1:
-            return 0.0 + 0.0j
-        if self.q == 0.0:
+            val = 0.0 + 0.0j
+        elif self.q == 0.0:
             val = self._noncrossing(word)
         else:
             val = self._fock_walk(word)
@@ -118,14 +118,30 @@ class MomentOracle:
                 f"operand over {P.num_vars} vars, oracle context has {self.ctx.num_vars}"
             )
 
+    # The linear extensions below read the memo themselves and call
+    # ``moment`` only for words it does not hold yet.
+
     def state(self, P: NCPoly) -> complex:
         self._check_vars(P)
-        return sum((c * self.moment(w) for w, c in P.coeffs.items()), 0.0 + 0.0j)
+        memo, moment = self._memo, self.moment
+        return sum(
+            (
+                c * (m if (m := memo.get(w)) is not None else moment(w))
+                for w, c in P.coeffs.items()
+            ),
+            0.0 + 0.0j,
+        )
 
     def state_tensor(self, T: TensorPoly) -> complex:
         self._check_vars(T)
+        memo, moment = self._memo, self.moment
         return sum(
-            (c * self.moment(a) * self.moment(b) for (a, b), c in T.coeffs.items()),
+            (
+                c
+                * (ma if (ma := memo.get(a)) is not None else moment(a))
+                * (mb if (mb := memo.get(b)) is not None else moment(b))
+                for (a, b), c in T.coeffs.items()
+            ),
             0.0 + 0.0j,
         )
 
@@ -146,9 +162,13 @@ class MomentOracle:
     def contract_left(self, T: TensorPoly) -> NCPoly:
         """(phi (x) 1): a (x) b -> state(a) b."""
         self._check_vars(T)
+        memo, moment = self._memo, self.moment
         out: dict[Word, complex] = {}
         for (a, b), c in T.coeffs.items():
-            v = c * self.moment(a)
+            m = memo.get(a)
+            if m is None:
+                m = moment(a)
+            v = c * m
             if v != 0:
                 out[b] = out.get(b, 0.0) + v
         return NCPoly(T.num_vars, out, T.degree_cap, T.truncated)
@@ -156,9 +176,13 @@ class MomentOracle:
     def contract_right(self, T: TensorPoly) -> NCPoly:
         """(1 (x) phi): a (x) b -> state(b) a."""
         self._check_vars(T)
+        memo, moment = self._memo, self.moment
         out: dict[Word, complex] = {}
         for (a, b), c in T.coeffs.items():
-            v = c * self.moment(b)
+            m = memo.get(b)
+            if m is None:
+                m = moment(b)
+            v = c * m
             if v != 0:
                 out[a] = out.get(a, 0.0) + v
         return NCPoly(T.num_vars, out, T.degree_cap, T.truncated)

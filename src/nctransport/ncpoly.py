@@ -26,9 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import VarCountMismatch
-from .modular import ModularContext, apply_sigma
-
-Word = tuple[int, ...]
+from .modular import ModularContext, Word, apply_sigma
 
 # Coefficients below this are double-precision noise, well under every test
 # tolerance, and are pruned on construction.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, VarCountMismatch
-from .modular import ModularContext, apply_sigma
+from .modular import ModularContext
 from . import ncpoly
 from .ncpoly import PRUNE_TOL, NCPoly, Word, WordCodes, _Sparse, batched_pairs
 
@@ -174,26 +174,52 @@ def t_dagger(S: TensorPoly) -> TensorPoly:
 
 
 def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -> TensorPoly:
-    """Legwise modular action at imaginary parameters (s_left, s_right)."""
+    """Legwise modular action at imaginary parameters (s_left, s_right).
+
+    Each term c a (x) b becomes sigma(c a) (x) sigma(b): c goes through the
+    paths of a's twist at s_left, pruned as ``apply_sigma`` prunes, and b
+    takes its unit twist at s_right, both from the context's sigma table.
+    The pairs are added into one dict as ``TensorPoly.sum`` adds the
+    per-term tensors ``tensor_of(sigma(c a), sigma(b))``: each product from
+    0.0 and pruned, then summed with prune-on-touch.  A term over the cap
+    with a pair on both legs sets the taint.
+    """
     if S.num_vars != ctx.num_vars:
         raise VarCountMismatch(
             f"tensor over {S.num_vars} vars, context has {ctx.num_vars}"
         )
     if ctx.is_tracial or (s_left == 0.0 and s_right == 0.0):
         return S
-
-    def pieces():
-        for (a, b), c in S.coeffs.items():
-            pa = NCPoly.monomial(S.num_vars, a, c, cap=max(len(a), 1))
-            pb = NCPoly.monomial(S.num_vars, b, 1.0, cap=max(len(b), 1))
-            if s_left != 0.0:
-                pa = apply_sigma(ctx, pa, s_left)
-            if s_right != 0.0:
-                pb = apply_sigma(ctx, pb, s_right)
-            yield tensor_of(pa, pb, S.degree_cap)
-
-    out = TensorPoly.sum(S.num_vars, pieces(), S.degree_cap)
-    return TensorPoly._pruned(S.num_vars, out.coeffs, S.degree_cap, S.truncated or out.truncated)
+    cap = S.degree_cap
+    acc: dict[Pair, complex] = {}
+    dropped = False
+    for (a, b), c in S.coeffs.items():
+        if s_left == 0.0:
+            left = [(a, c)]
+        else:
+            left = []
+            for wa, v in ctx.twist(s_left, a).fold(c):
+                # apply_sigma's sum from 0.0, then its prune
+                v = 0.0 + v
+                if abs(v) > PRUNE_TOL:
+                    left.append((wa, complex(v)))
+        right = ctx.twist(s_right, b).unit if s_right != 0.0 else {b: 1.0 + 0j}
+        if len(a) + len(b) > cap:
+            dropped = dropped or bool(left and right)
+            continue
+        for wa, ca in left:
+            for wb, cb in right.items():
+                # tensor_of's new key from 0.0 and its prune, then the sum's
+                v = 0.0 + ca * cb
+                if not abs(v) > PRUNE_TOL:
+                    continue
+                key = (wa, wb)
+                v = acc.get(key, 0.0) + v
+                if abs(v) > PRUNE_TOL:
+                    acc[key] = v
+                else:
+                    acc.pop(key, None)
+    return TensorPoly._pruned(S.num_vars, acc, cap, S.truncated or dropped)
 
 
 def pi_norm_bound(S: TensorPoly, R: float) -> float:

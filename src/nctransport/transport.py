@@ -208,19 +208,21 @@ def F_map(
     W: NCPoly,
     ghat: NCPoly,
     cfg: TransportConfig,
+    f: list[NCPoly] | None = None,
 ) -> NCPoly:
     """One application of the transport self-map (before symmetrization).
 
     Four pieces: the recentred perturbation -W(X + f), the quadratic
     correction -1/4 {(1+A) # f} # f, the linear trace contraction of the
     Jacobian, and minus the alternating series; f is the cyclic gradient of
-    Sigma ghat, and its Jacobian B feeds both trace terms.  At ghat = 0 this
-    returns -W(X).
+    Sigma ghat, computed here unless the caller passes it, and its Jacobian
+    B feeds both trace terms.  At ghat = 0 this returns -W(X).
     """
     if not is_cyclically_symmetric(ctx, ghat):
         raise NotCyclicallySymmetric("iterate left the cyclically symmetric cone")
     cap = cfg.degree_cap
-    f = grad_D(ctx, sigma_inv_op(ghat))
+    if f is None:
+        f = grad_D(ctx, sigma_inv_op(ghat))
     xs = generators(ctx, cap)
     shifted = [xs[j] + f[j].with_cap(cap) for j in range(ctx.num_vars)]
     t_w = substitute(W, shifted, cap=cap).scale(-1.0)
@@ -318,11 +320,11 @@ def solve_transport(
             f"no fixed point within {cfg.max_iterations} iterations; last delta {deltas[-1]:.3g}"
         )
 
-    residual = norm_R_sigma(
-        ctx, symmetrize_S(ctx, pi_op(F_map(ctx, o, W, ghat, cfg))) - ghat, cfg.R
-    ).value
     g = sigma_inv_op(ghat)
     f = grad_D(ctx, g)
+    residual = norm_R_sigma(
+        ctx, symmetrize_S(ctx, pi_op(F_map(ctx, o, W, ghat, cfg, f))) - ghat, cfg.R
+    ).value
     xs = generators(ctx, cfg.degree_cap)
     Y = [xs[j] + f[j].with_cap(cfg.degree_cap) for j in range(ctx.num_vars)]
 

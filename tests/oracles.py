@@ -11,8 +11,8 @@ import numpy as np
 
 from nctransport.arakiwoods import XiData, _wick
 from nctransport.calculus import partial_bar
-from nctransport.errors import DimMismatch
-from nctransport.modular import ModularContext, apply_sigma
+from nctransport.errors import DimMismatch, VarCountMismatch
+from nctransport.modular import ModularContext, apply_sigma, matrix_power
 from nctransport.moments import MomentOracle
 from nctransport.ncpoly import (
     CENTRALIZER_TOL,
@@ -32,6 +32,62 @@ from nctransport.tensor import (
     t_sigma,
     tensor_of,
 )
+
+
+def apply_sigma_reference(ctx: ModularContext, P: NCPoly, s: float) -> NCPoly:
+    """Modular action expanded letter by letter on every call: each word's
+    paths grow from its coefficient, one matrix row per letter."""
+    if P.num_vars != ctx.num_vars:
+        raise VarCountMismatch(
+            f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
+        )
+    if s == 0.0 or ctx.is_tracial:
+        return P
+    M = matrix_power(ctx, -s)
+    out: dict[Word, complex] = {}
+    for word, c in P.coeffs.items():
+        paths = {(): c}
+        for letter in word:
+            row = M[letter - 1]
+            nxt: dict[Word, complex] = {}
+            for prefix, pc in paths.items():
+                for k in range(ctx.num_vars):
+                    m = row[k]
+                    if m == 0:
+                        continue
+                    key = prefix + (k + 1,)
+                    nxt[key] = nxt.get(key, 0.0) + pc * m
+            paths = nxt
+        for w2, c2 in paths.items():
+            out[w2] = out.get(w2, 0.0) + c2
+    return NCPoly(ctx.num_vars, out, P.degree_cap, P.truncated)
+
+
+def t_sigma_reference(
+    ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float
+) -> TensorPoly:
+    """Legwise modular action term by term: each term c a (x) b is the
+    tensor of the twisted monomials c a and b, and the terms are summed by
+    ``TensorPoly.sum``."""
+    if S.num_vars != ctx.num_vars:
+        raise VarCountMismatch(
+            f"tensor over {S.num_vars} vars, context has {ctx.num_vars}"
+        )
+    if ctx.is_tracial or (s_left == 0.0 and s_right == 0.0):
+        return S
+
+    def pieces():
+        for (a, b), c in S.coeffs.items():
+            pa = NCPoly.monomial(S.num_vars, a, c, cap=max(len(a), 1))
+            pb = NCPoly.monomial(S.num_vars, b, 1.0, cap=max(len(b), 1))
+            if s_left != 0.0:
+                pa = apply_sigma_reference(ctx, pa, s_left)
+            if s_right != 0.0:
+                pb = apply_sigma_reference(ctx, pb, s_right)
+            yield tensor_of(pa, pb, S.degree_cap)
+
+    out = TensorPoly.sum(S.num_vars, pieces(), S.degree_cap)
+    return TensorPoly(S.num_vars, out.coeffs, S.degree_cap, S.truncated or out.truncated)
 
 
 def constant(num_vars: int, c: complex, cap: int) -> NCPoly:
@@ -214,7 +270,8 @@ def cyclic_D_reference(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
                     continue
                 tail = w[l + 1:]
                 if tail not in twisted:
-                    twisted[tail] = apply_sigma(ctx, NCPoly.monomial(nv, tail, 1.0, cap=cap), -1.0)
+                    mono = NCPoly.monomial(nv, tail, 1.0, cap=cap)
+                    twisted[tail] = apply_sigma_reference(ctx, mono, -1.0)
                 yield twisted[tail] * NCPoly.monomial(nv, w[:l], c * a, cap=cap)
 
     out = NCPoly.sum(nv, terms(), cap)

@@ -149,7 +149,11 @@ def _bits(p):
 
 
 @pytest.mark.parametrize(
-    "lambdas, num_trivial", [([2.0], 0), ([2.0, 3.0], 0), ([], 1)], ids=["lam2", "lam2_3", "trivial1"]
+    "lambdas, num_trivial",
+    # at lambda = 1.0001 the twist of a tail prunes its paths with four
+    # off-diagonal entries
+    [([2.0], 0), ([2.0, 3.0], 0), ([1.0001], 0), ([], 1)],
+    ids=["lam2", "lam2_3", "lam1.0001", "trivial1"],
 )
 def test_cyclic_derivative_matches_per_term_form(lambdas, num_trivial, rng):
     # the one-dict accumulation gives the per-term products summed by
@@ -162,6 +166,9 @@ def test_cyclic_derivative_matches_per_term_form(lambdas, num_trivial, rng):
     # the word beyond the cap drops its terms and taints
     inputs.append(NCPoly(n, {(1, 1): 0.5, (1,) * 6: 1.0}, 4))
     if lambdas:
+        # tails whose twist prunes (at lambda = 1.0001) under a coefficient
+        # large enough to lift the pruned paths above PRUNE_TOL
+        inputs.append(NCPoly(n, {(2, 1, 2, 1, 2): 1e4, (1, 2, 1, 2, 1): -3e3j}, 6))
         # on the lambda=2 block: in D_1, X_2^3 at 2.7e-14 has a term
         # c alpha_12 at or below PRUNE_TOL whose twisted products are not;
         # in D_2, X_2^2 at 1.2e-14 has a product at or below PRUNE_TOL on

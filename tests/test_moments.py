@@ -7,7 +7,7 @@ from nctransport.errors import IndexOutOfRange
 from nctransport.modular import apply_sigma
 from nctransport.moments import MomentOracle
 from nctransport.ncpoly import NCPoly, max_coeff_diff
-from nctransport.randgen import random_poly
+from nctransport.randgen import random_poly, random_tensor
 from nctransport.tensor import TensorPoly
 from nctransport.calculus import delta
 
@@ -240,6 +240,65 @@ def test_index_validation_after_memo_hits(lam2):
         for bad in ((1, 3), (3,), (2, 1, 1, 3), (0, 1)):
             with pytest.raises(IndexOutOfRange):
                 o.moment(bad)
+
+
+def test_odd_words_are_memoised_after_the_check(lam2):
+    # an odd word's zero is memoised once its letters are checked; a bad
+    # letter raises every time and never enters the memo
+    for q in (0.0, 0.3):
+        o = MomentOracle(lam2, q)
+        assert o.moment((1, 2, 1)) == 0.0 and (1, 2, 1) in o._memo
+        assert o.moment([1, 2, 1]) == 0.0
+        for bad in ((3,), (1, 2, 3), (0, 1, 1)):
+            for _ in range(2):
+                with pytest.raises(IndexOutOfRange):
+                    o.moment(bad)
+            assert bad not in o._memo
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_linear_extensions_read_the_memo(lam2, rng, monkeypatch):
+    # state, state_tensor and the contractions look words up in the memo
+    # themselves and add the values moment() gives in the same order, on a
+    # cold memo and on a warm one, where they call moment() no more
+    P = random_poly(lam2, rng, 5, cap=6, terms=15)
+    T = random_tensor(lam2, rng, 5, terms=15)
+    for q in (0.0, 0.3):
+        o = MomentOracle(lam2, q)
+        ref = MomentOracle(lam2, q)
+        calls = []
+        moment = MomentOracle.moment
+
+        def counting(self, word):
+            calls.append(word)
+            return moment(self, word)
+
+        for warm in (False, True):
+            state = sum((c * ref.moment(w) for w, c in P.coeffs.items()), 0.0 + 0.0j)
+            tensor = sum(
+                (c * ref.moment(a) * ref.moment(b) for (a, b), c in T.coeffs.items()),
+                0.0 + 0.0j,
+            )
+            monkeypatch.setattr(MomentOracle, "moment", counting)
+            calls.clear()
+            assert _hex(o.state(P)) == _hex(state)
+            assert _hex(o.state_tensor(T)) == _hex(tensor)
+            left, right = o.contract_left(T), o.contract_right(T)
+            assert bool(calls) != warm
+            monkeypatch.setattr(MomentOracle, "moment", moment)
+            for got, leg in ((left, 0), (right, 1)):
+                out = {}
+                for key, c in T.coeffs.items():
+                    v = c * ref.moment(key[leg])
+                    if v != 0:
+                        out[key[1 - leg]] = out.get(key[1 - leg], 0.0) + v
+                want = NCPoly(2, out, T.degree_cap, T.truncated)
+                assert [(w, _hex(c)) for w, c in got.coeffs.items()] == [
+                    (w, _hex(c)) for w, c in want.coeffs.items()
+                ]
 
 
 def test_memo_determinism(lam2):

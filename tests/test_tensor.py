@@ -6,6 +6,7 @@ import pytest
 from nctransport import ncpoly
 from nctransport.calculus import grad_D, jac_J_sigma
 from nctransport.errors import DimMismatch, VarCountMismatch
+from nctransport.modular import build_context, matrix_power
 from nctransport.ncpoly import NCPoly, WordCodes, max_coeff_diff, norm_R
 from nctransport.randgen import random_centralizer, random_poly, random_tensor
 from nctransport.tensor import (
@@ -28,7 +29,7 @@ from nctransport.tensor import (
     trace_Ainv,
     vec_dot,
 )
-from oracles import identity_matrix, mat_vec, t_apply, t_flip_m
+from oracles import identity_matrix, mat_vec, t_apply, t_flip_m, t_sigma_reference
 
 TOL = 1e-12
 
@@ -253,6 +254,70 @@ def test_t_sigma_cases(ctx2, lam2, rng):
     pa = apply_sigma(lam2, NCPoly.monomial(2, (1, 2), 1.5, cap=3), -1.0)
     pb = apply_sigma(lam2, NCPoly.monomial(2, (2,), 1.0, cap=1), 0.5)
     assert max_pair_diff(got, tensor_of(pa, pb, 8)) < TOL
+
+
+SIGMA_PAIRS = [(1.0, 0.0), (0.5, 0.0), (-1.0, 0.0), (0.0, -1.0), (0.5, -1.0)]
+
+
+@pytest.mark.parametrize(
+    "lambdas, num_trivial",
+    # at lambda = 1.0001 the unit twist of a right leg prunes its paths with
+    # four off-diagonal entries
+    [([2.0], 0), ([2.0, 3.0], 0), ([1.0001], 0), ([], 2)],
+    ids=["lam2", "lam2_3", "lam1.0001", "tracial2"],
+)
+def test_t_sigma_matches_per_term_form(lambdas, num_trivial, rng):
+    # the one-dict accumulation gives the per-term tensors summed by
+    # TensorPoly.sum bit for bit: keys, key order, coefficients with the
+    # sign of zero, and taint
+    ctx = build_context(lambdas, num_trivial)
+    n = ctx.num_vars
+    inputs = [random_tensor(ctx, rng, 4, terms=12) for _ in range(3)]
+    S = inputs[0]
+    inputs.append(TensorPoly(n, S.coeffs, S.degree_cap, True))
+    # a leg pair over the cap drops and taints; signed zeros; the empty pair
+    inputs.append(TensorPoly(n, {
+        ((), ()): complex(-1.0, -0.0),
+        ((1,), (2,)): complex(-0.0, 2.0),
+        ((1, 2, 1), (2, 2)): 0.5,
+        ((2,), (1,)): complex(0.0, -0.0),
+    }, 4))
+    # coefficients near PRUNE_TOL: on the lambda=2 block some paths of the
+    # left leg prune, and so do some products of the kept paths with the
+    # right leg's twist
+    inputs.append(TensorPoly(n, {((1,), (1, 2)): 2.5e-14, ((2,), (2, 2)): 1.5e-14, ((2,), (1,)): 1.1e-14j}, 6))
+    # products at or below PRUNE_TOL onto keys that larger terms have made
+    inputs.append(TensorPoly(n, {
+        ((), (1,)): 1.0, ((), (2,)): 1.2e-14, ((1,), (1,)): 1.0, ((1,), (2,)): 1.2e-14,
+    }, 6))
+    # a right leg whose unit twist prunes (at lambda = 1.0001) under a
+    # coefficient large enough to lift the pruned paths above PRUNE_TOL
+    inputs.append(TensorPoly(n, {((1,), (1, 2, 1, 2)): 1e4, ((2,), (2, 1, 2, 1)): -3e3j}, 6))
+    pairs = {pair: list(inputs) for pair in SIGMA_PAIRS}
+    if lambdas:
+        for (sl, sr), cases in pairs.items():
+            # on the twisted leg, the keys X_1 X_k of X_1 X_1 and x X_2 X_1
+            # cancel below PRUNE_TOL, and X_1 X_2 brings them back at the end
+            M = matrix_power(ctx, -(sl or sr))
+            x = complex(-M[0, 0] / M[1, 0])
+
+            def pair(word):
+                return (word, ()) if sl != 0.0 else ((), word)
+
+            cancel = TensorPoly(n, {pair((1, 1)): 1.0, pair((2, 1)): x}, 6)
+            ends = [pair((1, 1)), pair((1, 2))]
+            assert not set(ends) & set(t_sigma(ctx, cancel, sl, sr).coeffs)
+            back = TensorPoly(n, {**cancel.coeffs, pair((1, 2)): 0.5}, 6)
+            assert list(t_sigma(ctx, back, sl, sr).coeffs)[-2:] == ends
+            cases += [cancel, back]
+    for _ in range(2):  # a cold and a warm sigma table
+        for (sl, sr), cases in pairs.items():
+            for T in cases:
+                got = t_sigma(ctx, T, sl, sr)
+                assert _bits(got) == _bits(t_sigma_reference(ctx, T, sl, sr))
+                if ctx.is_tracial:
+                    assert got is T
+            assert t_sigma(ctx, inputs[4], sl, sr).truncated != ctx.is_tracial
 
 
 def test_mat_identity_neutral(ctx2, rng):

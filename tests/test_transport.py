@@ -185,6 +185,37 @@ def test_f_map_builds_the_gradient_once(lam2, monkeypatch):
     assert len(calls) == 1
 
 
+def test_solve_transport_reuses_the_last_gradient(lam2, monkeypatch):
+    # the residual's F_map takes the cyclic gradient of the final ghat that
+    # the solution reports, so each F_map costs one gradient and no more
+    import nctransport.transport as transport
+
+    calls, fmaps = [], []
+
+    def counted(ctx, p):
+        calls.append(p)
+        return grad_D(ctx, p)
+
+    def counted_f_map(*args):
+        fmaps.append(args)
+        return F_map(*args)
+
+    monkeypatch.setattr(transport, "grad_D", counted)
+    monkeypatch.setattr(transport, "F_map", counted_f_map)
+    o = MomentOracle(lam2, 0.0)
+    w = random_centralizer(lam2, np.random.default_rng(3), 4, cap=6, cyclically_symmetric=True)
+    w = w.scale(0.05 / norm_R_sigma(lam2, w, 6.0).value)
+    cfg = TransportConfig(R=6.0, R_prime=7.0, degree_cap=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve_transport(lam2, o, w, cfg, enforce_hypotheses=False)
+    assert len(fmaps) == sol.iterations + 1 == len(calls)
+    assert fmaps[-1][-1] is sol.f
+    fresh = grad_D(lam2, sigma_inv_op(sol.ghat))
+    for a, b in zip(sol.f, fresh):
+        assert list(a.coeffs.items()) == list(b.coeffs.items()) and a.truncated == b.truncated
+
+
 def test_q_series_rejects_large_argument(ctx1):
     o = MomentOracle(ctx1, 0.0)
     big = NCPoly.monomial(1, (1, 1), 10.0, cap=8)
