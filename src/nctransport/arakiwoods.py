@@ -72,10 +72,10 @@ def _wick(ctx: ModularContext, q: float, word: Word, memo: dict) -> NCPoly:
         out = NCPoly.one(ctx.num_vars, cap)
     else:
         head, rest = word[0], word[1:]
-        inner = ctx.inner_U[head - 1]
+        inner = ctx.inner_rows[head - 1]
         parts = [NCPoly.gen(ctx.num_vars, head, cap) * _wick(ctx, q, rest, memo).with_cap(cap)]
         for k in range(len(rest)):
-            w = q**k * complex(inner[rest[k] - 1])
+            w = q**k * inner[rest[k] - 1]
             if w != 0:
                 parts.append(_wick(ctx, q, rest[:k] + rest[k + 1:], memo).scale(-w))
         out = NCPoly.sum(ctx.num_vars, parts, cap)

@@ -43,13 +43,13 @@ def _weighted_delta(weights, P: NCPoly) -> TensorPoly:
 def partial_sigma(ctx: ModularContext, j: int, P: NCPoly) -> TensorPoly:
     """Twisted difference quotient sum_k alpha_kj delta_k."""
     ctx.check_index(j)
-    return _weighted_delta(ctx.alpha[:, j - 1], P)
+    return _weighted_delta(ctx.inner_rows[j - 1], P)
 
 
 def partial_bar(ctx: ModularContext, j: int, P: NCPoly) -> TensorPoly:
     """Conjugate variant sum_k alpha_jk delta_k."""
     ctx.check_index(j)
-    return _weighted_delta(ctx.alpha[j - 1], P)
+    return _weighted_delta(ctx.alpha_rows[j - 1], P)
 
 
 def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
@@ -68,17 +68,17 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
         raise VarCountMismatch(
             f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
         )
-    alpha = ctx.alpha
+    alpha = ctx.alpha_rows[j - 1]
     nv, cap = P.num_vars, P.degree_cap
     acc: dict[Word, complex] = {}
     dropped = False
     for w, c in P.coeffs.items():
         for l in range(len(w)):
-            a = alpha[j - 1, w[l] - 1]
+            a = alpha[w[l] - 1]
             if abs(a) == 0.0:
                 continue
             tw = ctx.twist(-1.0, w[l + 1:]).unit
-            m = complex(c * a)
+            m = c * a
             if abs(m) <= PRUNE_TOL:
                 continue
             if len(w) - 1 > cap:

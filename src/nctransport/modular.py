@@ -41,13 +41,13 @@ class Twist:
         self.unit = unit
 
     def fold(self, c: complex) -> list[tuple[Word, complex]]:
-        """Each twisted word with c carried along its path by v -> 0.0 + v * m,
+        """Each twisted word with c carried along its path by v -> 0j + v * m,
         the steps of the letter-by-letter expansion."""
         out = []
         for w, ms in self.paths:
             v = c
             for m in ms:
-                v = 0.0 + v * m
+                v = 0j + v * m
             out.append((w, v))
         return out
 
@@ -55,7 +55,8 @@ class Twist:
 class SigmaTable:
     """The modular twists a context has computed, filled on demand by
     ``ModularContext.twist``: per power s the nonzero entries of each row of
-    A^{-s} (``rows``), and per (s, word) the word's ``Twist`` (``twists``).
+    A^{-s} as Python ``complex`` (``rows``), and per (s, word) the word's
+    ``Twist`` (``twists``).
     Its length is the number of twisted (s, word) pairs."""
 
     __slots__ = ("rows", "twists")
@@ -80,6 +81,10 @@ class ModularContext:
     A : N x N Hermitian positive matrix.
     alpha : 2 (1 + A)^{-1}; Hermitian with unit diagonal, |alpha_jk| <= 1.
     norm_A : operator norm of A, the largest of 1 and lambda_k^{+-1}.
+    A_rows, alpha_rows, inner_rows : A, alpha and ``inner_U`` as lists of
+        rows of Python ``complex``, which the per-term loops read: an entry
+        read from a list and multiplied costs about a third of a numpy
+        scalar's, with the same bits.  Derived on construction.
     """
 
     num_vars: int
@@ -96,6 +101,14 @@ class ModularContext:
     sigma_table: SigmaTable = field(
         default_factory=SigmaTable, init=False, repr=False, compare=False
     )
+    A_rows: list = field(init=False, repr=False, compare=False)
+    alpha_rows: list = field(init=False, repr=False, compare=False)
+    inner_rows: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # complex, never float, so that no product is a mixed complex * float
+        for name, M in (("A_rows", self.A), ("alpha_rows", self.alpha), ("inner_rows", self.inner_U)):
+            object.__setattr__(self, name, np.asarray(M, dtype=complex).tolist())
 
     @property
     def inner_U(self) -> np.ndarray:
@@ -122,9 +135,9 @@ class ModularContext:
         if got is None:
             rows = table.rows.get(s)
             if rows is None:
-                M = matrix_power(self, -s)
                 rows = table.rows[s] = [
-                    [(k + 1, m) for k, m in enumerate(row) if m != 0] for row in M
+                    [(k + 1, m) for k, m in enumerate(row) if m != 0]
+                    for row in matrix_power(self, -s).tolist()
                 ]
             got = table.twists[s, word] = _expand(rows, word)
         return got
@@ -140,9 +153,9 @@ def _expand(rows: list, word: Word) -> Twist:
         paths = [(w + (k,), ms + (m,)) for w, ms in paths for k, m in rows[letter - 1]]
     twist = Twist(tuple(paths), {})
     for w, v in twist.fold(1.0 + 0j):
-        v = 0.0 + v
+        v = 0j + v
         if abs(v) > PRUNE_TOL:
-            twist.unit[w] = complex(v)
+            twist.unit[w] = v
     return twist
 
 

@@ -60,7 +60,7 @@ class MomentOracle:
 
     def _noncrossing(self, word: Word) -> complex:
         """Interval recursion over non-crossing pairings (q = 0 only)."""
-        inner = self.ctx.inner_U
+        inner = self.ctx.inner_rows
         memo = self._memo
 
         def rec(w: Word) -> complex:
@@ -70,9 +70,9 @@ class MomentOracle:
             if got is not None:
                 return got
             total = 0.0 + 0.0j
-            first = w[0]
+            row = inner[w[0] - 1]
             for k in range(1, len(w), 2):
-                c = inner[first - 1, w[k] - 1]
+                c = row[w[k] - 1]
                 if c == 0:
                     continue
                 total += c * rec(w[1:k]) * rec(w[k + 1:])
@@ -89,23 +89,24 @@ class MomentOracle:
         vacuum within the remaining steps are pruned.
         """
         q = self.q
-        inner = self.ctx.inner_U
+        inner = self.ctx.inner_rows
         state: dict[Word, complex] = {(): 1.0 + 0.0j}
         n = len(word)
         for step, letter in enumerate(reversed(word)):
             budget = n - step - 1
             nxt: dict[Word, complex] = {}
+            row = inner[letter - 1]
             for vec, c in state.items():
                 created = (letter,) + vec
                 if len(created) <= budget:
-                    nxt[created] = nxt.get(created, 0.0) + c
+                    nxt[created] = nxt.get(created, 0j) + c
                 qfac = 1.0
                 for m, slot in enumerate(vec):
-                    w = inner[letter - 1, slot - 1]
+                    w = row[slot - 1]
                     if w != 0:
                         reduced = vec[:m] + vec[m + 1:]
                         if len(reduced) <= budget:
-                            nxt[reduced] = nxt.get(reduced, 0.0) + c * qfac * w
+                            nxt[reduced] = nxt.get(reduced, 0j) + c * qfac * w
                     qfac *= q
             state = nxt
         return state.get((), 0.0 + 0.0j)
@@ -152,11 +153,16 @@ class MomentOracle:
         """
         self._check_vars(P)
         self._check_vars(Q)
+        memo, moment = self._memo, self.moment
         total = 0.0 + 0.0j
         for wp, cp in P.coeffs.items():
             rev = wp[::-1]
             for wq, cq in Q.coeffs.items():
-                total += cp.conjugate() * cq * self.moment(rev + wq)
+                w = rev + wq
+                m = memo.get(w)
+                if m is None:
+                    m = moment(w)
+                total += cp.conjugate() * cq * m
         return total
 
     def contract_left(self, T: TensorPoly) -> NCPoly:

@@ -14,7 +14,10 @@ integer codes (``WordCodes``), and ``pair_sums`` adds the value of every
 pair onto its key in pair order and prunes the sums exactly as the per-pair
 loop and the constructor do, so both routes give the same coefficients, bit
 for bit, in the same key order.  Pairs in a grade whose bound proves every
-key pruned are not formed (``batched_pairs``).
+key pruned are not formed (``batched_pairs``).  An operand's codes and
+coefficient array are built once and kept on the instance (its coded view,
+``_Sparse._coded``); a batched product hands its result the view it already
+holds from the kept keys' codes.
 """
 
 from __future__ import annotations
@@ -106,12 +109,17 @@ class _Sparse:
 
     The storage and linear structure shared by ``NCPoly`` (keys are words)
     and ``tensor.TensorPoly`` (keys are word pairs).  A subclass supplies
-    ``_size``, the degree of a key.  Coefficients at noise level are pruned
-    on construction, and every sum goes through ``sum``, which enforces the
-    cap: words beyond it are dropped and set the taint flag.  Each subclass
-    defines its own one-line ``__add__``, where the per-layer tracer of
+    ``_size``, the degree of a key, and for the coded view ``_encode`` and
+    ``_sizes``.  Coefficients at noise level are pruned on construction, and
+    every sum goes through ``sum``, which enforces the cap: words beyond it
+    are dropped and set the taint flag.  Each subclass defines its own
+    one-line ``__add__``, where the per-layer tracer of
     ``perfbench/tracing.py`` looks it up.  Code whose map is already pruned
     and holds ``complex`` values wraps it with ``_pruned``, which keeps it.
+
+    No instance changes its map, so the coded view a batched product reads
+    (``_coded``) stays valid for the instance's life.  It is an attribute,
+    not a field: it takes no part in ``==`` or ``repr``.
     """
 
     num_vars: int
@@ -163,7 +171,28 @@ class _Sparse:
                     acc.pop(k, None)
         return cls._pruned(num_vars, acc, cap, truncated)
 
+    def _coded(self, codes: WordCodes) -> tuple:
+        """The coded view for ``codes``: (dtype, degree, per-key code arrays
+        from ``_encode``, coefficient array), in key order.  Built on the
+        first request and kept; a view of the other code dtype (int64 or
+        ``object``) is never reused, but rebuilt."""
+        view = self.__dict__.get("_view")
+        if view is None or view[0] is not codes.dtype:
+            coef = np.fromiter(self.coeffs.values(), complex, len(self.coeffs))
+            view = self._attach(codes.dtype, self._encode(list(self.coeffs), codes), coef)
+        return view
+
+    def _attach(self, dtype, arrays: tuple, coef: np.ndarray) -> tuple:
+        """Keep ``arrays`` and ``coef``, which must code this map in key
+        order under codes of ``dtype``, as the coded view."""
+        degree = int(self._sizes(arrays).max(initial=0))
+        view = self.__dict__["_view"] = (dtype, degree, arrays, coef)
+        return view
+
     def degree(self) -> int:
+        view = self.__dict__.get("_view")
+        if view is not None:
+            return view[1]
         return max(map(self._size, self.coeffs), default=0)
 
     def is_zero(self) -> bool:
@@ -172,8 +201,12 @@ class _Sparse:
     def with_cap(self, cap: int):
         """Retarget the cap, dropping (and tainting on) too-long keys."""
         if self.degree() <= cap:
-            # nothing to drop: share the map, which no instance changes
-            return self._pruned(self.num_vars, self.coeffs, cap, self.truncated)
+            # nothing to drop: share the map, which no instance changes, and
+            # its coded view
+            out = self._pruned(self.num_vars, self.coeffs, cap, self.truncated)
+            if "_view" in self.__dict__:
+                out.__dict__["_view"] = self.__dict__["_view"]
+            return out
         size = self._size
         kept = {k: c for k, c in self.coeffs.items() if size(k) <= cap}
         return self._pruned(self.num_vars, kept, cap, True)
@@ -211,6 +244,15 @@ class NCPoly(_Sparse):
     """Sparse non-commutative polynomial with a degree cap and taint flag."""
 
     _size = staticmethod(len)
+
+    @staticmethod
+    def _encode(words: list[Word], codes: WordCodes) -> tuple:
+        """Index and length arrays of the words."""
+        return codes.index(words)
+
+    @staticmethod
+    def _sizes(arrays: tuple) -> np.ndarray:
+        return arrays[1]
 
     # -- constructors ------------------------------------------------------
 
@@ -252,9 +294,7 @@ class NCPoly(_Sparse):
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         """Word-concatenation product; words beyond the cap are dropped."""
         self._check(other)
-        cap = min(self.degree_cap, other.degree_cap)
-        out, dropped = _word_product(self.coeffs, other.coeffs, self.num_vars, cap)
-        return NCPoly._pruned(self.num_vars, out, cap, self.truncated or other.truncated or dropped)
+        return _word_product(self, other, min(self.degree_cap, other.degree_cap))
 
     def adjoint(self) -> "NCPoly":
         """Word reversal with conjugated coefficients; an involution."""
@@ -278,20 +318,21 @@ class NCPoly(_Sparse):
         return sorted({len(w) for w in self.coeffs})
 
 
-def _word_product(left: dict, right: dict, num_vars: int, cap: int) -> tuple[dict, bool]:
-    """The pruned coefficient dict of the word-concatenation product of two
-    pruned maps under ``cap``, and whether a pair was dropped.
+def _word_product(left: NCPoly, right: NCPoly, cap: int) -> NCPoly:
+    """The word-concatenation product under ``cap``, tainted by a dropped
+    pair or a tainted operand.
 
     With at least ``PAIR_BATCH_MIN`` coefficient pairs the pairs are summed
     as arrays (``_mul_batched``), with the per-pair loop's result.
     """
-    if len(left) * len(right) >= PAIR_BATCH_MIN:
-        degree = max(chain(map(len, left), map(len, right)), default=0)
-        return _mul_batched(left, right, cap, WordCodes(num_vars, max(cap, degree)))
+    taint = left.truncated or right.truncated
+    if len(left.coeffs) * len(right.coeffs) >= PAIR_BATCH_MIN:
+        codes = WordCodes(left.num_vars, max(cap, left.degree(), right.degree()))
+        return _mul_batched(left, right, cap, codes, taint)
     out = {}
     dropped = False
-    for w1, c1 in left.items():
-        for w2, c2 in right.items():
+    for w1, c1 in left.coeffs.items():
+        for w2, c2 in right.coeffs.items():
             if len(w1) + len(w2) > cap:
                 dropped = True
                 continue
@@ -299,7 +340,8 @@ def _word_product(left: dict, right: dict, num_vars: int, cap: int) -> tuple[dic
             # a new key starts from 0j, as pair_sums starts from 0.0 in each
             # part: Python 3.14's 0.0 + c would keep a -0.0
             out[w] = out.get(w, 0j) + c1 * c2
-    return {w: c for w, c in out.items() if abs(c) > PRUNE_TOL}, dropped
+    kept = {w: c for w, c in out.items() if abs(c) > PRUNE_TOL}
+    return NCPoly._pruned(left.num_vars, kept, cap, taint or dropped)
 
 
 def batched_pairs(
@@ -345,26 +387,36 @@ def batched_pairs(
     return p[first], r[first], re, im
 
 
-def _mul_batched(left: dict, right: dict, cap: int, codes: WordCodes) -> tuple[dict, bool]:
-    """The coefficient dict of the product loop under ``cap``, and whether a
-    pair was dropped, from ``batched_pairs`` with words graded by length.
-    ``codes`` must cover every word of both operands."""
-    w1, w2 = list(left), list(right)
-    i1, l1 = codes.index(w1)
-    i2, l2 = codes.index(w2)
-    c1 = np.fromiter(left.values(), complex, len(w1))
-    c2 = np.fromiter(right.values(), complex, len(w2))
+def _coef_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array with these parts, bit for bit."""
+    coef = np.empty(len(re), complex)
+    coef.real, coef.imag = re, im
+    return coef
+
+
+def _mul_batched(left: NCPoly, right: NCPoly, cap: int, codes: WordCodes, taint: bool) -> NCPoly:
+    """The product loop's result under ``cap``, from ``batched_pairs`` with
+    words graded by length, with its coded view attached.  ``codes`` must
+    cover every word of both operands."""
+    w1, w2 = list(left.coeffs), list(right.coeffs)
+    _, _, (i1, l1), c1 = left._coded(codes)
+    _, _, (i2, l2), c2 = right._coded(codes)
     fits = l1[:, None] + l2[None, :] <= cap
 
+    def index(p, r):
+        return i1[p] * codes.powers[l2[r]] + i2[r]
+
     def key(p, r):
-        return (i1[p] * codes.powers[l2[r]] + i2[r]) * (codes.cap + 1) + l1[p] + l2[r]
+        return index(p, r) * (codes.cap + 1) + l1[p] + l2[r]
 
     p, r, re, im = batched_pairs(c1, l1, c2, l2, fits, key)
     out = {
         w1[x] + w2[y]: complex(u, v)
         for x, y, u, v in zip(p.tolist(), r.tolist(), re.tolist(), im.tolist())
     }
-    return out, not fits.all()
+    prod = NCPoly._pruned(left.num_vars, out, cap, taint or not fits.all())
+    prod._attach(codes.dtype, (index(p, r), l1[p] + l2[r]), _coef_array(re, im))
+    return prod
 
 
 def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
@@ -389,13 +441,10 @@ def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
         # as a constructed constant, so c enters every product first
         for word, c in P.coeffs.items():
             c = c * (1 + 0j)
-            coeffs = {(): c} if abs(c) > PRUNE_TOL else {}
-            truncated = False
+            term = NCPoly._pruned(nv, {(): c} if abs(c) > PRUNE_TOL else {}, cap)
             for j in word:
-                y = capped[j - 1]
-                coeffs, dropped = _word_product(coeffs, y.coeffs, nv, cap)
-                truncated = truncated or y.truncated or dropped
-            yield NCPoly._pruned(nv, coeffs, cap, truncated)
+                term = _word_product(term, capped[j - 1], cap)
+            yield term
 
     out = NCPoly.sum(nv, terms(), cap)
     return NCPoly._pruned(nv, out.coeffs, cap, out.truncated or taint)
@@ -430,8 +479,7 @@ def rho(ctx: ModularContext, P: NCPoly, k: int = 1) -> NCPoly:
         raise VarCountMismatch(
             f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
         )
-    A = ctx.A
-    n_gen = ctx.num_vars
+    A = ctx.A_rows
 
     def pieces():
         for n in P.degrees():
@@ -445,15 +493,12 @@ def rho(ctx: ModularContext, P: NCPoly, k: int = 1) -> NCPoly:
             for _ in range(l):
                 nxt: dict[Word, complex] = {}
                 for w, c in coeffs.items():
-                    last = w[-1]
                     head = w[:-1]
-                    row = A[last - 1]
-                    for v in range(n_gen):
-                        a = row[v]
+                    for v, a in enumerate(A[w[-1] - 1], start=1):
                         if a == 0:
                             continue
-                        key = (v + 1,) + head
-                        nxt[key] = nxt.get(key, 0.0) + c * a
+                        key = (v,) + head
+                        nxt[key] = nxt.get(key, 0j) + c * a
                 coeffs = nxt
             piece = NCPoly(ctx.num_vars, coeffs, P.degree_cap, comp.truncated)
             if m != 0:

@@ -35,6 +35,15 @@ class TensorPoly(_Sparse):
         return len(pair[0]) + len(pair[1])
 
     @staticmethod
+    def _encode(pairs: list[Pair], codes: WordCodes) -> tuple:
+        """Index and length arrays of the left legs, then of the right legs."""
+        return (*codes.index([a for a, _ in pairs]), *codes.index([b for _, b in pairs]))
+
+    @staticmethod
+    def _sizes(arrays: tuple) -> np.ndarray:
+        return arrays[1] + arrays[3]
+
+    @staticmethod
     def one(num_vars: int, cap: int) -> "TensorPoly":
         """The unit 1 (x) 1."""
         return TensorPoly(num_vars, {((), ()): 1.0}, cap)
@@ -85,8 +94,7 @@ def t_mul(S: TensorPoly, T: TensorPoly) -> TensorPoly:
     swapped = len(S.coeffs) > len(T.coeffs) or S is T
     if len(S.coeffs) * len(T.coeffs) >= ncpoly.PAIR_BATCH_MIN:
         codes = WordCodes(S.num_vars, max(cap, S.degree(), T.degree()))
-        out, dropped = _t_mul_batched(S.coeffs, T.coeffs, cap, codes, swapped)
-        return TensorPoly._pruned(S.num_vars, out, cap, S.truncated or T.truncated or dropped)
+        return _t_mul_batched(S, T, cap, codes, swapped)
     out: dict[Pair, complex] = {}
     dropped = False
     small, big = (T, S) if swapped else (S, T)
@@ -108,30 +116,31 @@ def t_mul(S: TensorPoly, T: TensorPoly) -> TensorPoly:
 
 
 def _t_mul_batched(
-    left: dict, right: dict, cap: int, codes: WordCodes, outer_right: bool
-) -> tuple[dict, bool]:
-    """The coefficient dict of the # product loop under ``cap``, and whether
-    a pair was dropped, from ``ncpoly.batched_pairs``; the loop runs over
-    ``right`` outside with ``outer_right``.  ``codes`` must cover every word
-    of both operands.  A term's grade codes its bidegree (|a|, |b|): the
+    left: TensorPoly, right: TensorPoly, cap: int, codes: WordCodes, outer_right: bool
+) -> TensorPoly:
+    """The # product loop's result under ``cap``, from
+    ``ncpoly.batched_pairs``, with its coded view attached; the loop runs
+    over ``right`` outside with ``outer_right``.  ``codes`` must cover every
+    word of both operands.  A term's grade codes its bidegree (|a|, |b|): the
     pair (a1 (x) b1, a2 (x) b2) onto a key is fixed by (|a1|, |b1|)."""
-    k1, k2 = list(left), list(right)
-    ia1, la1 = codes.index([a for a, _ in k1])
-    ib1, lb1 = codes.index([b for _, b in k1])
-    ia2, la2 = codes.index([a for a, _ in k2])
-    ib2, lb2 = codes.index([b for _, b in k2])
-    c1 = np.fromiter(left.values(), complex, len(k1))
-    c2 = np.fromiter(right.values(), complex, len(k2))
+    k1, k2 = list(left.coeffs), list(right.coeffs)
+    _, _, (ia1, la1, ib1, lb1), c1 = left._coded(codes)
+    _, _, (ia2, la2, ib2, lb2), c2 = right._coded(codes)
     fits = (la1 + lb1)[:, None] + (la2 + lb2)[None, :] <= cap
     # no leg is longer than codes.cap, so distinct bidegrees get distinct grades
     g1, g2 = la1 * (codes.cap + 1) + lb1, la2 * (codes.cap + 1) + lb2
 
+    def legs(s, t):
+        # (a1 (x) b1) # (a2 (x) b2) = a1 a2 (x) b2 b1, each leg's index and
+        # length
+        return (
+            ia1[s] * codes.powers[la2[t]] + ia2[t], la1[s] + la2[t],
+            ib2[t] * codes.powers[lb1[s]] + ib1[s], lb2[t] + lb1[s],
+        )
+
     def key(s, t):
-        # (a1 (x) b1) # (a2 (x) b2) = a1 a2 (x) b2 b1: the index of the word
-        # a1 a2 b2 b1, then the lengths of both legs
-        pa, pb = la1[s] + la2[t], lb2[t] + lb1[s]
-        ia = ia1[s] * codes.powers[la2[t]] + ia2[t]
-        ib = ib2[t] * codes.powers[lb1[s]] + ib1[s]
+        # the index of the word a1 a2 b2 b1, then the lengths of both legs
+        ia, pa, ib, pb = legs(s, t)
         c = codes.cap + 1
         return ((ia * codes.powers[pb] + ib) * c + pa) * c + pb
 
@@ -140,7 +149,10 @@ def _t_mul_batched(
         (k1[x][0] + k2[y][0], k2[y][1] + k1[x][1]): complex(u, v)
         for x, y, u, v in zip(s.tolist(), t.tolist(), re.tolist(), im.tolist())
     }
-    return out, not fits.all()
+    taint = left.truncated or right.truncated or not fits.all()
+    prod = TensorPoly._pruned(left.num_vars, out, cap, taint)
+    prod._attach(codes.dtype, legs(s, t), ncpoly._coef_array(re, im))
+    return prod
 
 
 def t_star(S: TensorPoly) -> TensorPoly:

@@ -10,7 +10,7 @@ from itertools import permutations, product
 import numpy as np
 
 from nctransport.arakiwoods import XiData, _wick
-from nctransport.calculus import partial_bar
+from nctransport.calculus import delta, partial_bar
 from nctransport.errors import DimMismatch, VarCountMismatch
 from nctransport.modular import ModularContext, apply_sigma, matrix_power
 from nctransport.moments import MomentOracle
@@ -19,6 +19,7 @@ from nctransport.ncpoly import (
     NCPoly,
     NormValue,
     Word,
+    WordCodes,
     max_coeff_diff,
     norm_R,
     rho,
@@ -88,6 +89,133 @@ def t_sigma_reference(
 
     out = TensorPoly.sum(S.num_vars, pieces(), S.degree_cap)
     return TensorPoly(S.num_vars, out.coeffs, S.degree_cap, S.truncated or out.truncated)
+
+
+def rho_reference(ctx: ModularContext, P: NCPoly, k: int = 1) -> NCPoly:
+    """Twisted cyclic rotation (``ncpoly.rho``) reading the entries of A as
+    numpy scalars, with the full twists from ``apply_sigma_reference``."""
+    if P.num_vars != ctx.num_vars:
+        raise VarCountMismatch(
+            f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
+        )
+    A = ctx.A
+    n_gen = ctx.num_vars
+
+    def pieces():
+        for n in P.degrees():
+            comp = P.project_degree(n)
+            if n == 0 or k == 0:
+                yield comp
+                continue
+            l = k % n
+            m = (k - l) // n
+            coeffs = comp.coeffs
+            for _ in range(l):
+                nxt: dict[Word, complex] = {}
+                for w, c in coeffs.items():
+                    last = w[-1]
+                    head = w[:-1]
+                    row = A[last - 1]
+                    for v in range(n_gen):
+                        a = row[v]
+                        if a == 0:
+                            continue
+                        key = (v + 1,) + head
+                        nxt[key] = nxt.get(key, 0.0) + c * a
+                coeffs = nxt
+            piece = NCPoly(ctx.num_vars, coeffs, P.degree_cap, comp.truncated)
+            if m != 0:
+                piece = apply_sigma_reference(ctx, piece, -float(m))
+            yield piece
+
+    out = NCPoly.sum(ctx.num_vars, pieces(), P.degree_cap)
+    return NCPoly._pruned(ctx.num_vars, out.coeffs, P.degree_cap, P.truncated)
+
+
+def weighted_delta_reference(weights, P: NCPoly) -> TensorPoly:
+    """sum_k weights[k - 1] delta_k P with the weights as given (numpy
+    scalars from a row or column of alpha), as ``partial_sigma`` and
+    ``partial_bar`` sum it."""
+    return TensorPoly.sum(
+        P.num_vars,
+        (delta(k, P).scale(a) for k, a in enumerate(weights, start=1) if abs(a) > 0),
+        2 * P.degree_cap,
+    )
+
+
+def moment_reference(ctx: ModularContext, q: float, word: Word) -> complex:
+    """A monomial moment by the two production routes of ``MomentOracle``,
+    reading <e_j, e_k>_U as numpy scalars: the non-crossing interval
+    recursion at q = 0, the Fock-space walk otherwise."""
+    inner = ctx.inner_U
+    if len(word) % 2 == 1:
+        return 0.0 + 0.0j
+    if q == 0.0:
+        memo: dict[Word, complex] = {(): 1.0 + 0.0j}
+
+        def rec(w: Word) -> complex:
+            if len(w) % 2 == 1:
+                return 0.0 + 0.0j
+            got = memo.get(w)
+            if got is not None:
+                return got
+            total = 0.0 + 0.0j
+            first = w[0]
+            for k in range(1, len(w), 2):
+                c = inner[first - 1, w[k] - 1]
+                if c == 0:
+                    continue
+                total += c * rec(w[1:k]) * rec(w[k + 1:])
+            memo[w] = total
+            return total
+
+        return complex(rec(word))
+    state: dict[Word, complex] = {(): 1.0 + 0.0j}
+    n = len(word)
+    for step, letter in enumerate(reversed(word)):
+        budget = n - step - 1
+        nxt: dict[Word, complex] = {}
+        for vec, c in state.items():
+            created = (letter,) + vec
+            if len(created) <= budget:
+                nxt[created] = nxt.get(created, 0.0) + c
+            qfac = 1.0
+            for m, slot in enumerate(vec):
+                w = inner[letter - 1, slot - 1]
+                if w != 0:
+                    reduced = vec[:m] + vec[m + 1:]
+                    if len(reduced) <= budget:
+                        nxt[reduced] = nxt.get(reduced, 0.0) + c * qfac * w
+                qfac *= q
+        state = nxt
+    return complex(state.get((), 0.0 + 0.0j))
+
+
+def fresh_view(P) -> tuple:
+    """The coded view of an ``NCPoly`` or ``TensorPoly`` that carries one,
+    built again from its map under codes of the view's dtype."""
+    dtype = P.__dict__["_view"][0]
+    degree = max(map(P._size, P.coeffs), default=0)
+    codes = WordCodes(P.num_vars, degree)
+    if codes.dtype is not dtype:
+        # every count of generators above one takes Python-int codes here
+        codes = WordCodes(P.num_vars, 62)
+    assert codes.dtype is dtype
+    arrays = P._encode(list(P.coeffs), codes)
+    coef = np.fromiter(P.coeffs.values(), complex, len(P.coeffs))
+    return dtype, degree, arrays, coef
+
+
+def views_equal(a: tuple, b: tuple) -> bool:
+    """Two coded views hold the same dtype, degree, code arrays (values and
+    dtypes) and coefficient bits."""
+    return (
+        a[0] is b[0]
+        and a[1] == b[1]
+        and len(a[2]) == len(b[2])
+        and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a[2], b[2]))
+        and a[3].tobytes() == b[3].tobytes()
+    )
 
 
 def constant(num_vars: int, c: complex, cap: int) -> NCPoly:

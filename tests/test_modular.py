@@ -1,17 +1,24 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 from nctransport import build_context, cli, modular
-from nctransport.calculus import cyclic_D
+from nctransport.calculus import cyclic_D, partial_bar, partial_sigma
 from nctransport.errors import EmptyContext, NonPositiveLambda, VarCountMismatch
 from nctransport.modular import ModularContext, apply_sigma, matrix_power
-from nctransport.ncpoly import NCPoly, max_coeff_diff, quadratic_potential
+from nctransport.moments import MomentOracle
+from nctransport.ncpoly import NCPoly, max_coeff_diff, quadratic_potential, rho
 from nctransport.randgen import random_poly, random_tensor
 from nctransport.tensor import TensorPoly, t_sigma
-from oracles import apply_sigma_reference
+from oracles import (
+    apply_sigma_reference,
+    cyclic_D_reference,
+    moment_reference,
+    rho_reference,
+    t_sigma_reference,
+    weighted_delta_reference,
+)
 
 TOL = 1e-10
 
@@ -202,17 +209,7 @@ def test_sigma_table_checks_and_tracial_shortcut(rng):
     assert _empty(tr.sigma_table)
 
 
-def _strict_config(tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({
-        "lambdas": [2.0], "num_trivial": 0, "q": 3e-5, "R": 6.0, "R_prime": 7.0,
-        "degree_cap": 6, "level_cap": 4, "tolerance": 1e-9, "strict_hypotheses": True,
-    }))
-    return ["q-isomorphism", "--config", str(cfg), "--degree", "3",
-            "--conjugate-degree", "4", "--quiet"]
-
-
-def test_cli_runs_share_no_table_and_expand_each_word_once(tmp_path, monkeypatch):
+def test_cli_runs_share_no_table_and_expand_each_word_once(strict_argv, monkeypatch):
     # each cli.run builds its own context, whose table starts empty; on the
     # strict pipeline every distinct (s, word) is expanded exactly once
     contexts, expansions, asked = [], [], []
@@ -237,11 +234,74 @@ def test_cli_runs_share_no_table_and_expand_each_word_once(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "build_context", counting_build)
     monkeypatch.setattr(modular, "_expand", counting_expand)
     monkeypatch.setattr(ModularContext, "twist", recording_twist)
-    argv = _strict_config(tmp_path)
-    assert cli.run(argv) == cli.EXIT_OK
-    assert cli.run(argv) == cli.EXIT_OK
+    assert cli.run(strict_argv) == cli.EXIT_OK
+    assert cli.run(strict_argv) == cli.EXIT_OK
     assert len(contexts) == 2 and contexts[0].sigma_table is not contexts[1].sigma_table
     for ctx, count, keys in zip(contexts, expansions, asked):
         assert count == len(keys) == len(ctx.sigma_table) > 0
         assert keys == set(ctx.sigma_table.twists)
     assert expansions[0] == expansions[1]
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize(
+    "lambdas, num_trivial",
+    [([2.0], 0), ([2.0, 3.0], 0), ([1.0001], 0), ([2.0], 1), ([], 1)],
+    ids=["lam2", "lam2_3", "lam1.0001", "lam2_triv1", "triv1"],
+)
+def test_scalar_tables_match_numpy_reads(lambdas, num_trivial, rng):
+    # every loop that reads the context's Python tables gives what the same
+    # loop gives on numpy scalar reads of A, alpha and inner_U, bit for bit:
+    # keys, key order, coefficients with the sign of zero, and taint
+    ctx = build_context(lambdas, num_trivial)
+    n = ctx.num_vars
+    for rows, M in ((ctx.A_rows, ctx.A), (ctx.alpha_rows, ctx.alpha), (ctx.inner_rows, ctx.inner_U)):
+        assert all(type(x) is complex for row in rows for x in row)
+        assert [list(map(_hex, row)) for row in rows] == [list(map(_hex, row)) for row in M]
+    polys = [random_poly(ctx, rng, 5, cap=6, terms=10) for _ in range(3)]
+    # real coefficients, whose products with real entries have zero parts
+    polys.append(random_poly(ctx, rng, 5, cap=6, terms=10, real=True))
+    polys.append(
+        NCPoly(n, {(): complex(-1.0, -0.0), (1, n): complex(-0.0, 2.0), (n,) * 7: -0.5}, 6, True)
+    )
+    polys.append(NCPoly(n, {(1,): 1e-14 + 0j, (n, 1): -1.3e-14j, (1, 1): 0.9e-14 + 0j}, 6))
+    tensors = [random_tensor(ctx, rng, 4, terms=12) for _ in range(3)]
+    tensors.append(TensorPoly(n, {
+        ((), ()): complex(-1.0, -0.0), ((1,), (n,)): complex(-0.0, 2.0), ((n, 1), (1,)): -0.5,
+    }, 6))
+    for _ in range(2):  # a cold and a warm sigma table
+        for P in polys:
+            for k in (1, 2, 3, 5, -1):
+                assert _bits(rho(ctx, P, k)) == _bits(rho_reference(ctx, P, k))
+            for s in (1.0, 0.5, -1.0, 2.0):
+                assert _bits(apply_sigma(ctx, P, s)) == _bits(apply_sigma_reference(ctx, P, s))
+            for j in range(1, n + 1):
+                assert _bits(cyclic_D(ctx, j, P)) == _bits(cyclic_D_reference(ctx, j, P))
+                assert _bits(partial_sigma(ctx, j, P)) == _bits(
+                    weighted_delta_reference(ctx.alpha[:, j - 1], P)
+                )
+                assert _bits(partial_bar(ctx, j, P)) == _bits(
+                    weighted_delta_reference(ctx.alpha[j - 1], P)
+                )
+        for T in tensors:
+            for sl, sr in ((1.0, 0.0), (0.5, 0.0), (-1.0, 0.0), (0.0, -1.0), (0.5, -1.0)):
+                assert _bits(t_sigma(ctx, T, sl, sr)) == _bits(t_sigma_reference(ctx, T, sl, sr))
+    table = ctx.sigma_table
+    assert len(table) > 0 or ctx.is_tracial
+    assert all(type(m) is complex for rows in table.rows.values() for row in rows for _, m in row)
+    for tw in table.twists.values():
+        assert all(type(m) is complex for _, ms in tw.paths for m in ms)
+        assert all(type(c) is complex for c in tw.unit.values())
+    # both moment routes, each word on a fresh memo and on one shared memo
+    words = [()] + [
+        tuple(int(x) for x in rng.integers(1, n + 1, size=m)) for m in (1, 2, 3, 4, 4, 6, 6, 8)
+    ]
+    for q in (0.0, 0.3, -0.45):
+        shared = MomentOracle(ctx, q)
+        for w in words:
+            want = _hex(moment_reference(ctx, q, w))
+            assert _hex(MomentOracle(ctx, q).moment(w)) == want
+            assert _hex(shared.moment(w)) == want

@@ -261,10 +261,11 @@ def _hex(z):
 
 
 def test_linear_extensions_read_the_memo(lam2, rng, monkeypatch):
-    # state, state_tensor and the contractions look words up in the memo
-    # themselves and add the values moment() gives in the same order, on a
-    # cold memo and on a warm one, where they call moment() no more
+    # state, state_tensor, inner and the contractions look words up in the
+    # memo themselves and add the values moment() gives in the same order,
+    # on a cold memo and on a warm one, where they call moment() no more
     P = random_poly(lam2, rng, 5, cap=6, terms=15)
+    Q = random_poly(lam2, rng, 3, cap=6, terms=8)
     T = random_tensor(lam2, rng, 5, terms=15)
     for q in (0.0, 0.3):
         o = MomentOracle(lam2, q)
@@ -282,10 +283,15 @@ def test_linear_extensions_read_the_memo(lam2, rng, monkeypatch):
                 (c * ref.moment(a) * ref.moment(b) for (a, b), c in T.coeffs.items()),
                 0.0 + 0.0j,
             )
+            inner = 0.0 + 0.0j
+            for wp, cp in P.coeffs.items():
+                for wq, cq in Q.coeffs.items():
+                    inner += cp.conjugate() * cq * ref.moment(wp[::-1] + wq)
             monkeypatch.setattr(MomentOracle, "moment", counting)
             calls.clear()
             assert _hex(o.state(P)) == _hex(state)
             assert _hex(o.state_tensor(T)) == _hex(tensor)
+            assert _hex(o.inner(P, Q)) == _hex(inner)
             left, right = o.contract_left(T), o.contract_right(T)
             assert bool(calls) != warm
             monkeypatch.setattr(MomentOracle, "moment", moment)

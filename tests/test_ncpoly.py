@@ -1,11 +1,14 @@
+import dataclasses
+import gc
 import json
+import weakref
 from functools import reduce
-from operator import add
+from operator import add, mul
 
 import numpy as np
 import pytest
 
-from nctransport import ncpoly
+from nctransport import cli, ncpoly
 from nctransport.errors import VarCountMismatch
 from nctransport.modular import apply_sigma, build_context
 from nctransport.ncpoly import (
@@ -22,7 +25,14 @@ from nctransport.ncpoly import (
 from nctransport.randgen import random_centralizer, random_poly, random_tensor
 from nctransport.serialize import poly_from_terms, poly_to_terms
 from nctransport.tensor import TensorPoly, t_mul
-from oracles import constant, is_centralizer, norm_R_sigma_reference, substitute_reference
+from oracles import (
+    constant,
+    fresh_view,
+    is_centralizer,
+    norm_R_sigma_reference,
+    substitute_reference,
+    views_equal,
+)
 
 TOL = 1e-12
 
@@ -154,8 +164,12 @@ def test_mul_batched_matches_loop(monkeypatch, n, cap, left_cap, max_len, code_t
         loop = a * b
         monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
         batched = a * b
+        # again on the coded views both operands now carry
+        assert "_view" in a.__dict__ and "_view" in b.__dict__
+        warm = a * b
         monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
-        assert _bits(default) == _bits(loop) == _bits(batched)
+        assert _bits(default) == _bits(loop) == _bits(batched) == _bits(warm)
+        assert views_equal(warm.__dict__["_view"], fresh_view(warm))
 
 
 def _graded_poly(rng, n, terms, max_len, cap, seed_terms):
@@ -214,12 +228,104 @@ def test_mul_grade_bound_matches_loop(monkeypatch, n, cap, nan, code_type):
             monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
             formed.clear()
             batched = left * right
+            warm = left * right  # on the operands' coded views
             monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
-            assert _bits(left * right) == _bits(loop) == _bits(batched)
+            assert _bits(left * right) == _bits(loop) == _bits(batched) == _bits(warm)
             assert loop.truncated == (fitting < pairs)
             assert abs(loop.coeffs[(1,) * 5] - 1.2e-14) < 1e-15
             # the pairs of degree 6 and more are not formed
             assert set(formed) == {kept} and (kept < fitting) == (cap > 5)
+
+
+def _pair_poly(rng, n, terms, max_len, cap):
+    """Random tensor with exactly ``terms`` coefficients."""
+    coeffs = {}
+    while len(coeffs) < terms:
+        a, b = (tuple(int(j) for j in rng.integers(1, n + 1, rng.integers(0, max_len + 1))) for _ in "ab")
+        coeffs.setdefault((a, b), complex(*rng.standard_normal(2)))
+    return TensorPoly(n, coeffs, cap)
+
+
+def _plain_word_poly(rng, n, terms, max_len, cap):
+    return _word_poly(rng, n, terms, max_len, cap, {})
+
+
+# per kind: a random operand with exactly ``terms`` coefficients, and the product
+PRODUCTS = {"NCPoly": (_plain_word_poly, mul), "TensorPoly": (_pair_poly, t_mul)}
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCTS))
+def test_coded_views_stay_out_of_eq_and_repr_and_follow_with_cap(monkeypatch, kind):
+    # a batched product carries the coded view of its map; the view is no
+    # field, shares the map's life, and with_cap passes it on only with the
+    # map itself
+    make, product = PRODUCTS[kind]
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
+    a, b = make(rng, 2, 20, 5, 12), make(rng, 2, 20, 5, 12)
+    p = product(a, b)
+    view = p.__dict__["_view"]
+    assert views_equal(view, fresh_view(p))
+    plain = type(p)(2, dict(p.coeffs), p.degree_cap, p.truncated)
+    assert "_view" not in plain.__dict__
+    assert "_view" not in {f.name for f in dataclasses.fields(p)}
+    assert p == plain and repr(p) == repr(plain)
+    degree = p.degree()
+    assert degree == plain.degree() == view[1]
+    shared = p.with_cap(degree)
+    assert shared.coeffs is p.coeffs and shared.__dict__["_view"] is view
+    cut = p.with_cap(degree - 1)
+    assert cut.truncated and "_view" not in cut.__dict__
+    coef = weakref.ref(view[3])
+    del p, shared, view
+    gc.collect()
+    assert coef() is None
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCTS))
+@pytest.mark.parametrize("n, low, high, max_len", [(2, 31, 62, 30), (30, 11, 12, 5)])
+def test_coded_views_are_rebuilt_for_the_other_code_dtype(monkeypatch, kind, n, low, high, max_len):
+    # views of int64 codes are never reused under Python-int codes, nor the
+    # other way round: each product gives the per-pair loop's result
+    assert ncpoly.WordCodes(n, low).dtype is np.int64
+    assert ncpoly.WordCodes(n, high).dtype is object
+    make, product = PRODUCTS[kind]
+    rng = np.random.default_rng(n)
+    if kind == "TensorPoly":
+        max_len //= 2
+    a, b = make(rng, n, 40, max_len, high), make(rng, n, 40, max_len, high)
+    # a product with low_b has the cap ``low`` and takes int64 codes
+    low_b = b.with_cap(low)
+    before = []
+    for x, y, dtype in ((a, low_b, np.int64), (a, b, object), (a, low_b, np.int64), (b, a, object)):
+        before.append(tuple(z.__dict__.get("_view", [None])[0] for z in (x, y)))
+        monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 10**9)
+        loop = product(x, y)
+        monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
+        batched = product(x, y)
+        assert _bits(batched) == _bits(loop)
+        assert x.__dict__["_view"][0] is y.__dict__["_view"][0] is dtype
+        assert views_equal(batched.__dict__["_view"], fresh_view(batched))
+    # the views each product found on its operands: every product after the
+    # first rebuilt one of the other dtype
+    assert before == [(None, None), (np.int64, None), (object, np.int64), (object, np.int64)]
+
+
+def test_coded_views_match_their_maps_after_a_strict_run(strict_argv, monkeypatch):
+    # every view a strict pipeline run attaches, to an operand or to a
+    # product, still codes its map when the run is over
+    kept = []
+    attach = ncpoly._Sparse._attach
+
+    def recording(self, dtype, arrays, coef):
+        kept.append(self)
+        return attach(self, dtype, arrays, coef)
+
+    monkeypatch.setattr(ncpoly._Sparse, "_attach", recording)
+    assert cli.run(strict_argv) == cli.EXIT_OK
+    assert {type(p) for p in kept} == {NCPoly, TensorPoly}
+    for p in kept:
+        assert views_equal(p.__dict__["_view"], fresh_view(p))
 
 
 def test_mul_new_key_has_no_negative_zero(monkeypatch):

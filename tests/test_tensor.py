@@ -29,7 +29,15 @@ from nctransport.tensor import (
     trace_Ainv,
     vec_dot,
 )
-from oracles import identity_matrix, mat_vec, t_apply, t_flip_m, t_sigma_reference
+from oracles import (
+    fresh_view,
+    identity_matrix,
+    mat_vec,
+    t_apply,
+    t_flip_m,
+    t_sigma_reference,
+    views_equal,
+)
 
 TOL = 1e-12
 
@@ -99,9 +107,10 @@ def test_t_mul_batched_matches_loop(monkeypatch, n, cap, left_cap, max_len, code
     seed_t = {((), (1,)): 0.25, ((1,), ()): -0.25, ((2,), ()): -3.0}
 
     def routes(fn):
-        # fn() at the default threshold, with the loop only, with arrays only
+        # fn() at the default threshold, with the loop only, with arrays
+        # only, and with arrays again on the operands' coded views
         out = []
-        for route in (limit, 10**9, 0):
+        for route in (limit, 10**9, 0, 0):
             monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", route)
             out.append([_bits(x) for x in fn()])
         return out
@@ -111,16 +120,20 @@ def test_t_mul_batched_matches_loop(monkeypatch, n, cap, left_cap, max_len, code
         S = _pair_poly(rng, n, rows, max_len, left_cap, seed_s)
         T = _pair_poly(rng, n, pairs // rows, max_len, cap, seed_t)
         assert len(S.coeffs) * len(T.coeffs) == pairs
-        default, loop, batched = routes(lambda: [t_mul(S, T), t_mul(T, S)])
-        assert default == loop == batched
+        default, loop, batched, warm = routes(lambda: [t_mul(S, T), t_mul(T, S)])
+        assert default == loop == batched == warm
+        assert "_view" in S.__dict__ and "_view" in T.__dict__
+        prod = t_mul(S, T)
+        assert views_equal(prod.__dict__["_view"], fresh_view(prod))
     for side in (isqrt(limit - 1), isqrt(limit)):
         S = _pair_poly(rng, n, side, max_len, left_cap, seed_s)
         copy = TensorPoly(n, dict(S.coeffs), left_cap)
         # mat_mul(Q, Q) takes t_mul(S, S) on its diagonal, t_mul(S, copy)
         # (a tie) off it
         Q = TensorMatrix(2, ((S, copy), (copy, S)))
-        default, loop, batched = routes(lambda: [t_mul(S, S), *mat_mul(Q, Q).entries[0]])
-        assert default == loop == batched
+        default, loop, batched, warm = routes(lambda: [t_mul(S, S), *mat_mul(Q, Q).entries[0]])
+        assert default == loop == batched == warm
+        assert "_view" in S.__dict__ and "_view" in copy.__dict__
 
 
 def _graded_pair_poly(rng, n, terms, cap, seed_terms):
@@ -186,8 +199,9 @@ def test_t_mul_grade_bound_matches_loop(monkeypatch, n, cap, nan, code_type):
             monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
             formed.clear()
             batched = t_mul(left, right)
+            warm = t_mul(left, right)  # on the operands' coded views
             monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
-            assert _bits(t_mul(left, right)) == _bits(loop) == _bits(batched)
+            assert _bits(t_mul(left, right)) == _bits(loop) == _bits(batched) == _bits(warm)
             assert loop.truncated == (fitting < len(left.coeffs) * len(right.coeffs))
             if left is not right:
                 assert abs(loop.coeffs[key] - 1.2e-14) < 1.5e-15
