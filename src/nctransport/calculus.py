@@ -57,11 +57,11 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
 
     On a word, every position l contributes alpha_{j, w_l} times the tail
     (twisted by the modular action) followed by the head.  Computed by the
-    explicit word formula, with each tail's twist read from the context's
-    sigma table and the terms added into one dict as ``NCPoly.sum`` adds
-    the per-term products; the tests cross-check it against those and
-    against the composition through the difference quotient.  The output
-    carries the input's truncation taint.
+    explicit word formula, with each tail's twist from the context's memo
+    (``ModularContext.unit_twist``) and the terms added into one dict as
+    ``NCPoly.sum`` adds the per-term products; the tests cross-check it
+    against those and against the composition through the difference
+    quotient.  The output carries the input's truncation taint.
     """
     ctx.check_index(j)
     if P.num_vars != ctx.num_vars:
@@ -77,7 +77,7 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
             a = alpha[w[l] - 1]
             if abs(a) == 0.0:
                 continue
-            tw = ctx.twist(-1.0, w[l + 1:]).unit
+            tw = ctx.unit_twist(-1.0, w[l + 1:])
             m = c * a
             if abs(m) <= PRUNE_TOL:
                 continue
@@ -161,7 +161,7 @@ def symmetrize_S(ctx: ModularContext, P: NCPoly) -> NCPoly:
         if n == 0:
             return comp
         # comp and its n - 1 successive rotations, one at a time
-        orbit = accumulate(range(1, n), lambda p, _: rho(ctx, p, 1), initial=comp)
+        orbit = accumulate(range(1, n), lambda p, _: rho(ctx, p), initial=comp)
         return NCPoly.sum(P.num_vars, orbit, P.degree_cap).scale(1.0 / n)
 
     return NCPoly.sum(P.num_vars, map(averaged, P.degrees()), P.degree_cap)

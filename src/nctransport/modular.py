@@ -5,6 +5,9 @@ generators.  A is block diagonal: one 2x2 block per parameter lambda_k plus
 an identity block, so its spectrum is {1} together with the pairs
 lambda_k^{+-1}.  All one-parameter symmetries used here are real powers of A
 acting linearly on generators and multiplicatively on words.
+A word is twisted letter by letter (``twist_paths``) through the rows of
+A^{-s}, which a context keeps per power s; it also keeps, without bound,
+each (s, word)'s twist with coefficient one (``ModularContext.unit_twist``).
 """
 
 from __future__ import annotations
@@ -23,52 +26,6 @@ MATRIX_TOL = 1e-10
 Word = tuple[int, ...]
 
 
-class Twist:
-    """The image of one word under X_j -> sum_k [A^{-s}]_{jk} X_k.
-
-    ``paths`` holds each twisted word with the matrix entries
-    ([A^{-s}]_{w_1 k_1}, ..., [A^{-s}]_{w_n k_n}) along it, zero entries
-    skipped, in the order of the letter-by-letter expansion (k ascending at
-    each letter).  ``unit`` is the twist of the word with coefficient one as
-    ``apply_sigma`` returns it: each path's ``fold`` of 1 + 0j, added to 0.0
-    and pruned.
-    """
-
-    __slots__ = ("paths", "unit")
-
-    def __init__(self, paths: tuple[tuple[Word, tuple], ...], unit: dict[Word, complex]):
-        self.paths = paths
-        self.unit = unit
-
-    def fold(self, c: complex) -> list[tuple[Word, complex]]:
-        """Each twisted word with c carried along its path by v -> 0j + v * m,
-        the steps of the letter-by-letter expansion."""
-        out = []
-        for w, ms in self.paths:
-            v = c
-            for m in ms:
-                v = 0j + v * m
-            out.append((w, v))
-        return out
-
-
-class SigmaTable:
-    """The modular twists a context has computed, filled on demand by
-    ``ModularContext.twist``: per power s the nonzero entries of each row of
-    A^{-s} as Python ``complex`` (``rows``), and per (s, word) the word's
-    ``Twist`` (``twists``).
-    Its length is the number of twisted (s, word) pairs."""
-
-    __slots__ = ("rows", "twists")
-
-    def __init__(self):
-        self.rows: dict[float, list] = {}
-        self.twists: dict[tuple[float, Word], Twist] = {}
-
-    def __len__(self) -> int:
-        return len(self.twists)
-
-
 @dataclass(frozen=True)
 class ModularContext:
     """Immutable bundle of the modular matrix A and derived data.
@@ -81,10 +38,11 @@ class ModularContext:
     A : N x N Hermitian positive matrix.
     alpha : 2 (1 + A)^{-1}; Hermitian with unit diagonal, |alpha_jk| <= 1.
     norm_A : operator norm of A, the largest of 1 and lambda_k^{+-1}.
-    A_rows, alpha_rows, inner_rows : A, alpha and ``inner_U`` as lists of
-        rows of Python ``complex``, which the per-term loops read: an entry
-        read from a list and multiplied costs about a third of a numpy
-        scalar's, with the same bits.  Derived on construction.
+    alpha_rows, inner_rows : alpha and ``inner_U`` as lists of rows of
+        Python ``complex``, which the per-term loops read: an entry read from
+        a list and multiplied costs about a third of a numpy scalar's, with
+        the same bits.  Derived on construction.  The rows of A^{-s} are read
+        the same way, through ``rows``.
     """
 
     num_vars: int
@@ -96,18 +54,17 @@ class ModularContext:
     # Eigendecomposition of A, cached for real matrix powers.
     _eigvals: np.ndarray = field(repr=False, default=None)
     _eigvecs: np.ndarray = field(repr=False, default=None)
-    # Every twist by A^{-s} computed on this context; a fresh context, or one
-    # made from it by ``dataclasses.replace``, starts with an empty table.
-    sigma_table: SigmaTable = field(
-        default_factory=SigmaTable, init=False, repr=False, compare=False
-    )
-    A_rows: list = field(init=False, repr=False, compare=False)
+    # The rows of A^{-s} and the unit twists this context has computed, per
+    # power s and per (s, word); a fresh context, or one made from it by
+    # ``dataclasses.replace``, starts with both empty.
+    sigma_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    unit_twists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     alpha_rows: list = field(init=False, repr=False, compare=False)
     inner_rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # complex, never float, so that no product is a mixed complex * float
-        for name, M in (("A_rows", self.A), ("alpha_rows", self.alpha), ("inner_rows", self.inner_U)):
+        for name, M in (("alpha_rows", self.alpha), ("inner_rows", self.inner_U)):
             object.__setattr__(self, name, np.asarray(M, dtype=complex).tolist())
 
     @property
@@ -127,36 +84,44 @@ class ModularContext:
         if not 1 <= j <= self.num_vars:
             raise IndexOutOfRange(f"generator index {j} outside 1..{self.num_vars}")
 
-    def twist(self, s: float, word: Word) -> Twist:
-        """The ``Twist`` of ``word`` at s, expanded on the first request for
-        (s, word) and read from the sigma table after that."""
-        table = self.sigma_table
-        got = table.twists.get((s, word))
+    def rows(self, s: float) -> list:
+        """The nonzero entries of each row of A^{-s}, as (index, entry) pairs
+        with index ascending and the entry a Python ``complex``; computed on
+        the first request for s and kept."""
+        got = self.sigma_rows.get(s)
         if got is None:
-            rows = table.rows.get(s)
-            if rows is None:
-                rows = table.rows[s] = [
-                    [(k + 1, m) for k, m in enumerate(row) if m != 0]
-                    for row in matrix_power(self, -s).tolist()
-                ]
-            got = table.twists[s, word] = _expand(rows, word)
+            got = self.sigma_rows[s] = [
+                [(k + 1, m) for k, m in enumerate(row) if m != 0]
+                for row in matrix_power(self, -s).tolist()
+            ]
+        return got
+
+    def unit_twist(self, s: float, word: Word) -> dict[Word, complex]:
+        """The twist of ``word`` at s with coefficient one, as ``apply_sigma``
+        returns it: each path's coefficient taken from 0j and pruned.
+        Expanded on the first request for (s, word) and kept."""
+        got = self.unit_twists.get((s, word))
+        if got is None:
+            from .ncpoly import PRUNE_TOL
+
+            # adding to 0j leaves |v| as it is
+            got = self.unit_twists[s, word] = {
+                w: 0j + v
+                for w, v in twist_paths(self.rows(s), word, 1.0 + 0j)
+                if abs(v) > PRUNE_TOL
+            }
         return got
 
 
-def _expand(rows: list, word: Word) -> Twist:
-    """The ``Twist`` of a word, one row of nonzero (index, entry) pairs per
-    letter."""
-    from .ncpoly import PRUNE_TOL
-
-    paths = [((), ())]
+def twist_paths(rows: list, word: Word, c: complex) -> list[tuple[Word, complex]]:
+    """Each twisted word of c ``word`` with its coefficient, for one row of
+    nonzero (index, entry) pairs per letter (``ModularContext.rows``).  c is
+    carried letter by letter, v -> 0j + v * m, index ascending at each
+    letter.  No two paths end in the same word."""
+    paths = [((), c)]
     for letter in word:
-        paths = [(w + (k,), ms + (m,)) for w, ms in paths for k, m in rows[letter - 1]]
-    twist = Twist(tuple(paths), {})
-    for w, v in twist.fold(1.0 + 0j):
-        v = 0j + v
-        if abs(v) > PRUNE_TOL:
-            twist.unit[w] = v
-    return twist
+        paths = [(w + (k,), 0j + v * m) for w, v in paths for k, m in rows[letter - 1]]
+    return paths
 
 
 def modular_norm(lambdas) -> float:
@@ -233,7 +198,7 @@ def apply_sigma(ctx: ModularContext, P, s: float):
 
     Extended to words multiplicatively and to polynomials linearly.  s = -1
     sends the generator vector to A X; s = 0 is the identity.  Each word's
-    paths come from the context's sigma table.
+    paths are expanded from its coefficient (``twist_paths``).
     """
     from .ncpoly import NCPoly
 
@@ -243,8 +208,9 @@ def apply_sigma(ctx: ModularContext, P, s: float):
         )
     if s == 0.0 or ctx.is_tracial:
         return P
+    rows = ctx.rows(s)
     out: dict[Word, complex] = {}
     for word, c in P.coeffs.items():
-        for w2, v in ctx.twist(s, word).fold(c):
+        for w2, v in twist_paths(rows, word, c):
             out[w2] = out.get(w2, 0.0) + v
     return NCPoly(ctx.num_vars, out, P.degree_cap, P.truncated)

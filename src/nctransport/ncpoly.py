@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import VarCountMismatch
-from .modular import ModularContext, Word, apply_sigma
+from .modular import ModularContext, Word
 
 # Coefficients below this are double-precision noise, well under every test
 # tolerance, and are pruned on construction.
@@ -450,70 +450,58 @@ def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
     return NCPoly._pruned(nv, out.coeffs, cap, out.truncated or taint)
 
 
-def norm_R(P: NCPoly, R: float) -> float:
-    """Weighted coefficient-sum norm: sum |c(w)| R^{|w|}."""
+def norm_R(P: _Sparse, R: float) -> float:
+    """Weighted coefficient-sum norm: sum |c(k)| R^{|k|}, with |k| the
+    degree of the key (``_size``)."""
     if R <= 0:
         raise ValueError("R must be positive")
-    return float(sum(abs(c) * R ** len(w) for w, c in P.coeffs.items()))
+    size = P._size
+    return float(sum(abs(c) * R ** size(k) for k, c in P.coeffs.items()))
 
 
-def max_coeff_diff(P: NCPoly, Q: NCPoly) -> float:
-    """Largest coefficient deviation between two polynomials."""
+def max_coeff_diff(P: _Sparse, Q: _Sparse) -> float:
+    """Largest coefficient deviation between two maps of one kind."""
     P._check(Q)
-    words = set(P.coeffs) | set(Q.coeffs)
+    keys = set(P.coeffs) | set(Q.coeffs)
     return max(
-        (abs(P.coeffs.get(w, 0.0) - Q.coeffs.get(w, 0.0)) for w in words), default=0.0
+        (abs(P.coeffs.get(k, 0.0) - Q.coeffs.get(k, 0.0)) for k in keys), default=0.0
     )
 
 
-def rho(ctx: ModularContext, P: NCPoly, k: int = 1) -> NCPoly:
-    """Twisted cyclic rotation, k-fold.
+def rho(ctx: ModularContext, P: NCPoly) -> NCPoly:
+    """Twisted cyclic rotation: each word's last letter moves to the front
+    after acting on it by the modular matrix A.  On a degree-n word, n
+    rotations amount to one full modular twist of every letter.  Constants
+    are fixed.
 
-    One step moves the last letter to the front after acting on it by the
-    modular matrix; the inverse moves the first letter to the back with the
-    inverse action.  On a degree-n word, n steps amount to one full modular
-    twist of every letter, so k reduces modulo n against powers of the
-    modular action.  Constants are fixed.
+    One pass over the words in stable degree order, each new key from 0j;
+    the sums are then added to 0.0 and pruned, as a sum of one polynomial
+    per degree would.
     """
     if P.num_vars != ctx.num_vars:
         raise VarCountMismatch(
             f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
         )
-    A = ctx.A_rows
-
-    def pieces():
-        for n in P.degrees():
-            comp = P.project_degree(n)
-            if n == 0 or k == 0:
-                yield comp
-                continue
-            l = k % n
-            m = (k - l) // n
-            coeffs = comp.coeffs
-            for _ in range(l):
-                nxt: dict[Word, complex] = {}
-                for w, c in coeffs.items():
-                    head = w[:-1]
-                    for v, a in enumerate(A[w[-1] - 1], start=1):
-                        if a == 0:
-                            continue
-                        key = (v,) + head
-                        nxt[key] = nxt.get(key, 0j) + c * a
-                coeffs = nxt
-            piece = NCPoly(ctx.num_vars, coeffs, P.degree_cap, comp.truncated)
-            if m != 0:
-                piece = apply_sigma(ctx, piece, -float(m))
-            yield piece
-
-    out = NCPoly.sum(ctx.num_vars, pieces(), P.degree_cap)
-    return NCPoly._pruned(ctx.num_vars, out.coeffs, P.degree_cap, P.truncated)
+    A = ctx.rows(-1.0)
+    rotated: dict[Word, complex] = {}
+    for w, c in sorted(P.coeffs.items(), key=lambda t: len(t[0])):
+        if not w:
+            rotated[w] = c
+            continue
+        head = w[:-1]
+        for v, a in A[w[-1] - 1]:
+            key = (v,) + head
+            rotated[key] = rotated.get(key, 0j) + c * a
+    # adding to 0.0 leaves |c| as it is
+    out = {key: 0.0 + c for key, c in rotated.items() if abs(c) > PRUNE_TOL}
+    return NCPoly._pruned(ctx.num_vars, out, P.degree_cap, P.truncated)
 
 
 def is_cyclically_symmetric(
     ctx: ModularContext, P: NCPoly, tol: float = CENTRALIZER_TOL
 ) -> bool:
     """True when P is fixed by the twisted cyclic rotation."""
-    return max_coeff_diff(rho(ctx, P, 1), P) <= tol
+    return max_coeff_diff(rho(ctx, P), P) <= tol
 
 
 class NormValue(NamedTuple):
@@ -545,9 +533,9 @@ def norm_R_sigma(ctx: ModularContext, P: NCPoly, R: float) -> NormValue:
         best = norm_R(comp, R)
         rotated = comp
         for _ in range(1, n):
-            rotated = rho(ctx, rotated, 1)
+            rotated = rho(ctx, rotated)
             best = max(best, norm_R(rotated, R))
-        if not (ctx.is_tracial or max_coeff_diff(rho(ctx, rotated, 1), comp) <= CENTRALIZER_TOL):
+        if not (ctx.is_tracial or max_coeff_diff(rho(ctx, rotated), comp) <= CENTRALIZER_TOL):
             deg = P.degree()
             bound = ctx.norm_A ** max(deg - 1, 0) * norm_R(P, R)
             return NormValue(float(bound), False)

@@ -16,7 +16,7 @@ from .errors import BadGamma, NotCyclicallySymmetric
 from .modular import ModularContext
 from .moments import Law, MomentOracle
 from .ncpoly import NCPoly, Word, is_cyclically_symmetric
-from .tensor import TensorPoly, t_mul, t_sigma
+from .tensor import TensorPoly, t_mul
 
 
 def deformed_adjoint(
@@ -69,17 +69,6 @@ def deformed_adjoint(
     legs = (*left_cache.values(), *right_cache.values())
     truncated = T.truncated or Xi.truncated or len(kept) < len(acc) or any(p.truncated for p in legs)
     return NCPoly(nv, kept, cap, truncated)
-
-
-def partial_q_star(
-    o: MomentOracle, ctx: ModularContext, j: int, T: TensorPoly, Xi: TensorPoly
-) -> NCPoly:
-    """Adjoint of the deformed derivation applied to a word-pair tensor:
-    elementwise a X_j s(b) - a s(CL(dbar_j b # Xi)) - CR(dbar_j a # Xi) s(b),
-    with s the modular twist at -i.  With Xi = 1 (x) 1 this is the q = 0
-    adjoint; in particular the unit maps to the generator X_j.
-    """
-    return deformed_adjoint(o, ctx, j, t_sigma(ctx, T, 0.0, -1.0), Xi)
 
 
 def _words_up_to(n_vars: int, d: int):

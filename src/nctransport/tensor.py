@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, VarCountMismatch
-from .modular import ModularContext
+from .modular import ModularContext, twist_paths
 from . import ncpoly
 from .ncpoly import PRUNE_TOL, NCPoly, Word, WordCodes, _Sparse, batched_pairs
 
@@ -84,14 +84,15 @@ def tensor_of(P: NCPoly, Q: NCPoly, cap: int | None = None) -> TensorPoly:
 def t_mul(S: TensorPoly, T: TensorPoly) -> TensorPoly:
     """# product: (a (x) b) # (c (x) d) = (ac) (x) (db).
 
-    The outer loop runs over the operand with fewer terms, over S on a tie
-    but over T when S is T.  With at least ``ncpoly.PAIR_BATCH_MIN``
+    The outer loop runs over the operand with fewer terms, over S on a tie,
+    so equal operands give equal results whether or not they are one
+    object.  With at least ``ncpoly.PAIR_BATCH_MIN``
     coefficient pairs the pairs are summed as arrays (``_t_mul_batched``),
     with the same result.
     """
     S._check(T)
     cap = min(S.degree_cap, T.degree_cap)
-    swapped = len(S.coeffs) > len(T.coeffs) or S is T
+    swapped = len(S.coeffs) > len(T.coeffs)
     if len(S.coeffs) * len(T.coeffs) >= ncpoly.PAIR_BATCH_MIN:
         codes = WordCodes(S.num_vars, max(cap, S.degree(), T.degree()))
         return _t_mul_batched(S, T, cap, codes, swapped)
@@ -188,9 +189,10 @@ def t_dagger(S: TensorPoly) -> TensorPoly:
 def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -> TensorPoly:
     """Legwise modular action at imaginary parameters (s_left, s_right).
 
-    Each term c a (x) b becomes sigma(c a) (x) sigma(b): c goes through the
-    paths of a's twist at s_left, pruned as ``apply_sigma`` prunes, and b
-    takes its unit twist at s_right, both from the context's sigma table.
+    Each term c a (x) b becomes sigma(c a) (x) sigma(b): c is carried along
+    the paths of a's twist at s_left (``modular.twist_paths``), pruned as
+    ``apply_sigma`` prunes, and b takes its unit twist at s_right from the
+    context's memo (``ModularContext.unit_twist``).
     The pairs are added into one dict as ``TensorPoly.sum`` adds the
     per-term tensors ``tensor_of(sigma(c a), sigma(b))``: each product from
     0.0 and pruned, then summed with prune-on-touch.  A term over the cap
@@ -203,19 +205,16 @@ def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -
     if ctx.is_tracial or (s_left == 0.0 and s_right == 0.0):
         return S
     cap = S.degree_cap
+    rows = ctx.rows(s_left) if s_left != 0.0 else None
     acc: dict[Pair, complex] = {}
     dropped = False
     for (a, b), c in S.coeffs.items():
         if s_left == 0.0:
             left = [(a, c)]
         else:
-            left = []
-            for wa, v in ctx.twist(s_left, a).fold(c):
-                # apply_sigma's sum from 0.0, then its prune
-                v = 0.0 + v
-                if abs(v) > PRUNE_TOL:
-                    left.append((wa, complex(v)))
-        right = ctx.twist(s_right, b).unit if s_right != 0.0 else {b: 1.0 + 0j}
+            # apply_sigma's sum from 0.0 (|v| unchanged), then its prune
+            left = [(wa, 0.0 + v) for wa, v in twist_paths(rows, a, c) if abs(v) > PRUNE_TOL]
+        right = ctx.unit_twist(s_right, b) if s_right != 0.0 else {b: 1.0 + 0j}
         if len(a) + len(b) > cap:
             dropped = dropped or bool(left and right)
             continue
@@ -234,21 +233,10 @@ def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -
     return TensorPoly._pruned(S.num_vars, acc, cap, S.truncated or dropped)
 
 
-def pi_norm_bound(S: TensorPoly, R: float) -> float:
-    """Projective-norm upper bound from the stored representation."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    return float(
-        sum(abs(c) * R ** (len(a) + len(b)) for (a, b), c in S.coeffs.items())
-    )
-
-
-def max_pair_diff(S: TensorPoly, T: TensorPoly) -> float:
-    S._check(T)
-    keys = set(S.coeffs) | set(T.coeffs)
-    return max(
-        (abs(S.coeffs.get(k, 0.0) - T.coeffs.get(k, 0.0)) for k in keys), default=0.0
-    )
+# The projective-norm upper bound read off the stored representation, and the
+# largest coefficient deviation: the ``NCPoly`` bodies, on word-pair keys.
+pi_norm_bound = ncpoly.norm_R
+max_pair_diff = ncpoly.max_coeff_diff
 
 
 # -- matrices over the tensor algebra ---------------------------------------

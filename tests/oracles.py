@@ -24,7 +24,7 @@ from nctransport.ncpoly import (
     norm_R,
     rho,
 )
-from nctransport.schwinger import partial_q_star
+from nctransport.schwinger import deformed_adjoint
 from nctransport.tensor import (
     TensorMatrix,
     TensorPoly,
@@ -92,8 +92,9 @@ def t_sigma_reference(
 
 
 def rho_reference(ctx: ModularContext, P: NCPoly, k: int = 1) -> NCPoly:
-    """Twisted cyclic rotation (``ncpoly.rho``) reading the entries of A as
-    numpy scalars, with the full twists from ``apply_sigma_reference``."""
+    """The k-fold twisted cyclic rotation (``ncpoly.rho`` is k = 1), per
+    degree, reading the entries of A as numpy scalars, with the full twists
+    from ``apply_sigma_reference``."""
     if P.num_vars != ctx.num_vars:
         raise VarCountMismatch(
             f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
@@ -305,6 +306,17 @@ def _q_deriv_bar(ctx: ModularContext, j: int, P: NCPoly, Xi: TensorPoly) -> Tens
     return t_mul(base.with_cap(full), Xi.with_cap(full))
 
 
+def partial_q_star(
+    o: MomentOracle, ctx: ModularContext, j: int, T: TensorPoly, Xi: TensorPoly
+) -> NCPoly:
+    """Adjoint of the deformed derivation applied to a word-pair tensor:
+    elementwise a X_j s(b) - a s(CL(dbar_j b # Xi)) - CR(dbar_j a # Xi) s(b),
+    with s the modular twist at -i.  With Xi = 1 (x) 1 this is the q = 0
+    adjoint; in particular the unit maps to the generator X_j.
+    """
+    return deformed_adjoint(o, ctx, j, t_sigma(ctx, T, 0.0, -1.0), Xi)
+
+
 def partial_q_star_reference(
     o: MomentOracle, ctx: ModularContext, j: int, T: TensorPoly, Xi: TensorPoly
 ) -> NCPoly:
@@ -441,7 +453,7 @@ def norm_R_sigma_reference(ctx: ModularContext, P: NCPoly, R: float) -> NormValu
         best = norm_R(comp, R)
         rotated = comp
         for _ in range(1, n):
-            rotated = rho(ctx, rotated, 1)
+            rotated = rho(ctx, rotated)
             best = max(best, norm_R(rotated, R))
         total += best
     return NormValue(float(total), True)

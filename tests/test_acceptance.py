@@ -33,7 +33,7 @@ from nctransport.ncpoly import (
     quadratic_potential,
 )
 from nctransport.randgen import random_centralizer
-from nctransport.schwinger import partial_q_star, sd_residual
+from nctransport.schwinger import sd_residual
 from nctransport.tensor import (
     TensorPoly,
     mat_sigma,
@@ -49,7 +49,7 @@ from nctransport.transport import (
     inversion_residual,
     solve_transport,
 )
-from oracles import inner_tensor, jsigma_star, mat_vec, number_op
+from oracles import inner_tensor, jsigma_star, mat_vec, number_op, partial_q_star
 
 CTX1 = build_context([], 1)
 CTX2 = build_context([], 2)

@@ -280,7 +280,7 @@ def test_symmetrize_output_is_rotation_fixed(lam2, rng):
     for _ in range(6):
         p = random_centralizer(lam2, rng, 4, cap=8)
         s = symmetrize_S(lam2, p)
-        assert max_coeff_diff(rho(lam2, s, 1), s) < 1e-9
+        assert max_coeff_diff(rho(lam2, s), s) < 1e-9
 
 
 def test_symmetrize_contracts_norm(lam2, rng):

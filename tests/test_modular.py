@@ -131,8 +131,9 @@ def test_adjoint_intertwines_sigma(lam2, rng):
         assert max_coeff_diff(lhs, rhs) < 1e-10
 
 
-def _empty(table):
-    return len(table) == 0 and not table.rows
+def _empty(ctx):
+    # the context's sigma memo: its rows of A^{-s} and its unit twists
+    return not ctx.sigma_rows and not ctx.unit_twists
 
 
 def _bits(p):
@@ -143,9 +144,9 @@ def _bits(p):
     "lambdas, num_trivial", [([2.0], 0), ([2.0, 3.0], 0), ([2.0], 1)], ids=["lam2", "lam2_3", "lam2_triv1"]
 )
 def test_apply_sigma_matches_expansion_per_call(lambdas, num_trivial, rng):
-    # the table's paths give the letter-by-letter expansion bit for bit:
-    # keys, key order, coefficients with the sign of zero, and taint, on a
-    # warm table too
+    # the expansion through the context's rows of A^{-s} gives the one
+    # through numpy rows bit for bit: keys, key order, coefficients with the
+    # sign of zero, and taint, on warm rows too
     ctx = build_context(lambdas, num_trivial)
     n = ctx.num_vars
     inputs = [random_poly(ctx, rng, 5, cap=6, terms=10) for _ in range(3)]
@@ -163,32 +164,39 @@ def test_apply_sigma_matches_expansion_per_call(lambdas, num_trivial, rng):
 
 def test_sigma_table_starts_empty_and_fills_on_demand(lam2):
     ctx = build_context([2.0])
-    assert _empty(ctx.sigma_table)
-    assert "sigma_table" not in repr(ctx)
+    assert _empty(ctx)
+    assert "sigma_rows" not in repr(ctx) and "unit_twists" not in repr(ctx)
     p = NCPoly(2, {(1, 2): 1.0, (2,): 0.5}, 4)
+    # apply_sigma expands its words on every call and keeps only the rows
     apply_sigma(ctx, p, -1.0)
-    assert set(ctx.sigma_table.twists) == {(-1.0, (1, 2)), (-1.0, (2,))}
-    assert set(ctx.sigma_table.rows) == {-1.0}
+    assert set(ctx.sigma_rows) == {-1.0} and not ctx.unit_twists
     # A^{-s} once per power, its nonzero entries row by row
     rows = [[(k + 1, m) for k, m in enumerate(row) if m != 0] for row in matrix_power(ctx, 1.0)]
-    assert ctx.sigma_table.rows[-1.0] == rows
+    assert ctx.rows(-1.0) is ctx.sigma_rows[-1.0]
+    assert ctx.sigma_rows[-1.0] == rows
+    # cyclic_D keeps the unit twist of every tail
+    cyclic_D(ctx, 1, NCPoly(2, {(1, 1, 2): 1.0, (2,): 0.5}, 4))
+    assert set(ctx.unit_twists) == {(-1.0, (1, 2)), (-1.0, (2,)), (-1.0, ())}
     # a context made from another by dataclasses.replace starts empty
-    assert _empty(dataclasses.replace(ctx).sigma_table)
+    assert _empty(dataclasses.replace(ctx))
     # the unit twist is the twisted monomial, pruned
     unit = apply_sigma(ctx, NCPoly.monomial(2, (1, 2), 1.0, cap=4), -1.0)
-    assert ctx.twist(-1.0, (1, 2)).unit == unit.coeffs
-    assert ctx.sigma_table is not lam2.sigma_table
+    assert ctx.unit_twist(-1.0, (1, 2)) == unit.coeffs
+    assert ctx.unit_twist(-1.0, (1, 2)) is ctx.unit_twists[-1.0, (1, 2)]
+    assert ctx.unit_twists is not lam2.unit_twists and ctx.sigma_rows is not lam2.sigma_rows
 
 
 def test_sigma_table_is_per_context(rng):
     a, b = build_context([2.0]), build_context([3.0])
     p = random_poly(a, rng, 4, cap=6)
     for ctx in (a, b):
-        assert _bits(apply_sigma(ctx, p, 0.5)) == _bits(apply_sigma_reference(ctx, p, 0.5))
-    assert set(a.sigma_table.twists) == set(b.sigma_table.twists)
-    assert a.sigma_table is not b.sigma_table
+        for j in (1, 2):
+            assert _bits(cyclic_D(ctx, j, p)) == _bits(cyclic_D_reference(ctx, j, p))
+    assert set(a.unit_twists) == set(b.unit_twists)
+    assert a.unit_twists is not b.unit_twists
     word = next(w for w in p.coeffs if w)
-    assert a.twist(0.5, word).unit != b.twist(0.5, word).unit
+    assert a.unit_twist(0.5, word) != b.unit_twist(0.5, word)
+    assert a.rows(0.5) != b.rows(0.5)
 
 
 def test_sigma_table_checks_and_tracial_shortcut(rng):
@@ -199,47 +207,57 @@ def test_sigma_table_checks_and_tracial_shortcut(rng):
         t_sigma(lam, TensorPoly.elementary(1, (1,), (1,), 1.0, 4), 1.0, 0.0)
     with pytest.raises(VarCountMismatch):
         cyclic_D(lam, 1, NCPoly.gen(1, 1, 4))
-    assert _empty(lam.sigma_table)
-    # the tracial shortcut returns its input and leaves the table empty
+    assert _empty(lam)
+    # the tracial shortcut returns its input and leaves the memo empty
     tr = build_context([], 2)
     p = random_poly(tr, rng, 4, cap=6)
     S = random_tensor(tr, rng, 3)
     assert apply_sigma(tr, p, -1.0) is p
     assert t_sigma(tr, S, 0.5, -1.0) is S
-    assert _empty(tr.sigma_table)
+    assert _empty(tr)
 
 
 def test_cli_runs_share_no_table_and_expand_each_word_once(strict_argv, monkeypatch):
-    # each cli.run builds its own context, whose table starts empty; on the
-    # strict pipeline every distinct (s, word) is expanded exactly once
+    # each cli.run builds its own context, whose memo starts empty; on the
+    # strict pipeline every distinct (s, word) is expanded for its unit twist
+    # exactly once
     contexts, expansions, asked = [], [], []
-    build, expand, twist = cli.build_context, modular._expand, ModularContext.twist
+    build, paths, unit_twist = cli.build_context, modular.twist_paths, ModularContext.unit_twist
+    inside = [False]
 
     def counting_build(*args):
         ctx = build(*args)
-        assert _empty(ctx.sigma_table)
+        assert _empty(ctx)
         contexts.append(ctx)
         expansions.append(0)
         asked.append(set())
         return ctx
 
-    def counting_expand(rows, word):
-        expansions[-1] += 1
-        return expand(rows, word)
+    def counting_paths(rows, word, c):
+        expansions[-1] += inside[0]
+        return paths(rows, word, c)
 
-    def recording_twist(self, s, word):
+    def recording_unit_twist(self, s, word):
         asked[-1].add((s, word))
-        return twist(self, s, word)
+        inside[0] = True
+        try:
+            return unit_twist(self, s, word)
+        finally:
+            inside[0] = False
 
     monkeypatch.setattr(cli, "build_context", counting_build)
-    monkeypatch.setattr(modular, "_expand", counting_expand)
-    monkeypatch.setattr(ModularContext, "twist", recording_twist)
+    monkeypatch.setattr(modular, "twist_paths", counting_paths)
+    monkeypatch.setattr(ModularContext, "unit_twist", recording_unit_twist)
     assert cli.run(strict_argv) == cli.EXIT_OK
     assert cli.run(strict_argv) == cli.EXIT_OK
-    assert len(contexts) == 2 and contexts[0].sigma_table is not contexts[1].sigma_table
+    assert len(contexts) == 2 and contexts[0].unit_twists is not contexts[1].unit_twists
     for ctx, count, keys in zip(contexts, expansions, asked):
-        assert count == len(keys) == len(ctx.sigma_table) > 0
-        assert keys == set(ctx.sigma_table.twists)
+        assert count == len(keys) == len(ctx.unit_twists) > 0
+        assert keys == set(ctx.unit_twists)
+        # the memo holds unit dicts of complex, nothing else
+        for unit in ctx.unit_twists.values():
+            assert type(unit) is dict
+            assert all(type(w) is tuple and type(c) is complex for w, c in unit.items())
     assert expansions[0] == expansions[1]
 
 
@@ -258,9 +276,14 @@ def test_scalar_tables_match_numpy_reads(lambdas, num_trivial, rng):
     # keys, key order, coefficients with the sign of zero, and taint
     ctx = build_context(lambdas, num_trivial)
     n = ctx.num_vars
-    for rows, M in ((ctx.A_rows, ctx.A), (ctx.alpha_rows, ctx.alpha), (ctx.inner_rows, ctx.inner_U)):
+    for rows, M in ((ctx.alpha_rows, ctx.alpha), (ctx.inner_rows, ctx.inner_U)):
         assert all(type(x) is complex for row in rows for x in row)
         assert [list(map(_hex, row)) for row in rows] == [list(map(_hex, row)) for row in M]
+    # rho's rows: the nonzero entries of A, index ascending
+    assert all(type(m) is complex for row in ctx.rows(-1.0) for _, m in row)
+    assert [[(k, _hex(m)) for k, m in row] for row in ctx.rows(-1.0)] == [
+        [(k + 1, _hex(m)) for k, m in enumerate(row) if m != 0] for row in ctx.A
+    ]
     polys = [random_poly(ctx, rng, 5, cap=6, terms=10) for _ in range(3)]
     # real coefficients, whose products with real entries have zero parts
     polys.append(random_poly(ctx, rng, 5, cap=6, terms=10, real=True))
@@ -272,10 +295,9 @@ def test_scalar_tables_match_numpy_reads(lambdas, num_trivial, rng):
     tensors.append(TensorPoly(n, {
         ((), ()): complex(-1.0, -0.0), ((1,), (n,)): complex(-0.0, 2.0), ((n, 1), (1,)): -0.5,
     }, 6))
-    for _ in range(2):  # a cold and a warm sigma table
+    for _ in range(2):  # a cold and a warm memo
         for P in polys:
-            for k in (1, 2, 3, 5, -1):
-                assert _bits(rho(ctx, P, k)) == _bits(rho_reference(ctx, P, k))
+            assert _bits(rho(ctx, P)) == _bits(rho_reference(ctx, P, 1))
             for s in (1.0, 0.5, -1.0, 2.0):
                 assert _bits(apply_sigma(ctx, P, s)) == _bits(apply_sigma_reference(ctx, P, s))
             for j in range(1, n + 1):
@@ -289,12 +311,10 @@ def test_scalar_tables_match_numpy_reads(lambdas, num_trivial, rng):
         for T in tensors:
             for sl, sr in ((1.0, 0.0), (0.5, 0.0), (-1.0, 0.0), (0.0, -1.0), (0.5, -1.0)):
                 assert _bits(t_sigma(ctx, T, sl, sr)) == _bits(t_sigma_reference(ctx, T, sl, sr))
-    table = ctx.sigma_table
-    assert len(table) > 0 or ctx.is_tracial
-    assert all(type(m) is complex for rows in table.rows.values() for row in rows for _, m in row)
-    for tw in table.twists.values():
-        assert all(type(m) is complex for _, ms in tw.paths for m in ms)
-        assert all(type(c) is complex for c in tw.unit.values())
+    assert ctx.unit_twists
+    assert all(type(m) is complex for rows in ctx.sigma_rows.values() for row in rows for _, m in row)
+    for unit in ctx.unit_twists.values():
+        assert all(type(c) is complex for c in unit.values())
     # both moment routes, each word on a fresh memo and on one shared memo
     words = [()] + [
         tuple(int(x) for x in rng.integers(1, n + 1, size=m)) for m in (1, 2, 3, 4, 4, 6, 6, 8)

@@ -444,29 +444,37 @@ def test_norm_splits_over_degrees(ctx2, rng):
     assert total == pytest.approx(norm_R(p, 1.7))
 
 
+def _rotations(ctx, P, n):
+    for _ in range(n):
+        P = rho(ctx, P)
+    return P
+
+
 def test_rho_tracial_cyclic_shift(ctx2):
     p = NCPoly.monomial(2, (1, 2), 1.0, cap=6)
-    assert rho(ctx2, p, 1).coeffs == {(2, 1): 1.0 + 0.0j}
-    assert max_coeff_diff(rho(ctx2, p, 2), p) < TOL
+    assert rho(ctx2, p).coeffs == {(2, 1): 1.0 + 0.0j}
+    # without a twist, n rotations of a degree-n word give it back
+    assert max_coeff_diff(_rotations(ctx2, p, 2), p) < TOL
 
 
 def test_rho_twisted(lam2):
     p = NCPoly.monomial(2, (1, 2), 1.0, cap=6)
-    got = rho(lam2, p, 1)
+    got = rho(lam2, p)
     expected = NCPoly(2, {(1, 1): 0.75j, (2, 1): 1.25}, 6)
     assert max_coeff_diff(got, expected) < TOL
 
 
 def test_rho_fixes_constants(lam2):
     c = constant(2, 2.5 - 1j, 4)
-    assert max_coeff_diff(rho(lam2, c, 3), c) == 0.0
+    assert max_coeff_diff(rho(lam2, c), c) == 0.0
+    assert max_coeff_diff(_rotations(lam2, c, 3), c) == 0.0
 
 
 def test_rho_period_is_modular_action(lam2, rng):
-    p = random_poly(lam2, rng, 3, cap=8).project_degree(3)
-    assert max_coeff_diff(rho(lam2, p, 3), apply_sigma(lam2, p, -1.0)) < 1e-9
-    # inverse rotation composes back
-    assert max_coeff_diff(rho(lam2, rho(lam2, p, 1), -1), p) < 1e-9
+    # n rotations of a degree-n component are one full modular twist
+    for n in (1, 2, 3):
+        p = random_poly(lam2, rng, n, cap=8).project_degree(n)
+        assert max_coeff_diff(_rotations(lam2, p, n), apply_sigma(lam2, p, -1.0)) < 1e-9
 
 
 def test_norm_R_sigma_tracial(ctx2, rng):

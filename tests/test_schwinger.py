@@ -10,7 +10,7 @@ from nctransport.modular import apply_sigma
 from nctransport.moments import MomentOracle
 from nctransport.ncpoly import NCPoly, max_coeff_diff, quadratic_potential
 from nctransport.randgen import random_poly, random_tensor
-from nctransport.schwinger import gibbs_distance, partial_q_star, sd_residual
+from nctransport.schwinger import gibbs_distance, sd_residual
 from nctransport.tensor import TensorMatrix, TensorPoly, t_sigma, t_star
 from oracles import (
     identity_matrix,
@@ -18,6 +18,7 @@ from oracles import (
     jsigma_star,
     mat_vec,
     number_op,
+    partial_q_star,
     partial_q_star_reference,
 )
 

@@ -60,6 +60,25 @@ def test_t_mul_unit():
     assert max_pair_diff(t_mul(s, one), s) == 0.0
 
 
+@pytest.mark.parametrize("limit", [10**9, 0], ids=["loop", "batched"])
+def test_t_mul_result_does_not_depend_on_identity(limit, rng, monkeypatch):
+    # t_mul(S, S) adds its pairs in the order of t_mul(S, T) for an equal
+    # copy T, bit for bit.  S holds every term a (x) b with legs of at most
+    # two letters over two generators, in shuffled order, so a key such as
+    # X1 X2 (x) X2 X1 gets nine pairs, and the order of its sum shows in
+    # the last bits.
+    monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
+    legs = [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+    coeffs = {
+        (legs[k // 7], legs[k % 7]): complex(*rng.standard_normal(2))
+        for k in rng.permutation(49)
+    }
+    S = TensorPoly(2, coeffs, 8)
+    T = TensorPoly(2, dict(coeffs), 8)
+    assert _bits(t_mul(S, S)) == _bits(t_mul(S, T))
+    assert _bits(t_mul(T, T)) == _bits(t_mul(T, S))
+
+
 def test_t_mul_associative(ctx2, rng):
     for _ in range(10):
         a = random_tensor(ctx2, rng, 2)
