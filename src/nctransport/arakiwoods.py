@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .calculus import grad_D, partial_sigma, sigma_inv_op
+from .calculus import grad_D, sigma_inv_op
 from .errors import (
     DenominatorNonpositive,
     GramNotPositive,
@@ -37,7 +37,7 @@ from .ncpoly import (
     norm_R_sigma,
     quadratic_potential,
 )
-from .schwinger import deformed_adjoint
+from .schwinger import deformed_adjoint, ibp_residual
 from .tensor import (
     TensorPoly,
     max_pair_diff,
@@ -128,7 +128,7 @@ def _orthonormal_columns(ctx: ModularContext, q: float, n: int, level_cap: int) 
 
 
 def orthonormal_basis(
-    ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL_CAP, _memo=None
+    ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL_CAP
 ) -> list[NCPoly]:
     """Orthonormal family spanning the level-n Wick polynomials under the
     q-state: the Wick polynomials combined by ``_orthonormal_columns``."""
@@ -136,7 +136,7 @@ def orthonormal_basis(
         return [NCPoly.one(ctx.num_vars, 1)]
     cols = _orthonormal_columns(ctx, q, n, level_cap)
     words = _level_words(ctx.num_vars, n)
-    memo = _memo if _memo is not None else {}
+    memo: dict[Word, NCPoly] = {}
     wicks = [_wick(ctx, q, w, memo) for w in words]
     return [
         NCPoly.sum(
@@ -287,18 +287,10 @@ class PotentialResult:
 def conjugate_check(
     ctx: ModularContext, o_q: MomentOracle, xi_vec: list[NCPoly], d: int
 ) -> float:
-    """Worst deviation from the defining pairing of conjugate variables:
-    <xi_j, p> against the tensor state of the twisted quotient of p, over
-    all monomials p of degree at most d."""
-    worst = 0.0
-    for j in range(1, ctx.num_vars + 1):
-        for ln in range(d + 1):
-            for p in product(range(1, ctx.num_vars + 1), repeat=ln):
-                mono = NCPoly.monomial(ctx.num_vars, p, 1.0)
-                lhs = o_q.inner(xi_vec[j - 1], mono)
-                rhs = o_q.state_tensor(partial_sigma(ctx, j, mono))
-                worst = max(worst, abs(lhs - rhs))
-    return worst
+    """Worst deviation from the defining pairing of conjugate variables,
+    <xi_j, p> = (phi (x) phi)(partial_sigma_j p) over all monomials p of
+    degree at most d: ``schwinger.ibp_residual`` of the q-state's moments."""
+    return ibp_residual(o_q.moment, ctx, xi_vec, d)
 
 
 def potential_W(

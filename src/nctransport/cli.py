@@ -105,6 +105,8 @@ def load_config(path: str) -> RunConfig:
     )
     if not -1.0 < cfg.q < 1.0:
         raise ValueError(f"q must lie in (-1, 1), got {cfg.q}")
+    if cfg.level_cap < 0:
+        raise ValueError(f"level_cap must be >= 0, got {cfg.level_cap}")
     return cfg
 
 
@@ -149,7 +151,7 @@ def cmd_verify_sd(args, cfg: RunConfig) -> int:
     ctx = cfg.context()
     oracle = MomentOracle(ctx, cfg.q)
     v = _load_potential(args.potential, cfg, ctx)
-    res = sd_residual(oracle.law(), ctx, v, args.degree)
+    res = sd_residual(oracle.moment, ctx, v, args.degree)
     report = {
         "command": "verify-sd",
         "q": cfg.q,
@@ -175,7 +177,7 @@ def cmd_solve_transport(args, cfg: RunConfig) -> int:
     v = quadratic_potential(ctx, cfg.degree_cap) + w
     law = oracle.law_of(sol.Y, max_degree=cfg.law_degree)
     res = sd_residual(law, ctx, v, args.degree)
-    dist = gibbs_distance(law, oracle.law(), cfg.gamma, args.degree, ctx.num_vars)
+    dist = gibbs_distance(law, oracle.moment, cfg.gamma, args.degree, ctx.num_vars)
     report = {
         "command": "solve-transport",
         "norm_W_Rsigma": sol.norm_W,

@@ -21,8 +21,6 @@ from .errors import EmptyContext, NonPositiveLambda, VarCountMismatch
 # Eigenvalues of A below this indicate corrupted input, never legitimate data.
 EIG_FLOOR = 1e-12
 
-MATRIX_TOL = 1e-10
-
 Word = tuple[int, ...]
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import DimMismatch, IndexOutOfRange, VarCountMismatch
 from .modular import ModularContext
-from .ncpoly import NCPoly, Word, generators
+from .ncpoly import NCPoly, Word
 from .tensor import TensorPoly
 
 
@@ -119,7 +119,7 @@ class MomentOracle:
                 f"operand over {P.num_vars} vars, oracle context has {self.ctx.num_vars}"
             )
 
-    # The linear extensions below read the memo themselves and call
+    # The state and the contractions read the memo themselves and call
     # ``moment`` only for words it does not hold yet.
 
     def state(self, P: NCPoly) -> complex:
@@ -133,64 +133,28 @@ class MomentOracle:
             0.0 + 0.0j,
         )
 
-    def state_tensor(self, T: TensorPoly) -> complex:
-        self._check_vars(T)
-        memo, moment = self._memo, self.moment
-        return sum(
-            (
-                c
-                * (ma if (ma := memo.get(a)) is not None else moment(a))
-                * (mb if (mb := memo.get(b)) is not None else moment(b))
-                for (a, b), c in T.coeffs.items()
-            ),
-            0.0 + 0.0j,
-        )
-
-    def inner(self, P: NCPoly, Q: NCPoly) -> complex:
-        """<P, Q> = state(P* Q), complex-linear in the second slot.
-
-        Computed wordwise, so no degree cap interferes.
-        """
-        self._check_vars(P)
-        self._check_vars(Q)
-        memo, moment = self._memo, self.moment
-        total = 0.0 + 0.0j
-        for wp, cp in P.coeffs.items():
-            rev = wp[::-1]
-            for wq, cq in Q.coeffs.items():
-                w = rev + wq
-                m = memo.get(w)
-                if m is None:
-                    m = moment(w)
-                total += cp.conjugate() * cq * m
-        return total
-
     def contract_left(self, T: TensorPoly) -> NCPoly:
         """(phi (x) 1): a (x) b -> state(a) b."""
-        self._check_vars(T)
-        memo, moment = self._memo, self.moment
-        out: dict[Word, complex] = {}
-        for (a, b), c in T.coeffs.items():
-            m = memo.get(a)
-            if m is None:
-                m = moment(a)
-            v = c * m
-            if v != 0:
-                out[b] = out.get(b, 0.0) + v
-        return NCPoly(T.num_vars, out, T.degree_cap, T.truncated)
+        return self._contract(T, 0)
 
     def contract_right(self, T: TensorPoly) -> NCPoly:
         """(1 (x) phi): a (x) b -> state(b) a."""
+        return self._contract(T, 1)
+
+    def _contract(self, T: TensorPoly, leg: int) -> NCPoly:
+        """The state on leg ``leg`` of each key (0 left, 1 right), the
+        other leg kept."""
         self._check_vars(T)
         memo, moment = self._memo, self.moment
+        kept = 1 - leg
         out: dict[Word, complex] = {}
-        for (a, b), c in T.coeffs.items():
-            m = memo.get(b)
+        for key, c in T.coeffs.items():
+            m = memo.get(key[leg])
             if m is None:
-                m = moment(b)
+                m = moment(key[leg])
             v = c * m
             if v != 0:
-                out[a] = out.get(a, 0.0) + v
+                out[key[kept]] = out.get(key[kept], 0.0) + v
         return NCPoly(T.num_vars, out, T.degree_cap, T.truncated)
 
     def law_of(self, Y: list[NCPoly], max_degree: int | None = None) -> "Law":
@@ -198,10 +162,6 @@ class MomentOracle:
         if len(Y) != self.ctx.num_vars:
             raise DimMismatch(f"need {self.ctx.num_vars} components, got {len(Y)}")
         return Law(self, Y, max_degree)
-
-    def law(self) -> "Law":
-        """The oracle's own moments as a law (identity substitution)."""
-        return Law(self, generators(self.ctx, 1), None)
 
 
 class Law:
@@ -214,7 +174,8 @@ class Law:
     from the longest prefix it shares with that word: asked for in
     lexicographic order, every word is multiplied out once, and one word's
     prefix products are alive at a time.  The values do not depend on the
-    order.
+    order.  A law is a word functional only, as ``MomentOracle.moment`` is:
+    the residual checks of ``schwinger`` take either.
     """
 
     def __init__(self, oracle: MomentOracle, Y: list[NCPoly], max_degree: int | None):
@@ -227,14 +188,9 @@ class Law:
         self._chain: list[NCPoly] = []
         self._degrees = [max(y.degree(), 1) for y in self.Y]
         self._capped: dict[tuple[int, int], NCPoly] = {}
-        self._identity = all(
-            y.coeffs == {(j + 1,): 1.0 + 0.0j} for j, y in enumerate(Y)
-        )
 
     def __call__(self, word) -> complex:
         word = tuple(word)
-        if self._identity:
-            return self.oracle.moment(word)
         got = self._memo.get(word)
         if got is not None:
             return got
@@ -270,13 +226,3 @@ class Law:
             chain.append(prod * factor)
         self._last = word
         return chain[-1]
-
-    def poly(self, P: NCPoly) -> complex:
-        """Linear extension to polynomials."""
-        return sum((c * self(w) for w, c in P.coeffs.items()), 0.0 + 0.0j)
-
-    def tensor(self, T: TensorPoly) -> complex:
-        """Linear extension to word-pair tensors: both legs through the law."""
-        return sum(
-            (c * self(a) * self(b) for (a, b), c in T.coeffs.items()), 0.0 + 0.0j
-        )

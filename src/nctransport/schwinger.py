@@ -1,20 +1,22 @@
-"""Adjoint formulas for the twisted derivations, Schwinger-Dyson residuals,
-and the moment-matching metric used for uniqueness statements.
+"""Adjoint formulas for the twisted derivations, the integration-by-parts
+residual, and the moment-matching metric used for uniqueness statements.
 
-The residual measures, monomial by monomial, how far a law is from
-integration by parts against a potential: the pairing of the potential's
-cyclic gradient with a test monomial must equal the tensor state of the
-twisted difference quotient of that monomial.
+The residual measures, monomial by monomial, how far a word functional is
+from integration by parts against a tuple x: the pairing of x_j with a test
+monomial must equal the tensor state of the twisted difference quotient of
+that monomial.  With x the cyclic gradient of a potential it is the
+Schwinger-Dyson residual; with x the conjugate variables, their defining
+check.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .calculus import cyclic_D, partial_bar, partial_sigma
+from .calculus import grad_D, partial_bar, partial_sigma
 from .errors import BadGamma, NotCyclicallySymmetric
 from .modular import ModularContext
-from .moments import Law, MomentOracle
+from .moments import MomentOracle
 from .ncpoly import NCPoly, Word, is_cyclically_symmetric
 from .tensor import TensorPoly, t_mul
 
@@ -76,38 +78,49 @@ def _words_up_to(n_vars: int, d: int):
         yield from product(range(1, n_vars + 1), repeat=length)
 
 
-def sd_residual(law: Law, ctx: ModularContext, V: NCPoly, d: int) -> float:
-    """Worst deviation from the Schwinger-Dyson identity up to degree d.
+def ibp_residual(phi, ctx: ModularContext, xs: list[NCPoly], d: int) -> float:
+    """Worst deviation from integration by parts against x_1, ..., x_N:
 
-    For each generator index j and each monomial p with |p| <= d, compares
-    law((D_j V)* p) against (law (x) law)(partial_sigma_j p), through the
-    linear extensions of the Law.  The law is first asked for every word
-    the comparisons need, in lexicographic order, so that it multiplies out
-    each word's product once.
+        |sum_w conj(c_w) phi(rev(w) p) - sum_(a, b) c phi(a) phi(b)|
+
+    over every index j and every monomial p with |p| <= d, where c_w runs
+    over the terms of x_j (so the first sum is phi(x_j* p)) and the second
+    over the terms of partial_sigma_j p.  ``phi`` is a word functional (a
+    ``Law`` or ``MomentOracle.moment``).  It is asked once for each word
+    the comparisons need, in lexicographic order, which lets a ``Law``
+    multiply out each word's product once; the values are kept for this
+    call only.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
+    nv = ctx.num_vars
+    stars = [[(w[::-1], c.conjugate()) for w, c in x.coeffs.items()] for x in xs]
+    sides = [
+        (star, p, partial_sigma(ctx, j, NCPoly.monomial(nv, p, 1.0)).coeffs)
+        for j, star in enumerate(stars, start=1)
+        for p in _words_up_to(nv, d)
+    ]
+    words = set()
+    for star, p, split in sides:
+        words.update(w + p for w, _ in star)
+        for a, b in split:
+            words.update((a, b))
+    value = {w: phi(w) for w in sorted(words)}
+    worst = 0.0
+    for star, p, split in sides:
+        lhs = sum((c * value[w + p] for w, c in star), 0.0 + 0.0j)
+        rhs = sum((c * value[a] * value[b] for (a, b), c in split.items()), 0.0 + 0.0j)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def sd_residual(law, ctx: ModularContext, V: NCPoly, d: int) -> float:
+    """Worst deviation from the Schwinger-Dyson identity up to degree d:
+    ``ibp_residual`` of the word functional ``law`` against the cyclic
+    gradient of V, i.e. law((D_j V)* p) against (law (x) law)(partial_sigma_j p)."""
     if not is_cyclically_symmetric(ctx, V):
         raise NotCyclicallySymmetric("potential is not cyclically symmetric")
-    sides = []
-    for j in range(1, ctx.num_vars + 1):
-        dv_star = cyclic_D(ctx, j, V).adjoint()
-        for p in _words_up_to(ctx.num_vars, d):
-            # Lift caps so the pairing polynomial (D_j V)* p is exact.
-            need = dv_star.degree() + len(p)
-            mono = NCPoly.monomial(ctx.num_vars, p, 1.0, cap=need)
-            sides.append((dv_star.with_cap(need) * mono, partial_sigma(ctx, j, mono)))
-    words = set()
-    for lhs, rhs in sides:
-        words.update(lhs.coeffs)
-        for a, b in rhs.coeffs:
-            words.update((a, b))
-    for w in sorted(words):
-        law(w)
-    worst = 0.0
-    for lhs, rhs in sides:
-        worst = max(worst, abs(law.poly(lhs) - law.tensor(rhs)))
-    return worst
+    return ibp_residual(law, ctx, grad_D(ctx, V), d)
 
 
 def gibbs_distance(law1, law2, gamma: float, L: int, num_vars: int) -> float:

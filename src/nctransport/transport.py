@@ -82,6 +82,8 @@ class TransportConfig:
             raise ValueError("rho must lie in (0, 1]")
         if self.degree_cap < 1:
             raise ValueError("degree_cap must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
     def radius_ok(self, ctx: ModularContext) -> bool:
         return self.R >= 4.0 * ctx.norm_A**0.5

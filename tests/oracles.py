@@ -359,6 +359,24 @@ def jsigma_star(
     return out
 
 
+def state_tensor(o: MomentOracle, T: TensorPoly) -> complex:
+    """(state (x) state)(T): both legs of each key through the state."""
+    return sum(
+        (c * o.moment(a) * o.moment(b) for (a, b), c in T.coeffs.items()), 0.0 + 0.0j
+    )
+
+
+def inner(o: MomentOracle, P: NCPoly, Q: NCPoly) -> complex:
+    """<P, Q> = state(P* Q), complex-linear in the second slot, computed
+    wordwise so that no degree cap interferes."""
+    total = 0.0 + 0.0j
+    for wp, cp in P.coeffs.items():
+        rev = wp[::-1]
+        for wq, cq in Q.coeffs.items():
+            total += cp.conjugate() * cq * o.moment(rev + wq)
+    return total
+
+
 def inner_tensor(o: MomentOracle, S: TensorPoly, T: TensorPoly) -> complex:
     """Inner product on the tensor square:
     <a (x) b, c (x) d> = state(a* c) state(d b*).

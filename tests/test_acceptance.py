@@ -49,7 +49,7 @@ from nctransport.transport import (
     inversion_residual,
     solve_transport,
 )
-from oracles import inner_tensor, jsigma_star, mat_vec, number_op, partial_q_star
+from oracles import inner, inner_tensor, jsigma_star, mat_vec, number_op, partial_q_star
 
 CTX1 = build_context([], 1)
 CTX2 = build_context([], 2)
@@ -97,7 +97,7 @@ def test_acceptance_03_gibbs_identity():
     for ctx in (CTX1, CTX2, LAM2):
         o = MomentOracle(ctx, 0.0)
         v0 = quadratic_potential(ctx, 8)
-        worst = max(worst, sd_residual(o.law(), ctx, v0, 5))
+        worst = max(worst, sd_residual(o.moment, ctx, v0, 5))
     ok = worst < 1e-9 and time.time() - t0 < 30.0
     report(3, ok, f"quasi-free state solves Schwinger-Dyson, residual {worst:.2e}", t0)
     assert ok
@@ -137,7 +137,7 @@ def test_acceptance_04_adjoint_identity():
                 lhs_poly = partial_q_star(o, LAM2, j, t, xi)
                 for mono in monos:
                     key = (j, mono.degree(), tuple(sorted(mono.coeffs)))
-                    lhs = o.inner(lhs_poly, mono)
+                    lhs = inner(o, lhs_poly, mono)
                     rhs = inner_tensor(o, t, quotients[key])
                     worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-8 and time.time() - t0 < 60.0

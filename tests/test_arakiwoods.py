@@ -36,7 +36,7 @@ from nctransport.tensor import (
     t_sigma,
 )
 from nctransport.transport import TransportConfig
-from oracles import build_xi_reference, q_gram_reference, wick_poly
+from oracles import build_xi_reference, inner, q_gram_reference, wick_poly
 
 TOL = 1e-12
 
@@ -73,7 +73,7 @@ def test_wick_vectors_reproduce_gram(lam2):
             for iv, v in enumerate(words):
                 pu = wick_poly(lam2, q, u)
                 pv = wick_poly(lam2, q, v)
-                assert abs(o.inner(pu, pv) - gram[iu, iv]) < 1e-10
+                assert abs(inner(o, pu, pv) - gram[iu, iv]) < 1e-10
 
 
 def test_q_gram_level_one_orientation(lam2):
@@ -141,7 +141,7 @@ def test_orthonormal_basis_gram_identity(lam2):
             fam = orthonormal_basis(lam2, q, n)
             for i, ri in enumerate(fam):
                 for j, rj in enumerate(fam):
-                    got = o.inner(ri, rj)
+                    got = inner(o, ri, rj)
                     assert abs(got - (1.0 if i == j else 0.0)) < 1e-8
 
 
@@ -156,7 +156,7 @@ def test_orthonormal_family_is_complete(lam2, rng):
     recon = NCPoly.zero(2, 6)
     for n, fam in fams.items():
         for r in fam:
-            recon = recon + r.with_cap(6).scale(o.inner(r, p))
+            recon = recon + r.with_cap(6).scale(inner(o, r, p))
     assert max_coeff_diff(recon, p) < 1e-8
 
 

@@ -46,6 +46,14 @@ def test_load_config_validation(tmp_path):
     bad.write_text(json.dumps({"lambdas": [], "num_trivial": 1, "q": 1.5}))
     with pytest.raises(ValueError):
         load_config(str(bad))
+    bad.write_text(json.dumps({"lambdas": [2.0], "q": 3e-5, "level_cap": -1}))
+    with pytest.raises(ValueError):
+        load_config(str(bad))
+    # max_iterations is checked where the transport configuration is built
+    bad.write_text(json.dumps({"lambdas": [2.0], "q": 3e-5, "max_iterations": 0}))
+    with pytest.raises(ValueError):
+        load_config(str(bad)).transport()
+    assert run(["q-isomorphism", "--config", str(bad), "--quiet"]) == EXIT_USAGE
 
 
 def test_moments_command(config_n1, capsys):

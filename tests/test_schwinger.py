@@ -3,23 +3,31 @@ import itertools
 import numpy as np
 import pytest
 
-from nctransport.arakiwoods import build_xi, conjugate_vars, invert_xi, natural_radius
+from nctransport.arakiwoods import (
+    build_xi,
+    conjugate_check,
+    conjugate_vars,
+    invert_xi,
+    natural_radius,
+)
 from nctransport.calculus import grad_D, partial_bar, partial_sigma
 from nctransport.errors import BadGamma, NotCyclicallySymmetric
 from nctransport.modular import apply_sigma
 from nctransport.moments import MomentOracle
 from nctransport.ncpoly import NCPoly, max_coeff_diff, quadratic_potential
 from nctransport.randgen import random_poly, random_tensor
-from nctransport.schwinger import gibbs_distance, sd_residual
+from nctransport.schwinger import gibbs_distance, ibp_residual, sd_residual
 from nctransport.tensor import TensorMatrix, TensorPoly, t_sigma, t_star
 from oracles import (
     identity_matrix,
+    inner,
     inner_tensor,
     jsigma_star,
     mat_vec,
     number_op,
     partial_q_star,
     partial_q_star_reference,
+    state_tensor,
 )
 
 TOL = 1e-12
@@ -69,7 +77,7 @@ def test_adjoint_pairing_identity(lam2, rng):
             lhs_poly = partial_q_star(o, lam2, j, t, one)
             for p in itertools.product((1, 2), repeat=2):
                 mono = NCPoly.monomial(2, p, 1.0)
-                lhs = o.inner(lhs_poly, mono)
+                lhs = inner(o, lhs_poly, mono)
                 rhs = inner_tensor(o, t, partial_sigma(lam2, j, mono))
                 assert abs(lhs - rhs) < 1e-10
 
@@ -81,8 +89,8 @@ def test_conjugate_adjoint_of_unit(lam2, rng):
     for _ in range(6):
         p = random_poly(lam2, rng, 4, cap=8)
         for j in (1, 2):
-            lhs = o.state_tensor(partial_bar(lam2, j, p))
-            rhs = o.inner(apply_sigma(lam2, NCPoly.gen(2, j, 8), -1.0), p)
+            lhs = state_tensor(o, partial_bar(lam2, j, p))
+            rhs = inner(o, apply_sigma(lam2, NCPoly.gen(2, j, 8), -1.0), p)
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -108,7 +116,7 @@ def test_sd_residual_quasi_free(ctx1, ctx2, lam2):
     for ctx in (ctx1, ctx2, lam2):
         o = MomentOracle(ctx, 0.0)
         v0 = quadratic_potential(ctx, 8)
-        assert sd_residual(o.law(), ctx, v0, 5) < 1e-9
+        assert sd_residual(o.moment, ctx, v0, 5) < 1e-9
 
 
 def test_sd_residual_multi_block_context():
@@ -118,13 +126,13 @@ def test_sd_residual_multi_block_context():
     ctx = build_context([2.0, 5.0], 1)
     o = MomentOracle(ctx, 0.0)
     v0 = quadratic_potential(ctx, 6)
-    assert sd_residual(o.law(), ctx, v0, 3) < 1e-9
+    assert sd_residual(o.moment, ctx, v0, 3) < 1e-9
 
 
 def test_sd_residual_deformed_state_positive(ctx1):
     o = MomentOracle(ctx1, 0.2)
     v0 = quadratic_potential(ctx1, 8)
-    r = sd_residual(o.law(), ctx1, v0, 4)
+    r = sd_residual(o.moment, ctx1, v0, 4)
     assert r > 0.1
 
 
@@ -132,28 +140,92 @@ def test_sd_residual_degree_zero(lam2):
     o = MomentOracle(lam2, 0.3)
     v0 = quadratic_potential(lam2, 8)
     # at degree zero only the first moments appear, and they vanish
-    assert sd_residual(o.law(), lam2, v0, 0) < TOL
+    assert sd_residual(o.moment, lam2, v0, 0) < TOL
 
 
 def test_sd_residual_rejects_asymmetric_potential(lam2):
     o = MomentOracle(lam2, 0.0)
     with pytest.raises(NotCyclicallySymmetric):
-        sd_residual(o.law(), lam2, NCPoly.gen(2, 1, 4), 2)
+        sd_residual(o.moment, lam2, NCPoly.gen(2, 1, 4), 2)
+
+
+def _inner_form_residual(o, ctx, xs, d):
+    # the conjugate-variable check as it was written with the oracle's inner
+    # product and tensor state
+    worst = 0.0
+    for j in range(1, ctx.num_vars + 1):
+        for ln in range(d + 1):
+            for p in itertools.product(range(1, ctx.num_vars + 1), repeat=ln):
+                mono = NCPoly.monomial(ctx.num_vars, p, 1.0)
+                lhs = inner(o, xs[j - 1], mono)
+                rhs = state_tensor(o, partial_sigma(ctx, j, mono))
+                worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("lambdas,d", [([2.0], 4), ([2.0, 3.0], 2)])
+@pytest.mark.parametrize("q", [0.0, 0.1])
+def test_ibp_residual_equals_inner_form(lambdas, d, q, rng):
+    from nctransport import build_context
+
+    ctx = build_context(lambdas)
+    xs = [
+        NCPoly.gen(ctx.num_vars, j, 5) + random_poly(ctx, rng, 5, terms=12).scale(0.1)
+        for j in range(1, ctx.num_vars + 1)
+    ]
+    got = ibp_residual(MomentOracle(ctx, q).moment, ctx, xs, d)
+    assert got.hex() == _inner_form_residual(MomentOracle(ctx, q), ctx, xs, d).hex()
+    assert got > 0.0
+
+
+def test_conjugate_check_is_sd_residual_of_the_gradient(lam2):
+    o0 = MomentOracle(lam2, 0.0)
+    v0 = quadratic_potential(lam2, 8)
+    for d in range(5):
+        got = conjugate_check(lam2, o0, grad_D(lam2, v0), d)
+        assert got == sd_residual(o0.moment, lam2, v0, d)
+        assert got < 1e-12
+
+
+def test_checks_multiply_no_polynomials(lam2, monkeypatch):
+    # through MomentOracle.moment, both checks read moments word by word
+    products = []
+    mul = NCPoly.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(NCPoly, "__mul__", counting)
+    o = MomentOracle(lam2, 0.1)
+    v0 = quadratic_potential(lam2, 8)
+    sd_residual(o.moment, lam2, v0, 4)
+    conjugate_check(lam2, o, grad_D(lam2, v0), 4)
+    assert products == []
+
+
+def test_checks_reject_negative_degree(lam2):
+    o = MomentOracle(lam2, 0.0)
+    v0 = quadratic_potential(lam2, 8)
+    with pytest.raises(ValueError):
+        sd_residual(o.moment, lam2, v0, -1)
+    with pytest.raises(ValueError):
+        conjugate_check(lam2, o, grad_D(lam2, v0), -1)
 
 
 def test_gibbs_distance(ctx1):
     o0 = MomentOracle(ctx1, 0.0)
     oq = MomentOracle(ctx1, 0.1)
     gamma = 0.2
-    assert gibbs_distance(o0.law(), o0.law(), gamma, 6, 1) == 0.0
-    d = gibbs_distance(o0.law(), oq.law(), gamma, 6, 1)
+    assert gibbs_distance(o0.moment, o0.moment, gamma, 6, 1) == 0.0
+    d = gibbs_distance(o0.moment, oq.moment, gamma, 6, 1)
     # dominated by the fourth-moment gap q at leading order
     assert d >= 0.1 * gamma**4
     assert d - 0.1 * gamma**4 <= 2.0 * gamma**6
     # termwise monotone in gamma
-    assert gibbs_distance(o0.law(), oq.law(), gamma / 2, 6, 1) <= d
+    assert gibbs_distance(o0.moment, oq.moment, gamma / 2, 6, 1) <= d
     with pytest.raises(BadGamma):
-        gibbs_distance(o0.law(), oq.law(), 0.4, 6, 1)
+        gibbs_distance(o0.moment, oq.moment, 0.4, 6, 1)
 
 
 def test_trace_gradient_identity_and_k_assembly(lam2, ctx1, rng):

@@ -48,6 +48,9 @@ def test_config_validation():
         TransportConfig(R=4.0, R_prime=4.0, rho=1.0)
     with pytest.raises(ValueError):
         TransportConfig(R=4.0, R_prime=5.0, rho=0.0)
+    # with no iteration the solver would have no delta to report
+    with pytest.raises(ValueError):
+        TransportConfig(R=4.0, R_prime=5.0, max_iterations=0)
     ctx = build_context([2.0])
     assert not TransportConfig(R=4.0, R_prime=5.0).radius_ok(ctx)
     assert TransportConfig(R=6.0, R_prime=7.0).radius_ok(ctx)
