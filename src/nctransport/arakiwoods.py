@@ -345,7 +345,10 @@ def q_isomorphism_pipeline(
     transported law, monotonicity certificate, series inversion).  Returns a
     flat report dict ready for serialization; every stage's norms and
     residuals are included.  ``law_degree`` truncates law evaluation for
-    larger generator counts; None keeps it exact.
+    larger generator counts; None keeps it exact.  A negative degree is
+    refused before any work.  ``pass`` needs the transport, the
+    Schwinger-Dyson residual, the monotonicity certificate, the inversion
+    and, when computed, the conjugate-variable check.
     """
     from .schwinger import sd_residual as _sd_residual
     from .transport import (
@@ -356,6 +359,8 @@ def q_isomorphism_pipeline(
         solve_transport,
     )
 
+    if sd_degree < 0 or (conjugate_check_degree is not None and conjugate_check_degree < 0):
+        raise ValueError("degree must be >= 0")
     d = level_cap if level_cap is not None else min(cfg.degree_cap, DEFAULT_LEVEL_CAP + 2)
     r_nat = natural_radius(q, c)
     report: dict = {"q": q, "num_vars": ctx.num_vars, "level_cap": d, "c": c}
@@ -435,5 +440,6 @@ def q_isomorphism_pipeline(
         and report["sd_residual"] < 1e-5
         and cert.certified
         and report["inverse_residual"] < 1e-8
+        and report.get("conjugate_check", 0.0) < 1e-5
     )
     return report

@@ -8,20 +8,24 @@ degree > cap" honestly.  Sums enforce the cap too: the coefficient format
 and its linear structure, including the one in-place accumulator every sum
 goes through, live in a base class shared with ``tensor.TensorPoly``.
 
-Large products are summed as numpy arrays instead of pair by pair, here and
-in ``tensor.t_mul``, through ``batched_pairs``.  Words then travel as exact
-integer codes (``WordCodes``), and ``pair_sums`` adds the value of every
-pair onto its key in pair order and prunes the sums exactly as the per-pair
-loop and the constructor do, so both routes give the same coefficients, bit
-for bit, in the same key order.  Pairs in a grade whose bound proves every
-key pruned are not formed (``batched_pairs``).  An operand's codes and
-coefficient array are built once and kept on the instance (its coded view,
-``_Sparse._coded``); a batched product hands its result the view it already
-holds from the kept keys' codes.
+One kernel, ``_product``, multiplies both kinds.  A key has one leg (a
+word) or two (a word pair of P (x) P^op); leg 0 joins left to right, and
+leg 1, of the opposite algebra, right to left.  The word product is the #
+product on the left leg.  Large products are summed as numpy arrays instead
+of pair by pair (``batched_pairs``).  Words then travel as exact integer
+codes (``WordCodes``), and ``pair_sums`` adds the value of every pair onto
+its key in pair order and prunes the sums exactly as the per-pair loop and
+the constructor do, so both routes give the same coefficients, bit for bit,
+in the same key order.  Pairs in a grade whose bound proves every key
+pruned are not formed.  An operand's leg codes and coefficient array are
+built once and kept on the instance (its coded view, ``_Sparse._coded``); a
+batched product hands its result the view it already holds from the kept
+keys' codes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -171,11 +175,16 @@ class _Sparse:
                     acc.pop(k, None)
         return cls._pruned(num_vars, acc, cap, truncated)
 
+    def _encode(self, keys: list, codes: WordCodes) -> tuple:
+        """Index and length arrays of each leg of the keys, leg by leg."""
+        legs = [keys] if self._legs == 1 else [[k[l] for k in keys] for l in range(self._legs)]
+        return tuple(a for leg in legs for a in codes.index(leg))
+
     def _coded(self, codes: WordCodes) -> tuple:
-        """The coded view for ``codes``: (dtype, degree, per-key code arrays
-        from ``_encode``, coefficient array), in key order.  Built on the
-        first request and kept; a view of the other code dtype (int64 or
-        ``object``) is never reused, but rebuilt."""
+        """The coded view for ``codes``: (dtype, degree, per-leg index and
+        length arrays from ``_encode``, coefficient array), in key order.
+        Built on the first request and kept; a view of the other code dtype
+        (int64 or ``object``) is never reused, but rebuilt."""
         view = self.__dict__.get("_view")
         if view is None or view[0] is not codes.dtype:
             coef = np.fromiter(self.coeffs.values(), complex, len(self.coeffs))
@@ -185,7 +194,7 @@ class _Sparse:
     def _attach(self, dtype, arrays: tuple, coef: np.ndarray) -> tuple:
         """Keep ``arrays`` and ``coef``, which must code this map in key
         order under codes of ``dtype``, as the coded view."""
-        degree = int(self._sizes(arrays).max(initial=0))
+        degree = int(sum(arrays[1::2]).max(initial=0))
         view = self.__dict__["_view"] = (dtype, degree, arrays, coef)
         return view
 
@@ -244,15 +253,8 @@ class NCPoly(_Sparse):
     """Sparse non-commutative polynomial with a degree cap and taint flag."""
 
     _size = staticmethod(len)
-
-    @staticmethod
-    def _encode(words: list[Word], codes: WordCodes) -> tuple:
-        """Index and length arrays of the words."""
-        return codes.index(words)
-
-    @staticmethod
-    def _sizes(arrays: tuple) -> np.ndarray:
-        return arrays[1]
+    _legs = 1
+    _join = staticmethod(operator.add)
 
     # -- constructors ------------------------------------------------------
 
@@ -294,7 +296,7 @@ class NCPoly(_Sparse):
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         """Word-concatenation product; words beyond the cap are dropped."""
         self._check(other)
-        return _word_product(self, other, min(self.degree_cap, other.degree_cap))
+        return _product(self, other, min(self.degree_cap, other.degree_cap))
 
     def adjoint(self) -> "NCPoly":
         """Word reversal with conjugated coefficients; an involution."""
@@ -318,30 +320,38 @@ class NCPoly(_Sparse):
         return sorted({len(w) for w in self.coeffs})
 
 
-def _word_product(left: NCPoly, right: NCPoly, cap: int) -> NCPoly:
-    """The word-concatenation product under ``cap``, tainted by a dropped
-    pair or a tainted operand.
+def _product(left: _Sparse, right: _Sparse, cap: int, outer_right: bool = False) -> _Sparse:
+    """The product of two maps of one kind under ``cap``: each pair of keys
+    joins by the class's ``_join``.  A pair beyond the cap is dropped and
+    taints the result, as a tainted operand does.
 
-    With at least ``PAIR_BATCH_MIN`` coefficient pairs the pairs are summed
-    as arrays (``_mul_batched``), with the per-pair loop's result.
+    The pairs run with ``left`` in the outer loop (``right`` with
+    ``outer_right``), and each key sums its pairs in that order from 0j, as
+    ``pair_sums`` starts from 0.0 in each part: Python 3.14's 0.0 + c would
+    keep a -0.0.  With at least ``PAIR_BATCH_MIN`` coefficient pairs they
+    are summed as arrays (``_product_batched``), with the loop's result bit
+    for bit.
     """
     taint = left.truncated or right.truncated
     if len(left.coeffs) * len(right.coeffs) >= PAIR_BATCH_MIN:
-        codes = WordCodes(left.num_vars, max(cap, left.degree(), right.degree()))
-        return _mul_batched(left, right, cap, codes, taint)
+        return _product_batched(left, right, cap, taint, outer_right)
+    size, join = left._size, left._join
+    outer, inner = left, right
+    if outer_right:
+        outer, inner = right, left
+        join = lambda kr, kl, forward=join: forward(kl, kr)
     out = {}
     dropped = False
-    for w1, c1 in left.coeffs.items():
-        for w2, c2 in right.coeffs.items():
-            if len(w1) + len(w2) > cap:
+    for ka, ca in outer.coeffs.items():
+        room = cap - size(ka)
+        for kb, cb in inner.coeffs.items():
+            if size(kb) > room:
                 dropped = True
                 continue
-            w = w1 + w2
-            # a new key starts from 0j, as pair_sums starts from 0.0 in each
-            # part: Python 3.14's 0.0 + c would keep a -0.0
-            out[w] = out.get(w, 0j) + c1 * c2
-    kept = {w: c for w, c in out.items() if abs(c) > PRUNE_TOL}
-    return NCPoly._pruned(left.num_vars, kept, cap, taint or dropped)
+            k = join(ka, kb)
+            out[k] = out.get(k, 0j) + ca * cb
+    kept = {k: c for k, c in out.items() if abs(c) > PRUNE_TOL}
+    return left._pruned(left.num_vars, kept, cap, taint or dropped)
 
 
 def batched_pairs(
@@ -394,28 +404,52 @@ def _coef_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _mul_batched(left: NCPoly, right: NCPoly, cap: int, codes: WordCodes, taint: bool) -> NCPoly:
-    """The product loop's result under ``cap``, from ``batched_pairs`` with
-    words graded by length, with its coded view attached.  ``codes`` must
-    cover every word of both operands."""
-    w1, w2 = list(left.coeffs), list(right.coeffs)
-    _, _, (i1, l1), c1 = left._coded(codes)
-    _, _, (i2, l2), c2 = right._coded(codes)
-    fits = l1[:, None] + l2[None, :] <= cap
+def _product_batched(
+    left: _Sparse, right: _Sparse, cap: int, taint: bool, outer_right: bool
+) -> _Sparse:
+    """The product loop's result under ``cap``, from ``batched_pairs``, with
+    its coded view attached.  A term's grade is its leg lengths in mixed
+    radix: no leg is longer than the codes' cap, so the split of a key's
+    legs fixes the pair onto it."""
+    codes = WordCodes(left.num_vars, max(cap, left.degree(), right.degree()))
+    radix = codes.cap + 1
+    _, _, v1, c1 = left._coded(codes)
+    _, _, v2, c2 = right._coded(codes)
+    fits = sum(v1[1::2])[:, None] + sum(v2[1::2])[None, :] <= cap
 
-    def index(p, r):
-        return i1[p] * codes.powers[l2[r]] + i2[r]
+    def grade(view):
+        g = view[1]
+        for lens in view[3::2]:
+            g = g * radix + lens
+        return g
+
+    def legs(p, r):
+        # leg 0 joins left to right, leg 1 (of P^op) right to left: each
+        # leg's index and length
+        out = []
+        sides = ((v1, p), (v2, r))
+        for leg in range(left._legs):
+            (va, a), (vb, b) = sides if leg == 0 else sides[::-1]
+            ia, la, ib, lb = va[2 * leg][a], va[2 * leg + 1][a], vb[2 * leg][b], vb[2 * leg + 1][b]
+            out += [ia * codes.powers[lb] + ib, la + lb]
+        return out
 
     def key(p, r):
-        return index(p, r) * (codes.cap + 1) + l1[p] + l2[r]
+        # the index of the legs' concatenated words, above the grade
+        view = legs(p, r)
+        code = view[0]
+        for index, lens in zip(view[2::2], view[3::2]):
+            code = code * codes.powers[lens] + index
+        return code * radix**left._legs + grade(view)
 
-    p, r, re, im = batched_pairs(c1, l1, c2, l2, fits, key)
+    p, r, re, im = batched_pairs(c1, grade(v1), c2, grade(v2), fits, key, outer_right)
+    k1, k2, join = list(left.coeffs), list(right.coeffs), left._join
     out = {
-        w1[x] + w2[y]: complex(u, v)
+        join(k1[x], k2[y]): complex(u, v)
         for x, y, u, v in zip(p.tolist(), r.tolist(), re.tolist(), im.tolist())
     }
-    prod = NCPoly._pruned(left.num_vars, out, cap, taint or not fits.all())
-    prod._attach(codes.dtype, (index(p, r), l1[p] + l2[r]), _coef_array(re, im))
+    prod = left._pruned(left.num_vars, out, cap, taint or not fits.all())
+    prod._attach(codes.dtype, tuple(legs(p, r)), _coef_array(re, im))
     return prod
 
 
@@ -443,7 +477,7 @@ def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
             c = c * (1 + 0j)
             term = NCPoly._pruned(nv, {(): c} if abs(c) > PRUNE_TOL else {}, cap)
             for j in word:
-                term = _word_product(term, capped[j - 1], cap)
+                term = _product(term, capped[j - 1], cap)
             yield term
 
     out = NCPoly.sum(nv, terms(), cap)

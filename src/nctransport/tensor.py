@@ -8,21 +8,20 @@ including the in-place accumulator every sum goes through, are the ones of
 computed here is the upper bound read off the stored elementary-tensor
 representation, which is what every estimate in this library consumes.
 
-Large # products are summed as numpy arrays, through the helper that
-``NCPoly`` products use (``ncpoly.batched_pairs``), with the per-pair loop's
-result bit for bit.
+The # product and the word product of ``NCPoly`` are one kernel,
+``ncpoly._product``: a word pair is a key of two legs, and the right leg,
+of the opposite algebra, joins right to left.  Large products are summed
+there as numpy arrays, with the per-pair loop's result bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimMismatch, VarCountMismatch
 from .modular import ModularContext, twist_paths
 from . import ncpoly
-from .ncpoly import PRUNE_TOL, NCPoly, Word, WordCodes, _Sparse, batched_pairs
+from .ncpoly import PRUNE_TOL, NCPoly, Word, _Sparse
 
 Pair = tuple[Word, Word]
 
@@ -34,14 +33,13 @@ class TensorPoly(_Sparse):
     def _size(pair: Pair) -> int:
         return len(pair[0]) + len(pair[1])
 
-    @staticmethod
-    def _encode(pairs: list[Pair], codes: WordCodes) -> tuple:
-        """Index and length arrays of the left legs, then of the right legs."""
-        return (*codes.index([a for a, _ in pairs]), *codes.index([b for _, b in pairs]))
+    _legs = 2
 
     @staticmethod
-    def _sizes(arrays: tuple) -> np.ndarray:
-        return arrays[1] + arrays[3]
+    def _join(k1: Pair, k2: Pair) -> Pair:
+        """(a1 (x) b1) # (a2 (x) b2) = a1 a2 (x) b2 b1."""
+        (a1, b1), (a2, b2) = k1, k2
+        return a1 + a2, b2 + b1
 
     @staticmethod
     def one(num_vars: int, cap: int) -> "TensorPoly":
@@ -65,20 +63,14 @@ class TensorPoly(_Sparse):
 
 
 def tensor_of(P: NCPoly, Q: NCPoly, cap: int | None = None) -> TensorPoly:
-    """The tensor P (x) Q of two polynomials."""
+    """The tensor P (x) Q = (P (x) 1) # (1 (x) Q) of two polynomials."""
     P._check(Q)
     if cap is None:
         cap = P.degree_cap + Q.degree_cap
-    out: dict[Pair, complex] = {}
-    dropped = False
-    for wa, ca in P.coeffs.items():
-        for wb, cb in Q.coeffs.items():
-            if len(wa) + len(wb) > cap:
-                dropped = True
-                continue
-            key = (wa, wb)
-            out[key] = out.get(key, 0.0) + ca * cb
-    return TensorPoly(P.num_vars, out, cap, P.truncated or Q.truncated or dropped)
+    nv = P.num_vars
+    left = TensorPoly._pruned(nv, {(w, ()): c for w, c in P.coeffs.items()}, cap, P.truncated)
+    right = TensorPoly._pruned(nv, {((), w): c for w, c in Q.coeffs.items()}, cap, Q.truncated)
+    return ncpoly._product(left, right, cap)
 
 
 def t_mul(S: TensorPoly, T: TensorPoly) -> TensorPoly:
@@ -86,74 +78,11 @@ def t_mul(S: TensorPoly, T: TensorPoly) -> TensorPoly:
 
     The outer loop runs over the operand with fewer terms, over S on a tie,
     so equal operands give equal results whether or not they are one
-    object.  With at least ``ncpoly.PAIR_BATCH_MIN``
-    coefficient pairs the pairs are summed as arrays (``_t_mul_batched``),
-    with the same result.
+    object.
     """
     S._check(T)
     cap = min(S.degree_cap, T.degree_cap)
-    swapped = len(S.coeffs) > len(T.coeffs)
-    if len(S.coeffs) * len(T.coeffs) >= ncpoly.PAIR_BATCH_MIN:
-        codes = WordCodes(S.num_vars, max(cap, S.degree(), T.degree()))
-        return _t_mul_batched(S, T, cap, codes, swapped)
-    out: dict[Pair, complex] = {}
-    dropped = False
-    small, big = (T, S) if swapped else (S, T)
-    for (a1, b1), c1 in small.coeffs.items():
-        for (a2, b2), c2 in big.coeffs.items():
-            if swapped:
-                pa, pb = a2 + a1, b1 + b2
-            else:
-                pa, pb = a1 + a2, b2 + b1
-            if len(pa) + len(pb) > cap:
-                dropped = True
-                continue
-            key = (pa, pb)
-            # from 0j, as in NCPoly.__mul__
-            out[key] = out.get(key, 0j) + c1 * c2
-    return TensorPoly(
-        S.num_vars, out, cap, S.truncated or T.truncated or dropped
-    )
-
-
-def _t_mul_batched(
-    left: TensorPoly, right: TensorPoly, cap: int, codes: WordCodes, outer_right: bool
-) -> TensorPoly:
-    """The # product loop's result under ``cap``, from
-    ``ncpoly.batched_pairs``, with its coded view attached; the loop runs
-    over ``right`` outside with ``outer_right``.  ``codes`` must cover every
-    word of both operands.  A term's grade codes its bidegree (|a|, |b|): the
-    pair (a1 (x) b1, a2 (x) b2) onto a key is fixed by (|a1|, |b1|)."""
-    k1, k2 = list(left.coeffs), list(right.coeffs)
-    _, _, (ia1, la1, ib1, lb1), c1 = left._coded(codes)
-    _, _, (ia2, la2, ib2, lb2), c2 = right._coded(codes)
-    fits = (la1 + lb1)[:, None] + (la2 + lb2)[None, :] <= cap
-    # no leg is longer than codes.cap, so distinct bidegrees get distinct grades
-    g1, g2 = la1 * (codes.cap + 1) + lb1, la2 * (codes.cap + 1) + lb2
-
-    def legs(s, t):
-        # (a1 (x) b1) # (a2 (x) b2) = a1 a2 (x) b2 b1, each leg's index and
-        # length
-        return (
-            ia1[s] * codes.powers[la2[t]] + ia2[t], la1[s] + la2[t],
-            ib2[t] * codes.powers[lb1[s]] + ib1[s], lb2[t] + lb1[s],
-        )
-
-    def key(s, t):
-        # the index of the word a1 a2 b2 b1, then the lengths of both legs
-        ia, pa, ib, pb = legs(s, t)
-        c = codes.cap + 1
-        return ((ia * codes.powers[pb] + ib) * c + pa) * c + pb
-
-    s, t, re, im = batched_pairs(c1, g1, c2, g2, fits, key, outer_right)
-    out = {
-        (k1[x][0] + k2[y][0], k2[y][1] + k1[x][1]): complex(u, v)
-        for x, y, u, v in zip(s.tolist(), t.tolist(), re.tolist(), im.tolist())
-    }
-    taint = left.truncated or right.truncated or not fits.all()
-    prod = TensorPoly._pruned(left.num_vars, out, cap, taint)
-    prod._attach(codes.dtype, legs(s, t), ncpoly._coef_array(re, im))
-    return prod
+    return ncpoly._product(S, T, cap, outer_right=len(S.coeffs) > len(T.coeffs))
 
 
 def t_star(S: TensorPoly) -> TensorPoly:
@@ -293,23 +222,6 @@ class TensorMatrix:
             self.dim,
             tuple(tuple(fn(e) for e in row) for row in self.entries),
         )
-
-    def __add__(self, other: "TensorMatrix") -> "TensorMatrix":
-        if self.dim != other.dim:
-            raise DimMismatch("matrix dims differ")
-        return TensorMatrix(
-            self.dim,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
-
-    def __sub__(self, other: "TensorMatrix") -> "TensorMatrix":
-        return self + other.map_entries(lambda e: -e)
-
-    def scale(self, c: complex) -> "TensorMatrix":
-        return self.map_entries(lambda e: e.scale(c))
 
 
 def mat_mul(Q: TensorMatrix, Qp: TensorMatrix) -> TensorMatrix:

@@ -91,6 +91,24 @@ def t_sigma_reference(
     return TensorPoly(S.num_vars, out.coeffs, S.degree_cap, S.truncated or out.truncated)
 
 
+def tensor_of_reference(P: NCPoly, Q: NCPoly, cap: int | None = None) -> TensorPoly:
+    """The tensor P (x) Q pair by pair, each key from 0.0 and pruned by the
+    constructor."""
+    P._check(Q)
+    if cap is None:
+        cap = P.degree_cap + Q.degree_cap
+    out: dict = {}
+    dropped = False
+    for wa, ca in P.coeffs.items():
+        for wb, cb in Q.coeffs.items():
+            if len(wa) + len(wb) > cap:
+                dropped = True
+                continue
+            key = (wa, wb)
+            out[key] = out.get(key, 0.0) + ca * cb
+    return TensorPoly(P.num_vars, out, cap, P.truncated or Q.truncated or dropped)
+
+
 def rho_reference(ctx: ModularContext, P: NCPoly, k: int = 1) -> NCPoly:
     """The k-fold twisted cyclic rotation (``ncpoly.rho`` is k = 1), per
     degree, reading the entries of A as numpy scalars, with the full twists

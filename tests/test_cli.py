@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from nctransport import arakiwoods
 from nctransport.cli import (
     EXIT_HYPOTHESIS,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     load_config,
@@ -144,6 +147,29 @@ def test_q_isomorphism_trivial(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["pass"] is True
     assert rep["sd_residual"] == 0.0
+
+
+def test_pass_gate_reads_the_conjugate_check(strict_argv, tmp_path, capsys):
+    # at level 0 the kernel is the unit, so W = 0: the transport and every
+    # other check pass, but the conjugate-variable check reads q itself
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({**json.loads(Path(strict_argv[2]).read_text()), "level_cap": 0}))
+    argv = [*strict_argv[:2], str(cfgp), "--conjugate-degree", "4"]
+    assert run(argv) == EXIT_NUMERICAL
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["hypotheses"]["pass"] is True and rep["transport"]["completed"] is True
+    assert rep["conjugate_check"] == pytest.approx(3e-5, rel=1e-9)
+    assert rep["pass"] is False
+
+
+@pytest.mark.parametrize("flag", ["--degree", "--conjugate-degree"])
+def test_negative_degree_is_refused_before_any_work(strict_argv, monkeypatch, capsys, flag):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the kernel was built")
+
+    monkeypatch.setattr(arakiwoods, "build_xi", no_kernel)
+    assert run([*strict_argv[:3], flag, "-1", "--quiet"]) == EXIT_USAGE
+    assert "degree must be >= 0" in capsys.readouterr().err
 
 
 def test_report_determinism(tmp_path):

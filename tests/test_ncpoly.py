@@ -24,13 +24,14 @@ from nctransport.ncpoly import (
 )
 from nctransport.randgen import random_centralizer, random_poly, random_tensor
 from nctransport.serialize import poly_from_terms, poly_to_terms
-from nctransport.tensor import TensorPoly, t_mul
+from nctransport.tensor import TensorPoly, t_mul, tensor_of
 from oracles import (
     constant,
     fresh_view,
     is_centralizer,
     norm_R_sigma_reference,
     substitute_reference,
+    tensor_of_reference,
     views_equal,
 )
 
@@ -326,6 +327,59 @@ def test_coded_views_match_their_maps_after_a_strict_run(strict_argv, monkeypatc
     assert {type(p) for p in kept} == {NCPoly, TensorPoly}
     for p in kept:
         assert views_equal(p.__dict__["_view"], fresh_view(p))
+
+
+def _left_leg(P):
+    """P (x) 1, with P's cap and taint."""
+    return TensorPoly(P.num_vars, {(w, ()): c for w, c in P.coeffs.items()}, P.degree_cap, P.truncated)
+
+
+@pytest.mark.parametrize(
+    "n, cap, max_len, code_type",
+    [
+        (2, 12, 5, np.int64),
+        # the left operand holds words longer than the product's cap
+        (3, 6, 8, np.int64),
+        (30, 12, 7, object),
+    ],
+)
+@pytest.mark.parametrize("limit", [10**9, 0], ids=["loop", "batched"])
+def test_word_product_is_the_sharp_product_on_the_left_leg(monkeypatch, n, cap, max_len, code_type, limit):
+    # P sits in P (x) P^op as P (x) 1, so P * Q and (P (x) 1) # (Q (x) 1)
+    # are one product: bit for bit, key order, dropped words and taint
+    # included, on either route and with int64 and Python-int word codes.
+    # P has fewer terms than Q, so t_mul keeps P in the outer loop.
+    rng = np.random.default_rng(cap)
+    monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
+    # X1 * (X1X1 / 4) and X1X1 * (-X1 / 4) cancel; (-2 X2) * (-3 X2X2)
+    # has the imaginary part -0.0
+    P = _word_poly(rng, n, 30, max_len, max(cap, max_len), {(1,): 1.0, (1, 1): 1.0, (2,): -2.0})
+    Q = _word_poly(rng, n, 40, max_len, cap, {(1, 1): 0.25, (1,): -0.25, (2, 2): -3.0})
+    assert ncpoly.WordCodes(n, max(cap, P.degree())).dtype is code_type
+    words = P * Q
+    pairs = t_mul(_left_leg(P), _left_leg(Q))
+    assert words.truncated == (P.degree() + Q.degree() > cap)
+    assert _bits(pairs) == _bits(_left_leg(words))
+    if limit == 0:
+        assert views_equal(pairs.__dict__["_view"], fresh_view(pairs))
+
+
+@pytest.mark.parametrize("limit", [10**9, 0], ids=["loop", "batched"])
+def test_tensor_of_matches_its_loop(monkeypatch, limit):
+    # tensor_of is the product (P (x) 1) # (1 (x) Q): the coefficients and
+    # key order of the pair loop, its default cap P.cap + Q.cap, and the
+    # taint exactly when a pair exceeds the cap
+    rng = np.random.default_rng(7)
+    monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
+    P = _word_poly(rng, 2, 30, 4, 4, {(2,): -2.0})
+    Q = _word_poly(rng, 2, 40, 5, 5, {(2, 2): -3.0})
+    for cap in (None, 9, 6):
+        got, want = tensor_of(P, Q, cap), tensor_of_reference(P, Q, cap)
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert got.degree_cap == want.degree_cap == (9 if cap is None else cap)
+        assert got.truncated == want.truncated == (cap == 6)
+    tainted = NCPoly(2, P.coeffs, 4, truncated=True)
+    assert tensor_of(tainted, Q).truncated and tensor_of(Q, tainted).truncated
 
 
 def test_mul_new_key_has_no_negative_zero(monkeypatch):
