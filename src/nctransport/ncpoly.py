@@ -113,13 +113,14 @@ class _Sparse:
 
     The storage and linear structure shared by ``NCPoly`` (keys are words)
     and ``tensor.TensorPoly`` (keys are word pairs).  A subclass supplies
-    ``_size``, the degree of a key, and for the coded view ``_encode`` and
-    ``_sizes``.  Coefficients at noise level are pruned on construction, and
-    every sum goes through ``sum``, which enforces the cap: words beyond it
-    are dropped and set the taint flag.  Each subclass defines its own
-    one-line ``__add__``, where the per-layer tracer of
-    ``perfbench/tracing.py`` looks it up.  Code whose map is already pruned
-    and holds ``complex`` values wraps it with ``_pruned``, which keeps it.
+    the key rules of ``_product``: ``_size`` (a key's degree), ``_legs`` and
+    ``_join``, and ``_rjoin``, the join on swapped arguments.  Coefficients
+    at noise level are pruned on construction, and every sum goes through
+    ``sum``, which enforces the cap: words beyond it are dropped and set the
+    taint flag.  Each subclass defines its own one-line ``__add__``, where
+    the per-layer tracer of ``perfbench/tracing.py`` looks it up.  Code
+    whose map is already pruned and holds ``complex`` values wraps it with
+    ``_pruned``, which keeps it.
 
     No instance changes its map, so the coded view a batched product reads
     (``_coded``) stays valid for the instance's life.  It is an attribute,
@@ -255,6 +256,7 @@ class NCPoly(_Sparse):
     _size = staticmethod(len)
     _legs = 1
     _join = staticmethod(operator.add)
+    _rjoin = staticmethod(lambda w2, w1: w1 + w2)
 
     # -- constructors ------------------------------------------------------
 
@@ -326,20 +328,17 @@ def _product(left: _Sparse, right: _Sparse, cap: int, outer_right: bool = False)
     taints the result, as a tainted operand does.
 
     The pairs run with ``left`` in the outer loop (``right`` with
-    ``outer_right``), and each key sums its pairs in that order from 0j, as
-    ``pair_sums`` starts from 0.0 in each part: Python 3.14's 0.0 + c would
-    keep a -0.0.  With at least ``PAIR_BATCH_MIN`` coefficient pairs they
-    are summed as arrays (``_product_batched``), with the loop's result bit
-    for bit.
+    ``outer_right``, joined by ``_rjoin``), and each key sums its pairs in
+    that order from 0j, as ``pair_sums`` starts from 0.0 in each part:
+    Python 3.14's 0.0 + c would keep a -0.0.  With at least
+    ``PAIR_BATCH_MIN`` coefficient pairs they are summed as arrays
+    (``_product_batched``), with the loop's result bit for bit.
     """
     taint = left.truncated or right.truncated
     if len(left.coeffs) * len(right.coeffs) >= PAIR_BATCH_MIN:
         return _product_batched(left, right, cap, taint, outer_right)
-    size, join = left._size, left._join
-    outer, inner = left, right
-    if outer_right:
-        outer, inner = right, left
-        join = lambda kr, kl, forward=join: forward(kl, kr)
+    size = left._size
+    outer, inner, join = (right, left, left._rjoin) if outer_right else (left, right, left._join)
     out = {}
     dropped = False
     for ka, ca in outer.coeffs.items():

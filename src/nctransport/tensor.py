@@ -41,6 +41,8 @@ class TensorPoly(_Sparse):
         (a1, b1), (a2, b2) = k1, k2
         return a1 + a2, b2 + b1
 
+    _rjoin = staticmethod(lambda k2, k1: (k1[0] + k2[0], k2[1] + k1[1]))
+
     @staticmethod
     def one(num_vars: int, cap: int) -> "TensorPoly":
         """The unit 1 (x) 1."""
@@ -123,9 +125,9 @@ def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -
     ``apply_sigma`` prunes, and b takes its unit twist at s_right from the
     context's memo (``ModularContext.unit_twist``).
     The pairs are added into one dict as ``TensorPoly.sum`` adds the
-    per-term tensors ``tensor_of(sigma(c a), sigma(b))``: each product from
-    0.0 and pruned, then summed with prune-on-touch.  A term over the cap
-    with a pair on both legs sets the taint.
+    per-term tensors of sigma(c a) and sigma(b), each built pair by pair
+    with every key from 0.0 and pruned, then summed with prune-on-touch.  A
+    term over the cap with a pair on both legs sets the taint.
     """
     if S.num_vars != ctx.num_vars:
         raise VarCountMismatch(
@@ -149,7 +151,7 @@ def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -
             continue
         for wa, ca in left:
             for wb, cb in right.items():
-                # tensor_of's new key from 0.0 and its prune, then the sum's
+                # the per-term tensor's new key from 0.0 and its prune, then the sum's
                 v = 0.0 + ca * cb
                 if not abs(v) > PRUNE_TOL:
                     continue

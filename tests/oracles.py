@@ -68,8 +68,8 @@ def t_sigma_reference(
     ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float
 ) -> TensorPoly:
     """Legwise modular action term by term: each term c a (x) b is the
-    tensor of the twisted monomials c a and b, and the terms are summed by
-    ``TensorPoly.sum``."""
+    tensor of the twisted monomials c a and b (``tensor_of_reference``, each
+    key from 0.0), and the terms are summed by ``TensorPoly.sum``."""
     if S.num_vars != ctx.num_vars:
         raise VarCountMismatch(
             f"tensor over {S.num_vars} vars, context has {ctx.num_vars}"
@@ -85,7 +85,7 @@ def t_sigma_reference(
                 pa = apply_sigma_reference(ctx, pa, s_left)
             if s_right != 0.0:
                 pb = apply_sigma_reference(ctx, pb, s_right)
-            yield tensor_of(pa, pb, S.degree_cap)
+            yield tensor_of_reference(pa, pb, S.degree_cap)
 
     out = TensorPoly.sum(S.num_vars, pieces(), S.degree_cap)
     return TensorPoly(S.num_vars, out.coeffs, S.degree_cap, S.truncated or out.truncated)
