@@ -62,29 +62,67 @@ def _wick(ctx: ModularContext, q: float, word: Word, memo: dict) -> NCPoly:
     subtract the q-weighted contractions with every later letter.  In one
     variable these are the q-Hermite polynomials.  ``memo`` maps words to
     their polynomials.
+
+    The terms go into one dict with the float steps of the sum of those
+    polynomials: each product term 0j + (1+0j) c pruned as the product
+    prunes it, each contraction term (-w) c pruned as ``scale`` prunes it,
+    and both added as ``NCPoly.sum`` adds, with prune-on-touch.  No word is
+    longer than the cap, so nothing is dropped or tainted.
     """
     got = memo.get(word)
     if got is not None:
         return got
     n = len(word)
-    cap = max(n, 1)
     if n == 0:
-        out = NCPoly.one(ctx.num_vars, cap)
+        out = NCPoly.one(ctx.num_vars, 1)
     else:
         head, rest = word[0], word[1:]
+        acc: dict[Word, complex] = {}
+        for w, c in _wick(ctx, q, rest, memo).coeffs.items():
+            v = 0j + (1 + 0j) * c
+            if not abs(v) <= PRUNE_TOL:
+                # the sum's first part lands in an empty dict, so its keys
+                # are new and 0.0 + v keeps |v|
+                acc[(head,) + w] = 0.0 + v
         inner = ctx.inner_rows[head - 1]
-        parts = [NCPoly.gen(ctx.num_vars, head, cap) * _wick(ctx, q, rest, memo).with_cap(cap)]
         for k in range(len(rest)):
             w = q**k * inner[rest[k] - 1]
-            if w != 0:
-                parts.append(_wick(ctx, q, rest[:k] + rest[k + 1:], memo).scale(-w))
-        out = NCPoly.sum(ctx.num_vars, parts, cap)
+            if w == 0:
+                continue
+            for u, c in _wick(ctx, q, rest[:k] + rest[k + 1:], memo).coeffs.items():
+                v = (-w) * c
+                if abs(v) <= PRUNE_TOL:
+                    continue
+                v = acc.get(u, 0.0) + v
+                if not abs(v) <= PRUNE_TOL:
+                    acc[u] = v
+                else:
+                    acc.pop(u, None)
+        out = NCPoly._pruned(ctx.num_vars, acc, n)
     memo[word] = out
     return out
 
 
 def _level_words(n_vars: int, n: int) -> list[Word]:
     return list(product(range(1, n_vars + 1), repeat=n))
+
+
+def _grams(ctx: ModularContext, q: float, top: int):
+    """The q-Grams of levels 1, ..., top, one step of the Bozejko-Speicher
+    recursion each (see ``q_gram``).  Each level's size is checked before
+    its step."""
+    nv = ctx.num_vars
+    p = np.ones((1, 1))
+    for m in range(1, top + 1):
+        if nv**m > MAX_GRAM_DIM:
+            raise LevelTooLarge(f"level {m} over {nv} generators")
+        lifted = np.kron(np.eye(nv), p)
+        index = np.arange(nv**m).reshape((nv,) * m)
+        p = sum(q**k * lifted[:, np.moveaxis(index, 0, k).ravel()] for k in range(m))
+        gram = p.reshape((nv,) * m + (nv**m,))
+        for k in range(m):
+            gram = np.moveaxis(np.tensordot(ctx.inner_U, gram, axes=([1], [k])), 0, k)
+        yield gram.reshape(nv**m, nv**m).astype(complex)
 
 
 def q_gram(ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL_CAP) -> np.ndarray:
@@ -105,23 +143,18 @@ def q_gram(ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL
     nv = ctx.num_vars
     if n > level_cap or nv**n > MAX_GRAM_DIM:
         raise LevelTooLarge(f"level {n} over {nv} generators")
-    p = np.ones((1, 1))
-    for m in range(1, n + 1):
-        lifted = np.kron(np.eye(nv), p)
-        index = np.arange(nv**m).reshape((nv,) * m)
-        p = sum(q**k * lifted[:, np.moveaxis(index, 0, k).ravel()] for k in range(m))
-    gram = p.reshape((nv,) * n + (nv**n,))
-    for k in range(n):
-        gram = np.moveaxis(np.tensordot(ctx.inner_U, gram, axes=([1], [k])), 0, k)
-    return gram.reshape(nv**n, nv**n).astype(complex)
+    gram = np.ones((1, 1), complex)
+    for gram in _grams(ctx, q, n):
+        pass
+    return gram
 
 
-def _orthonormal_columns(ctx: ModularContext, q: float, n: int, level_cap: int) -> np.ndarray:
+def _orthonormal_columns(gram: np.ndarray) -> np.ndarray:
     """Columns C over the level-n words (n >= 1) of an orthonormal family of
     Wick polynomials r_i = sum_w C[w, i] psi_w: with the q-Gram
     G = V diag(w) V^H, C = V diag(w)^{-1/2}.  Then C^H G C = 1, and
     C C^H = G^{-1} as for every orthonormal family."""
-    w, v = np.linalg.eigh(q_gram(ctx, q, n, level_cap))
+    w, v = np.linalg.eigh(gram)
     if np.min(w) <= GRAM_EIG_FLOOR:
         raise GramNotPositive(f"q-Gram lost positivity: min eig {np.min(w):.3g}")
     return v / np.sqrt(w)
@@ -134,7 +167,7 @@ def orthonormal_basis(
     q-state: the Wick polynomials combined by ``_orthonormal_columns``."""
     if n == 0:
         return [NCPoly.one(ctx.num_vars, 1)]
-    cols = _orthonormal_columns(ctx, q, n, level_cap)
+    cols = _orthonormal_columns(q_gram(ctx, q, n, level_cap))
     words = _level_words(ctx.num_vars, n)
     memo: dict[Word, NCPoly] = {}
     wicks = [_wick(ctx, q, w, memo) for w in words]
@@ -169,17 +202,18 @@ def build_xi(ctx: ModularContext, q: float, d: int) -> XiData:
     columns of an orthonormal family (``_orthonormal_columns``), r_i has
     coefficient vector (Wk C)[:, i], so the level block B = q^n Wk C C^H Wk^H
     = q^n Wk G^{-1} Wk^H is basis-free; a (x) b has coefficient B[a, reversed b].
-    The q-Gram G comes from the Bozejko-Speicher factorisation
-    (Comm. Math. Phys. 137 (1991); see ``q_gram``).  The tensor cap is 2d so
-    no level is clipped.  At q = 0 only level zero survives and the kernel
-    is the unit.
+    The q-Grams of all levels come from one run of the Bozejko-Speicher
+    recursion (Comm. Math. Phys. 137 (1991); ``_grams``, see ``q_gram``).
+    Each block is kept as the constructor would keep it, and wrapped as it
+    is.  The tensor cap is 2d so no level is clipped.  At q = 0 only level
+    zero survives and the kernel is the unit.
     """
     nv = ctx.num_vars
     cap = max(2 * d, 2)
     memo: dict[Word, NCPoly] = {}
 
-    def level(n: int) -> TensorPoly:
-        cols = _orthonormal_columns(ctx, q, n, d)
+    def level(n: int, gram: np.ndarray) -> TensorPoly:
+        cols = _orthonormal_columns(gram)
         wicks = [_wick(ctx, q, w, memo) for w in _level_words(nv, n)]
         monos = list(dict.fromkeys(m for wick in wicks for m in wick.coeffs))
         row = {m: i for i, m in enumerate(monos)}
@@ -190,17 +224,17 @@ def build_xi(ctx: ModularContext, q: float, d: int) -> XiData:
         vecs = wk @ cols
         block = q**n * (vecs @ vecs.conj().T)
         # only the entries the constructor would keep, in row-major order
-        kept = np.nonzero(np.abs(block) > PRUNE_TOL)
+        kept = np.nonzero(~(np.abs(block) <= PRUNE_TOL))
         # one reversed word per monomial, shared by all keys of its column
         rights = [b[::-1] for b in monos]
         coeffs = {
             (monos[i], rights[j]): c
             for i, j, c in zip(*(k.tolist() for k in kept), block[kept].tolist())
         }
-        return TensorPoly(nv, coeffs, cap, any(wick.truncated for wick in wicks))
+        return TensorPoly._pruned(nv, coeffs, cap)
 
-    levels = range(1, d + 1) if q != 0.0 else ()
-    xi = TensorPoly.sum(nv, [TensorPoly.one(nv, cap), *map(level, levels)], cap)
+    levels = enumerate(_grams(ctx, q, d), 1) if q != 0.0 else ()
+    xi = TensorPoly.sum(nv, [TensorPoly.one(nv, cap), *(level(n, g) for n, g in levels)], cap)
     return XiData(q=q, max_level=d, xi=xi)
 
 

@@ -92,7 +92,7 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
                     continue
                 key = t + head
                 v = acc.get(key, 0.0) + v
-                if abs(v) > PRUNE_TOL:
+                if not abs(v) <= PRUNE_TOL:
                     acc[key] = v
                 else:
                     acc.pop(key, None)

@@ -106,7 +106,7 @@ class ModularContext:
             got = self.unit_twists[s, word] = {
                 w: 0j + v
                 for w, v in twist_paths(self.rows(s), word, 1.0 + 0j)
-                if abs(v) > PRUNE_TOL
+                if not abs(v) <= PRUNE_TOL
             }
         return got
 

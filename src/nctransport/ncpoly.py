@@ -36,7 +36,8 @@ from .errors import VarCountMismatch
 from .modular import ModularContext, Word
 
 # Coefficients below this are double-precision noise, well under every test
-# tolerance, and are pruned on construction.
+# tolerance, and are pruned on construction.  Every prune test reads
+# ``not abs(c) <= PRUNE_TOL``, so a NaN coefficient is kept, never pruned.
 PRUNE_TOL = 1e-14
 
 CENTRALIZER_TOL = 1e-9
@@ -102,7 +103,7 @@ def pair_sums(codes: np.ndarray, re: np.ndarray, im: np.ndarray):
     # bincount adds each key's values in pair order
     sum_re = np.bincount(key_of, weights=re, minlength=len(first))
     sum_im = np.bincount(key_of, weights=im, minlength=len(first))
-    kept = np.flatnonzero(np.hypot(sum_re, sum_im) > PRUNE_TOL)
+    kept = np.flatnonzero(~(np.hypot(sum_re, sum_im) <= PRUNE_TOL))
     order = kept[np.argsort(first[kept])]
     return first[order], sum_re[order], sum_im[order]
 
@@ -133,14 +134,13 @@ class _Sparse:
     truncated: bool = False
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", {k: complex(c) for k, c in self.coeffs.items() if abs(c) > PRUNE_TOL}
-        )
+        kept = {k: complex(c) for k, c in self.coeffs.items() if not abs(c) <= PRUNE_TOL}
+        object.__setattr__(self, "coeffs", kept)
 
     @classmethod
     def _pruned(cls, num_vars: int, coeffs: dict, cap: int, truncated: bool = False):
-        """An instance on ``coeffs`` as given: every value a ``complex`` with
-        |c| > PRUNE_TOL, so ``__post_init__`` would keep it unchanged."""
+        """An instance on ``coeffs`` as given: every value a ``complex`` that
+        the prune keeps, so ``__post_init__`` would keep it unchanged."""
         obj = object.__new__(cls)
         obj.__dict__.update(num_vars=num_vars, coeffs=coeffs, degree_cap=cap, truncated=truncated)
         return obj
@@ -156,7 +156,9 @@ class _Sparse:
         Equal, coefficient for coefficient, to the left fold of ``+`` from
         zero: touched coefficients are pruned after each part.  A part with a
         larger cap goes through ``with_cap(cap)`` first; the taint flags of
-        the parts are ORed.
+        the parts are ORed.  A part that meets an empty accumulator is
+        copied as 0.0 + c: its keys are new, and |0.0 + c| = |c| passes the
+        prune that built the part.
         """
         acc: dict = {}
         truncated = False
@@ -168,9 +170,12 @@ class _Sparse:
             if part.degree_cap > cap:
                 part = part.with_cap(cap)
             truncated = truncated or part.truncated
+            if not acc:
+                acc = {k: 0.0 + c for k, c in part.coeffs.items()}
+                continue
             for k, c in part.coeffs.items():
                 v = acc.get(k, 0.0) + c
-                if abs(v) > PRUNE_TOL:
+                if not abs(v) <= PRUNE_TOL:
                     acc[k] = v
                 else:
                     acc.pop(k, None)
@@ -349,7 +354,7 @@ def _product(left: _Sparse, right: _Sparse, cap: int, outer_right: bool = False)
                 continue
             k = join(ka, kb)
             out[k] = out.get(k, 0j) + ca * cb
-    kept = {k: c for k, c in out.items() if abs(c) > PRUNE_TOL}
+    kept = {k: c for k, c in out.items() if not abs(c) <= PRUNE_TOL}
     return left._pruned(left.num_vars, kept, cap, taint or dropped)
 
 
@@ -474,7 +479,7 @@ def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
         # as a constructed constant, so c enters every product first
         for word, c in P.coeffs.items():
             c = c * (1 + 0j)
-            term = NCPoly._pruned(nv, {(): c} if abs(c) > PRUNE_TOL else {}, cap)
+            term = NCPoly._pruned(nv, {} if abs(c) <= PRUNE_TOL else {(): c}, cap)
             for j in word:
                 term = _product(term, capped[j - 1], cap)
             yield term
@@ -489,16 +494,22 @@ def norm_R(P: _Sparse, R: float) -> float:
     if R <= 0:
         raise ValueError("R must be positive")
     size = P._size
-    return float(sum(abs(c) * R ** size(k) for k, c in P.coeffs.items()))
+    powers = [R**n for n in range(P.degree() + 1)]
+    return float(sum(abs(c) * powers[size(k)] for k, c in P.coeffs.items()))
 
 
 def max_coeff_diff(P: _Sparse, Q: _Sparse) -> float:
-    """Largest coefficient deviation between two maps of one kind."""
+    """Largest coefficient deviation between two maps of one kind; NaN when
+    any deviation is NaN."""
     P._check(Q)
-    keys = set(P.coeffs) | set(Q.coeffs)
-    return max(
-        (abs(P.coeffs.get(k, 0.0) - Q.coeffs.get(k, 0.0)) for k in keys), default=0.0
-    )
+    p, q = P.coeffs, Q.coeffs
+    diffs = [abs(c - q.get(k, 0.0)) for k, c in p.items()]
+    # |0.0 - c| = |c| on the keys P lacks
+    diffs += [abs(c) for k, c in q.items() if k not in p]
+    # max passes over a NaN after the first item; a sum of moduli is NaN
+    # only through one
+    total = sum(diffs)
+    return total if total != total else max(diffs, default=0.0)
 
 
 def rho(ctx: ModularContext, P: NCPoly) -> NCPoly:
@@ -526,7 +537,7 @@ def rho(ctx: ModularContext, P: NCPoly) -> NCPoly:
             key = (v,) + head
             rotated[key] = rotated.get(key, 0j) + c * a
     # adding to 0.0 leaves |c| as it is
-    out = {key: 0.0 + c for key, c in rotated.items() if abs(c) > PRUNE_TOL}
+    out = {key: 0.0 + c for key, c in rotated.items() if not abs(c) <= PRUNE_TOL}
     return NCPoly._pruned(ctx.num_vars, out, P.degree_cap, P.truncated)
 
 

@@ -87,9 +87,11 @@ def t_mul(S: TensorPoly, T: TensorPoly) -> TensorPoly:
     return ncpoly._product(S, T, cap, outer_right=len(S.coeffs) > len(T.coeffs))
 
 
+# The involutions map keys one to one and keep every modulus, so each wraps
+# its map without pruning again.
 def t_star(S: TensorPoly) -> TensorPoly:
     """Adjoint on each leg: conjugate coefficients, reverse both words."""
-    return TensorPoly(
+    return TensorPoly._pruned(
         S.num_vars,
         {(a[::-1], b[::-1]): c.conjugate() for (a, b), c in S.coeffs.items()},
         S.degree_cap,
@@ -99,7 +101,7 @@ def t_star(S: TensorPoly) -> TensorPoly:
 
 def t_diamond(S: TensorPoly) -> TensorPoly:
     """Linear leg swap: a (x) b -> b (x) a."""
-    return TensorPoly(
+    return TensorPoly._pruned(
         S.num_vars,
         {(b, a): c for (a, b), c in S.coeffs.items()},
         S.degree_cap,
@@ -109,7 +111,7 @@ def t_diamond(S: TensorPoly) -> TensorPoly:
 
 def t_dagger(S: TensorPoly) -> TensorPoly:
     """Conjugate-linear involution a (x) b -> b* (x) a*."""
-    return TensorPoly(
+    return TensorPoly._pruned(
         S.num_vars,
         {(b[::-1], a[::-1]): c.conjugate() for (a, b), c in S.coeffs.items()},
         S.degree_cap,
@@ -144,7 +146,7 @@ def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -
             left = [(a, c)]
         else:
             # apply_sigma's sum from 0.0 (|v| unchanged), then its prune
-            left = [(wa, 0.0 + v) for wa, v in twist_paths(rows, a, c) if abs(v) > PRUNE_TOL]
+            left = [(wa, 0.0 + v) for wa, v in twist_paths(rows, a, c) if not abs(v) <= PRUNE_TOL]
         right = ctx.unit_twist(s_right, b) if s_right != 0.0 else {b: 1.0 + 0j}
         if len(a) + len(b) > cap:
             dropped = dropped or bool(left and right)
@@ -153,11 +155,11 @@ def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -
             for wb, cb in right.items():
                 # the per-term tensor's new key from 0.0 and its prune, then the sum's
                 v = 0.0 + ca * cb
-                if not abs(v) > PRUNE_TOL:
+                if abs(v) <= PRUNE_TOL:
                     continue
                 key = (wa, wb)
                 v = acc.get(key, 0.0) + v
-                if abs(v) > PRUNE_TOL:
+                if not abs(v) <= PRUNE_TOL:
                     acc[key] = v
                 else:
                     acc.pop(key, None)
@@ -263,7 +265,7 @@ def _trace_weighted(ctx: ModularContext, Q: TensorMatrix, M) -> TensorPoly:
     weights = ((i, j, complex(M[i][j])) for i in range(n) for j in range(n))
     return TensorPoly.sum(
         Q.num_vars,
-        (Q[j, i].scale(m) for i, j, m in weights if abs(m) > PRUNE_TOL),
+        (Q[j, i].scale(m) for i, j, m in weights if not abs(m) <= PRUNE_TOL),
         Q.degree_cap,
     )
 

@@ -9,13 +9,14 @@ from itertools import permutations, product
 
 import numpy as np
 
-from nctransport.arakiwoods import XiData, _wick
+from nctransport.arakiwoods import XiData, _orthonormal_columns, _wick
 from nctransport.calculus import delta, partial_bar
 from nctransport.errors import DimMismatch, VarCountMismatch
 from nctransport.modular import ModularContext, apply_sigma, matrix_power
 from nctransport.moments import MomentOracle
 from nctransport.ncpoly import (
     CENTRALIZER_TOL,
+    PRUNE_TOL,
     NCPoly,
     NormValue,
     Word,
@@ -33,6 +34,40 @@ from nctransport.tensor import (
     t_sigma,
     tensor_of,
 )
+
+
+def sum_loop_reference(cls, num_vars: int, parts, cap: int):
+    """``_Sparse.sum`` with every part added key by key from 0.0, an empty
+    accumulator included, and pruned on touch; the map built by the
+    constructor."""
+    acc: dict = {}
+    truncated = False
+    for part in parts:
+        if part.degree_cap > cap:
+            part = part.with_cap(cap)
+        truncated = truncated or part.truncated
+        for k, c in part.coeffs.items():
+            v = acc.get(k, 0.0) + c
+            if not abs(v) <= PRUNE_TOL:
+                acc[k] = v
+            else:
+                acc.pop(k, None)
+    return cls(num_vars, acc, cap, truncated)
+
+
+def norm_R_reference(P, R: float) -> float:
+    """``norm_R`` with R raised to each key's degree, key by key."""
+    return float(sum(abs(c) * R ** P._size(k) for k, c in P.coeffs.items()))
+
+
+def max_coeff_diff_reference(P, Q) -> float:
+    """``max_coeff_diff`` over the union of the key sets: NaN when any
+    deviation is NaN, else the largest."""
+    keys = set(P.coeffs) | set(Q.coeffs)
+    diffs = [abs(P.coeffs.get(k, 0.0) - Q.coeffs.get(k, 0.0)) for k in keys]
+    if any(d != d for d in diffs):
+        return float("nan")
+    return max(diffs, default=0.0)
 
 
 def apply_sigma_reference(ctx: ModularContext, P: NCPoly, s: float) -> NCPoly:
@@ -518,7 +553,77 @@ def q_gram_reference(ctx: ModularContext, q: float, n: int) -> np.ndarray:
     return gram
 
 
+def q_gram_levelwise_reference(ctx: ModularContext, q: float, n: int) -> np.ndarray:
+    """Level-n q-Gram by its own run of the Bozejko-Speicher recursion from
+    level 1, in the array steps ``arakiwoods._grams`` shares between the
+    levels: the same array, bit for bit."""
+    nv = ctx.num_vars
+    p = np.ones((1, 1))
+    for m in range(1, n + 1):
+        lifted = np.kron(np.eye(nv), p)
+        index = np.arange(nv**m).reshape((nv,) * m)
+        p = sum(q**k * lifted[:, np.moveaxis(index, 0, k).ravel()] for k in range(m))
+    gram = p.reshape((nv,) * n + (nv**n,))
+    for k in range(n):
+        gram = np.moveaxis(np.tensordot(ctx.inner_U, gram, axes=([1], [k])), 0, k)
+    return gram.reshape(nv**n, nv**n).astype(complex)
+
+
+def wick_reference(ctx: ModularContext, q: float, word: Word, memo: dict) -> NCPoly:
+    """Wick polynomial of a word by the head-letter recursion, as a sum of
+    polynomials: the generator times the tail's polynomial, minus the
+    scaled contractions, added by ``NCPoly.sum``.  ``arakiwoods._wick``
+    takes the same float steps in one dict."""
+    got = memo.get(word)
+    if got is not None:
+        return got
+    n = len(word)
+    cap = max(n, 1)
+    if n == 0:
+        out = NCPoly.one(ctx.num_vars, cap)
+    else:
+        head, rest = word[0], word[1:]
+        inner = ctx.inner_rows[head - 1]
+        parts = [NCPoly.gen(ctx.num_vars, head, cap) * wick_reference(ctx, q, rest, memo).with_cap(cap)]
+        for k in range(len(rest)):
+            w = q**k * inner[rest[k] - 1]
+            if w != 0:
+                parts.append(wick_reference(ctx, q, rest[:k] + rest[k + 1:], memo).scale(-w))
+        out = NCPoly.sum(ctx.num_vars, parts, cap)
+    memo[word] = out
+    return out
+
+
 def build_xi_reference(ctx: ModularContext, q: float, d: int) -> XiData:
+    """Level-sum kernel with each level's Gram from its own recursion
+    (``q_gram_levelwise_reference``), the Wick polynomials as sums of
+    polynomials (``wick_reference``) and each level block built by the
+    constructor: ``arakiwoods.build_xi``'s value bit for bit."""
+    nv, cap = ctx.num_vars, max(2 * d, 2)
+    memo: dict = {}
+
+    def level(n: int) -> TensorPoly:
+        cols = _orthonormal_columns(q_gram_levelwise_reference(ctx, q, n))
+        wicks = [wick_reference(ctx, q, w, memo) for w in product(range(1, nv + 1), repeat=n)]
+        monos = list(dict.fromkeys(m for wick in wicks for m in wick.coeffs))
+        row = {m: i for i, m in enumerate(monos)}
+        wk = np.zeros((len(monos), len(wicks)), dtype=complex)
+        for j, wick in enumerate(wicks):
+            for m, c in wick.coeffs.items():
+                wk[row[m], j] = c
+        vecs = wk @ cols
+        block = q**n * (vecs @ vecs.conj().T)
+        coeffs = {
+            (a, b[::-1]): c for a, entries in zip(monos, block.tolist()) for b, c in zip(monos, entries)
+        }
+        return TensorPoly(nv, coeffs, cap, any(wick.truncated for wick in wicks))
+
+    levels = range(1, d + 1) if q != 0.0 else ()
+    xi = TensorPoly.sum(nv, [TensorPoly.one(nv, cap), *map(level, levels)], cap)
+    return XiData(q=q, max_level=d, xi=xi)
+
+
+def build_xi_per_vector_reference(ctx: ModularContext, q: float, d: int) -> XiData:
     """Level-sum kernel assembled one basis vector at a time:
     sum over n <= d of q^n sum_i r_i (x) r_i*, where the level-n family is
     Gram-Schmidt on the Wick polynomials, r_i = sum_w C[w, i] psi_w with

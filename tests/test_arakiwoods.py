@@ -5,6 +5,8 @@ import pytest
 
 from nctransport import build_context
 from nctransport.arakiwoods import (
+    _grams,
+    _wick,
     build_xi,
     conjugate_check,
     conjugate_vars,
@@ -36,7 +38,15 @@ from nctransport.tensor import (
     t_sigma,
 )
 from nctransport.transport import TransportConfig
-from oracles import build_xi_reference, inner, q_gram_reference, wick_poly
+from oracles import (
+    build_xi_per_vector_reference,
+    build_xi_reference,
+    inner,
+    q_gram_levelwise_reference,
+    q_gram_reference,
+    wick_poly,
+    wick_reference,
+)
 
 TOL = 1e-12
 
@@ -114,6 +124,60 @@ def test_q_gram_matches_permutation_sum(q):
             assert np.max(np.abs(got - want)) < TOL
 
 
+@pytest.mark.parametrize("q", [0.0, 0.005, 0.3, -0.4])
+def test_grams_share_one_recursion(q):
+    # each level of the one recursion build_xi runs is the single-level
+    # q_gram and the Gram of a recursion run for that level alone, bit for bit
+    for lambdas, top in (([2.0], 5), ([2.0, 3.0], 4)):
+        ctx = build_context(lambdas)
+        grams = list(_grams(ctx, q, top))
+        assert len(grams) == top
+        for n, gram in enumerate(grams, 1):
+            for want in (q_gram(ctx, q, n, top), q_gram_levelwise_reference(ctx, q, n)):
+                assert (gram.dtype, gram.shape, gram.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_grams_check_each_level_before_its_step():
+    # 17 generators: 17^3 is over MAX_GRAM_DIM, so build_xi stops at level
+    # 3 after building levels 1 and 2; at q = -1 the level-2 Gram is
+    # singular, and that error comes first
+    ctx = build_context([], 17)
+    with pytest.raises(LevelTooLarge, match="level 3 over 17 generators"):
+        build_xi(ctx, 0.1, 3)
+    with pytest.raises(GramNotPositive):
+        build_xi(ctx, -1.0, 3)
+
+
+def _bits(p):
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in p.coeffs.items()], p.degree_cap, p.truncated
+
+
+@pytest.mark.parametrize("lambdas, top", [([2.0], 5), ([2.0, 3.0], 4)])
+def test_wick_matches_sum_of_polynomials(lambdas, top):
+    # the one-dict recursion gives the polynomials of the product, scale and
+    # sum route bit for bit: keys, key order, both parts of every
+    # coefficient and taint
+    ctx = build_context(lambdas)
+    for q in (0.005, 0.3, -0.4):
+        memo, ref_memo = {}, {}
+        for n in range(top + 1):
+            for word in itertools.product(range(1, ctx.num_vars + 1), repeat=n):
+                got = _wick(ctx, q, word, memo)
+                assert _bits(got) == _bits(wick_reference(ctx, q, word, ref_memo))
+
+
+@pytest.mark.parametrize("lambdas, d", [([2.0], 5), ([2.0, 3.0], 4)])
+def test_build_xi_matches_levelwise_build(lambdas, d):
+    # one Gram recursion, the one-dict Wick polynomials and the blocks
+    # wrapped without a second prune give the kernel of per-level Grams,
+    # summed Wick polynomials and constructor-built blocks, bit for bit
+    ctx = build_context(lambdas)
+    for q in (0.005, -0.3):
+        got, want = build_xi(ctx, q, d), build_xi_reference(ctx, q, d)
+        assert got.max_level == want.max_level
+        assert _bits(got.xi) == _bits(want.xi)
+
+
 def test_q_gram_single_generator_closed_form(ctx1):
     # one generator: the level-n Gram is the q-factorial [1]_q [2]_q ... [n]_q
     for q in (0.3, -0.4, 0.9):
@@ -183,7 +247,7 @@ def test_build_xi_matches_per_vector_assembly(q):
     for lambdas, top in (([2.0], 4), ([2.0, 3.0], 3)):
         ctx = build_context(lambdas)
         for d in range(top + 1):
-            got, want = build_xi(ctx, q, d), build_xi_reference(ctx, q, d)
+            got, want = build_xi(ctx, q, d), build_xi_per_vector_reference(ctx, q, d)
             assert got.max_level == want.max_level
             assert got.xi.degree_cap == want.xi.degree_cap
             assert (got.xi.truncated, want.xi.truncated) == (False, False)

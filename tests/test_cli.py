@@ -12,6 +12,7 @@ from nctransport.cli import (
     load_config,
     run,
 )
+from nctransport.tensor import TensorPoly
 
 
 @pytest.fixture()
@@ -170,6 +171,24 @@ def test_negative_degree_is_refused_before_any_work(strict_argv, monkeypatch, ca
     monkeypatch.setattr(arakiwoods, "build_xi", no_kernel)
     assert run([*strict_argv[:3], flag, "-1", "--quiet"]) == EXIT_USAGE
     assert "degree must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("position", [0, 5, -1])
+def test_nan_in_the_kernel_fails_the_run(strict_argv, monkeypatch, capsys, position):
+    # a NaN coefficient is never pruned, so a kernel that holds one ends the
+    # run in a failure exit; pruned away, it let the last position pass
+    build = arakiwoods.build_xi
+
+    def with_nan(ctx, q, d):
+        xi = build(ctx, q, d)
+        key = list(xi.xi.coeffs)[position]
+        coeffs = {**xi.xi.coeffs, key: complex("nan")}
+        xi.xi = TensorPoly._pruned(xi.xi.num_vars, coeffs, xi.xi.degree_cap, xi.xi.truncated)
+        return xi
+
+    monkeypatch.setattr(arakiwoods, "build_xi", with_nan)
+    assert run(strict_argv) == EXIT_NUMERICAL
+    assert "numerical error" in capsys.readouterr().err
 
 
 def test_report_determinism(tmp_path):

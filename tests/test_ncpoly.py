@@ -29,8 +29,11 @@ from oracles import (
     constant,
     fresh_view,
     is_centralizer,
+    max_coeff_diff_reference,
+    norm_R_reference,
     norm_R_sigma_reference,
     substitute_reference,
+    sum_loop_reference,
     tensor_of_reference,
     views_equal,
 )
@@ -86,6 +89,24 @@ def test_sum_is_left_fold(kind, lam2, rng):
     assert list(got.coeffs.items()) == list(want.coeffs.items())
     assert (got.degree_cap, got.truncated) == (want.degree_cap, want.truncated)
     assert got.coeffs[next(iter(x.coeffs))] == 2.0
+
+
+@pytest.mark.parametrize("kind", [NCPoly, TensorPoly])
+def test_sum_matches_key_by_key_fold(kind, lam2, rng):
+    # a part that meets an empty accumulator, at the start or after the
+    # parts so far cancel, is copied; the sum still equals the key-by-key
+    # fold bit for bit, with signed zeros, a NaN, and a part of a larger cap
+    # whose long keys are dropped
+    a, b, c, d = (_random(kind, lam2, rng) for _ in range(4))
+    signed = _term(kind, (2, 1), complex(-1.0, -0.0), 8) + _term(kind, (1, 2, 2), complex(0.5, -0.0), 8)
+    nan = _term(kind, (1, 1), complex("nan"), 8)
+    wide = kind.sum(2, [c, _term(kind, (1, 2, 1, 2, 1, 2, 1, 2, 1), 1.0, 10)], 10)
+    cases = ((3, [a, b, -(a + b), wide, d, nan, signed]), (2, [signed, -signed, nan, a, wide, -d, d, b]))
+    for cancel, parts in cases:
+        assert reduce(add, parts[:cancel]).is_zero()
+        got, want = kind.sum(2, parts, 8), sum_loop_reference(kind, 2, parts, 8)
+        assert got.truncated and any(c != c for c in got.coeffs.values())
+        assert _bits(got) == _bits(want) and got.degree_cap == want.degree_cap
 
 
 @pytest.mark.parametrize("kind", [NCPoly, TensorPoly])
@@ -234,6 +255,14 @@ def test_mul_grade_bound_matches_loop(monkeypatch, n, cap, nan, code_type):
             assert _bits(left * right) == _bits(loop) == _bits(batched) == _bits(warm)
             assert loop.truncated == (fitting < pairs)
             assert abs(loop.coeffs[(1,) * 5] - 1.2e-14) < 1e-15
+            # every key a NaN pair reaches keeps its NaN, on both routes
+            nan_keys = {
+                u + v for u, cu in left.coeffs.items() for v, cv in right.coeffs.items()
+                if len(u) + len(v) <= cap and (cu != cu or cv != cv)
+            }
+            for prod in (loop, batched):
+                assert {w for w, c in prod.coeffs.items() if c != c} == nan_keys
+            assert bool(nan_keys) == nan
             # the pairs of degree 6 and more are not formed
             assert set(formed) == {kept} and (kept < fitting) == (cap > 5)
 
@@ -486,6 +515,26 @@ def test_norm_R():
     for r in (0.5, 1.0, 3.0):
         assert norm_R(p, r) == pytest.approx(r * r + 2 * r)
     assert norm_R(x(1), 2.5) == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("kind", [NCPoly, TensorPoly])
+def test_norm_R_and_max_coeff_diff_match_key_by_key_forms(kind, lam2, rng):
+    # one power of R per degree, and one pass over each map, give the
+    # per-key and key-set-union values bit for bit; a NaN deviation gives
+    # NaN whichever key it sits on
+    for _ in range(5):
+        a, b = _random(kind, lam2, rng), _random(kind, lam2, rng)
+        shared = kind.sum(2, [a, b.scale(1e-3)], 8)
+        for r in (0.5, 1.0, 3.0, 7.0):
+            assert norm_R(a, r).hex() == norm_R_reference(a, r).hex()
+        for p, q in ((a, b), (b, a), (a, shared), (a, a), (a, kind.zero(2, 8)), (kind.zero(2, 8), b)):
+            assert max_coeff_diff(p, q).hex() == max_coeff_diff_reference(p, q).hex()
+        keys = list(a.coeffs)
+        for k in (keys[0], keys[-1]):
+            bad = kind._pruned(2, {**a.coeffs, k: complex("nan")}, 8)
+            for p, q in ((bad, a), (a, bad), (bad, b), (b, bad)):
+                assert np.isnan(max_coeff_diff(p, q)) and np.isnan(max_coeff_diff_reference(p, q))
+    assert max_coeff_diff(kind.zero(2, 8), kind.zero(2, 8)) == 0.0
 
 
 def test_norm_R_quadratic_potential(lam2):

@@ -222,6 +222,14 @@ def test_t_mul_grade_bound_matches_loop(monkeypatch, n, cap, nan, code_type):
             monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
             assert _bits(t_mul(left, right)) == _bits(loop) == _bits(batched) == _bits(warm)
             assert loop.truncated == (fitting < len(left.coeffs) * len(right.coeffs))
+            # every key a NaN pair reaches keeps its NaN, on both routes
+            nan_keys = {
+                TensorPoly._join(k1, k2) for k1, c1 in left.coeffs.items() for k2, c2 in right.coeffs.items()
+                if sum(map(len, k1 + k2)) <= cap and (c1 != c1 or c2 != c2)
+            }
+            for prod in (loop, batched):
+                assert {k for k, c in prod.coeffs.items() if c != c} == nan_keys
+            assert bool(nan_keys) == nan
             if left is not right:
                 assert abs(loop.coeffs[key] - 1.2e-14) < 1.5e-15
             assert 0 < formed[0] < fitting
@@ -251,6 +259,30 @@ def test_involutions_on_elementaries():
     assert t_star(s).coeffs == {((1,), (2,)): -1j}
     assert t_dagger(elem((1, 2), (3,), n=3)).coeffs == {((3,), (2, 1)): 1.0 + 0.0j}
     assert t_diamond(elem((1,), (), n=2)).coeffs == {((), (1,)): 1.0 + 0.0j}
+
+
+def test_involutions_match_constructor_maps(ctx2, rng):
+    # each involution wraps its map without a second prune and gives the
+    # constructor-built map bit for bit: keys, key order, signed zeros, a
+    # NaN, cap and taint
+    forms = (
+        (t_star, lambda a, b, c: ((a[::-1], b[::-1]), c.conjugate())),
+        (t_diamond, lambda a, b, c: ((b, a), c)),
+        (t_dagger, lambda a, b, c: ((b[::-1], a[::-1]), c.conjugate())),
+    )
+    for truncated in (False, True):
+        s = random_tensor(ctx2, rng, 4)
+        extra = {
+            ((1, 2), ()): complex(-0.0, 2.0),
+            ((2,), (1, 1)): complex("nan"),
+            ((), (2, 1)): complex(3.0, -0.0),
+        }
+        s = TensorPoly._pruned(2, {**s.coeffs, **extra}, s.degree_cap, truncated)
+        for fn, term in forms:
+            mapped = dict(term(a, b, c) for (a, b), c in s.coeffs.items())
+            want = TensorPoly(2, mapped, s.degree_cap, truncated)
+            assert _bits(fn(s)) == _bits(want)
+            assert fn(s).degree_cap == s.degree_cap
 
 
 def test_involution_algebra(ctx2, rng):
