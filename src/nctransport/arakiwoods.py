@@ -34,10 +34,9 @@ from .ncpoly import (
     Word,
     is_cyclically_symmetric,
     max_coeff_diff,
-    norm_R_sigma,
     quadratic_potential,
 )
-from .schwinger import deformed_adjoint, ibp_residual
+from .schwinger import deformed_adjoint, ibp_residual, sd_residual
 from .tensor import (
     TensorPoly,
     max_pair_diff,
@@ -46,6 +45,14 @@ from .tensor import (
     t_sigma,
     t_star,
 )
+from .transport import (
+    TransportConfig,
+    check_hypotheses,
+    invert_series,
+    inversion_residual,
+    monotonicity_certificate,
+    solve_transport,
+)
 
 DEFAULT_LEVEL_CAP = 6
 
@@ -53,6 +60,10 @@ DEFAULT_LEVEL_CAP = 6
 MAX_GRAM_DIM = 4096
 
 GRAM_EIG_FLOOR = 1e-12
+
+# V is cyclically symmetric up to the kernel's truncation: at level 4, cap 6
+# its defect is 3.4e-15 at lambda = 2, q = 3e-5, but 8.6e-10 at q = 0.01.
+POTENTIAL_CS_TOL = 1e-7
 
 
 def _wick(ctx: ModularContext, q: float, word: Word, memo: dict) -> NCPoly:
@@ -327,9 +338,7 @@ def conjugate_check(
     return ibp_residual(o_q.moment, ctx, xi_vec, d)
 
 
-def potential_W(
-    ctx: ModularContext, xi_vec: list[NCPoly], cs_tol: float = 1e-7
-) -> PotentialResult:
+def potential_W(ctx: ModularContext, xi_vec: list[NCPoly]) -> PotentialResult:
     """Potential with cyclic gradient equal to the conjugate variables.
 
     V applies the degree-normalizer to sum_{jk} [(1+A)/2]_{jk} xi_k X_j; the
@@ -348,7 +357,7 @@ def potential_W(
         cap,
     )
     V = sigma_inv_op(acc)
-    if not is_cyclically_symmetric(ctx, V, tol=cs_tol):
+    if not is_cyclically_symmetric(ctx, V, tol=POTENTIAL_CS_TOL):
         raise NotCyclicallySymmetric(
             "potential is not cyclically symmetric; kernel truncation too coarse"
         )
@@ -363,9 +372,9 @@ def potential_W(
 def q_isomorphism_pipeline(
     ctx: ModularContext,
     q: float,
-    cfg,
+    cfg: TransportConfig,
+    level_cap: int,
     c: float = 1.0,
-    level_cap: int | None = None,
     sd_degree: int = 4,
     law_degree: int | None = None,
     enforce_hypotheses: bool = False,
@@ -379,51 +388,42 @@ def q_isomorphism_pipeline(
     transported law, monotonicity certificate, series inversion).  Returns a
     flat report dict ready for serialization; every stage's norms and
     residuals are included.  ``law_degree`` truncates law evaluation for
-    larger generator counts; None keeps it exact.  A negative degree is
-    refused before any work.  ``pass`` needs the transport, the
-    Schwinger-Dyson residual, the monotonicity certificate, the inversion
-    and, when computed, the conjugate-variable check.
+    larger generator counts; None keeps it exact.  A negative degree, and
+    at q != 0 a level_cap whose q-Gram exceeds MAX_GRAM_DIM, is refused
+    before any work.  ``pass`` needs the transport, the Schwinger-Dyson
+    residual, the monotonicity certificate, the inversion and, when
+    computed, the conjugate-variable check.
     """
-    from .schwinger import sd_residual as _sd_residual
-    from .transport import (
-        check_hypotheses,
-        invert_series,
-        inversion_residual,
-        monotonicity_certificate,
-        solve_transport,
-    )
-
     if sd_degree < 0 or (conjugate_check_degree is not None and conjugate_check_degree < 0):
         raise ValueError("degree must be >= 0")
-    d = level_cap if level_cap is not None else min(cfg.degree_cap, DEFAULT_LEVEL_CAP + 2)
+    nv = ctx.num_vars
+    if q != 0.0 and nv**level_cap > MAX_GRAM_DIM:
+        fits = max(n for n in range(level_cap) if nv**n <= MAX_GRAM_DIM)
+        msg = f"level_cap {level_cap} needs a q-Gram of {nv}^{level_cap} > {MAX_GRAM_DIM} rows"
+        raise ValueError(f"{msg}; level {fits} is the largest that fits")
     r_nat = natural_radius(q, c)
-    report: dict = {"q": q, "num_vars": ctx.num_vars, "level_cap": d, "c": c}
+    report: dict = {"q": q, "num_vars": nv, "level_cap": level_cap, "c": c}
 
     o0 = MomentOracle(ctx, 0.0)
     oq = MomentOracle(ctx, q)
 
-    xi = build_xi(ctx, q, d)
+    xi = build_xi(ctx, q, level_cap)
     invert_xi(xi, r_nat, cfg.tolerance, c, ctx)
     report["pi_bound"] = xi.pi_bound_value
     report["natural_radius"] = r_nat
-    report["xi_deviation"] = pi_norm_bound(
-        xi.xi - TensorPoly.one(ctx.num_vars, xi.xi.degree_cap), r_nat
-    )
+    report["xi_deviation"] = pi_norm_bound(xi.xi - TensorPoly.one(nv, xi.xi.degree_cap), r_nat)
     report["xi_inverse_residual"] = xi.inverse_residual
     report["neumann_terms"] = xi.neumann_terms
 
     xi_vec = conjugate_vars(ctx, xi, oq)
     if conjugate_check_degree is not None:
-        report["conjugate_check"] = conjugate_check(
-            ctx, oq, xi_vec, conjugate_check_degree
-        )
+        report["conjugate_check"] = conjugate_check(ctx, oq, xi_vec, conjugate_check_degree)
 
     pot = potential_W(ctx, xi_vec)
     w_capped = pot.W.with_cap(cfg.degree_cap)
-    report["norm_W_Rsigma"] = norm_R_sigma(ctx, w_capped, cfg.R).value
-    report["potential_grad_residual"] = pot.grad_residual
-
     hyp = check_hypotheses(ctx, w_capped, cfg)
+    report["norm_W_Rsigma"] = hyp.norm_W_Rsigma
+    report["potential_grad_residual"] = pot.grad_residual
     report["hypotheses"] = hyp.as_dict()
     if not hyp.pass_ and q != 0.0:
         # The perturbation scales linearly in q at leading order, so this
@@ -457,7 +457,7 @@ def q_isomorphism_pipeline(
 
     v_target = quadratic_potential(ctx, cfg.degree_cap) + w_capped
     law = o0.law_of(sol.Y, max_degree=law_degree)
-    report["sd_residual"] = _sd_residual(law, ctx, v_target, sd_degree)
+    report["sd_residual"] = sd_residual(law, ctx, v_target, sd_degree)
 
     cert = monotonicity_certificate(ctx, sol.f, cfg.R)
     report["monotone_bound"] = cert.bound

@@ -104,29 +104,22 @@ def grad_D(ctx: ModularContext, P: NCPoly) -> list[NCPoly]:
     return [cyclic_D(ctx, j, P) for j in range(1, ctx.num_vars + 1)]
 
 
-def jac_J(ctx: ModularContext, f: list[NCPoly]) -> TensorMatrix:
-    """Plain Jacobian: entry (i, j) is delta_j f_i."""
+def _jacobian(ctx: ModularContext, f: list[NCPoly], entry) -> TensorMatrix:
+    """The matrix with entry(j, f_i) at (i, j), row by row."""
     if len(f) != ctx.num_vars:
         raise DimMismatch(f"need {ctx.num_vars} components, got {len(f)}")
-    return TensorMatrix(
-        ctx.num_vars,
-        tuple(
-            tuple(delta(j, fi) for j in range(1, ctx.num_vars + 1)) for fi in f
-        ),
-    )
+    js = range(1, ctx.num_vars + 1)
+    return TensorMatrix(ctx.num_vars, tuple(tuple(entry(j, fi) for j in js) for fi in f))
+
+
+def jac_J(ctx: ModularContext, f: list[NCPoly]) -> TensorMatrix:
+    """Plain Jacobian: entry (i, j) is delta_j f_i."""
+    return _jacobian(ctx, f, delta)
 
 
 def jac_J_sigma(ctx: ModularContext, f: list[NCPoly]) -> TensorMatrix:
     """Twisted Jacobian: entry (i, j) is partial_sigma_j f_i."""
-    if len(f) != ctx.num_vars:
-        raise DimMismatch(f"need {ctx.num_vars} components, got {len(f)}")
-    return TensorMatrix(
-        ctx.num_vars,
-        tuple(
-            tuple(partial_sigma(ctx, j, fi) for j in range(1, ctx.num_vars + 1))
-            for fi in f
-        ),
-    )
+    return _jacobian(ctx, f, lambda j, fi: partial_sigma(ctx, j, fi))
 
 
 def sigma_inv_op(P: NCPoly) -> NCPoly:

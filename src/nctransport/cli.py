@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .arakiwoods import q_isomorphism_pipeline
 from .errors import (
@@ -36,25 +36,34 @@ EXIT_HYPOTHESIS = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters; mirrors the transport configuration plus
-    the modular and deformation data."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(TransportConfig):
+    """A transport configuration with the modular data, the deformation q
+    and the kernel and verification parameters, all checked before any work."""
 
     lambdas: list[float]
-    num_trivial: int
-    q: float
-    R: float
-    R_prime: float
-    rho: float
-    degree_cap: int
-    tolerance: float
-    max_iterations: int
-    gamma: float
+    num_trivial: int = 0
+    q: float = 0.0
+    gamma: float = 0.25
     level_cap: int
-    c: float
+    c: float = 1.0
     law_degree: int | None = None
     strict_hypotheses: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        for ok, message in (
+            (all(l > 0.0 for l in self.lambdas), f"every lambda must be > 0, got {self.lambdas}"),
+            (self.num_trivial >= 0, f"num_trivial must be >= 0, got {self.num_trivial}"),
+            (self.num_vars > 0, "configuration describes zero generators"),
+            (-1.0 < self.q < 1.0, f"q must lie in (-1, 1), got {self.q}"),
+            (self.level_cap >= 0, f"level_cap must be >= 0, got {self.level_cap}"),
+            (0.0 < self.gamma < 1.0 / 3.0, f"gamma must lie in (0, 1/3), got {self.gamma}"),
+            (self.c > -2.0, f"c must be > -2 for a positive natural radius, got {self.c}"),
+            (self.law_degree is None or self.law_degree >= 0, "law_degree must be >= 0"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
     @property
     def num_vars(self) -> int:
@@ -63,50 +72,55 @@ class RunConfig:
     def context(self) -> ModularContext:
         return build_context(self.lambdas, self.num_trivial)
 
-    def transport(self) -> TransportConfig:
-        return TransportConfig(
-            R=self.R,
-            R_prime=self.R_prime,
-            rho=self.rho,
-            degree_cap=self.degree_cap,
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-        )
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# The JSON type of each field annotation: its name, a test of the parsed
+# value and the conversion to the field; booleans are neither numbers nor integers.
+JSON_TYPES = {
+    "float": ("a number", _is_number, float),
+    "int": ("an integer", lambda x: _is_number(x) and isinstance(x, int), int),
+    "bool": ("a boolean", lambda x: isinstance(x, bool), bool),
+    "list[float]": (
+        "an array of numbers",
+        lambda x: isinstance(x, list) and all(map(_is_number, x)),
+        lambda x: [float(v) for v in x],
+    ),
+}
+
+# Every configuration key with its JSON type: the fields of RunConfig (an
+# optional one too, as null means the default) and num_vars, checked against N.
+CONFIG_KEYS = {f.name: JSON_TYPES[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
+CONFIG_KEYS["num_vars"] = JSON_TYPES["int"]
 
 
 def load_config(path: str) -> RunConfig:
+    """The configuration in a JSON object of CONFIG_KEYS.  null means the
+    default, as a missing key does: RunConfig's, but R = 4 sqrt(norm A),
+    R_prime = R + 1 and level_cap = min(degree_cap, 8)."""
     with open(path) as fh:
         raw = json.load(fh)
-    lambdas = [float(x) for x in raw.get("lambdas", [])]
-    num_trivial = int(raw.get("num_trivial", 0))
-    n = 2 * len(lambdas) + num_trivial
-    if "num_vars" in raw and int(raw["num_vars"]) != n:
-        raise ValueError(
-            f"num_vars {raw['num_vars']} inconsistent with lambdas/num_trivial (= {n})"
-        )
-    if n == 0:
-        raise ValueError("configuration describes zero generators")
-    r_default = 4.0 * modular_norm(lambdas) ** 0.5
-    cfg = RunConfig(
-        lambdas=lambdas,
-        num_trivial=num_trivial,
-        q=float(raw.get("q", 0.0)),
-        R=float(raw.get("R", r_default)),
-        R_prime=float(raw.get("R_prime", raw.get("R", r_default) + 1.0)),
-        rho=float(raw.get("rho", 1.0)),
-        degree_cap=int(raw.get("degree_cap", 8)),
-        tolerance=float(raw.get("tolerance", 1e-9)),
-        max_iterations=int(raw.get("max_iterations", 200)),
-        gamma=float(raw.get("gamma", 0.25)),
-        level_cap=int(raw.get("level_cap", min(int(raw.get("degree_cap", 8)), 8))),
-        c=float(raw.get("c", 1.0)),
-        law_degree=(int(raw["law_degree"]) if raw.get("law_degree") is not None else None),
-        strict_hypotheses=bool(raw.get("strict_hypotheses", False)),
-    )
-    if not -1.0 < cfg.q < 1.0:
-        raise ValueError(f"q must lie in (-1, 1), got {cfg.q}")
-    if cfg.level_cap < 0:
-        raise ValueError(f"level_cap must be >= 0, got {cfg.level_cap}")
+    if not isinstance(raw, dict):
+        raise ValueError(f"configuration must be a JSON object, got {type(raw).__name__}")
+    given = {}
+    for key, value in raw.items():
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown configuration key {key!r}")
+        kind, is_type, convert = CONFIG_KEYS[key]
+        if value is not None and not is_type(value):
+            raise ValueError(f"{key} must be {kind}, got {json.dumps(value)}")
+        if value is not None:
+            given[key] = convert(value)
+    num_vars = given.pop("num_vars", None)
+    lambdas = given.setdefault("lambdas", [])
+    R = given.setdefault("R", 4.0 * modular_norm(lambdas) ** 0.5)
+    given.setdefault("R_prime", R + 1.0)
+    given.setdefault("level_cap", min(given.get("degree_cap", RunConfig.degree_cap), 8))
+    cfg = RunConfig(**given)
+    if num_vars not in (None, cfg.num_vars):
+        raise ValueError(f"num_vars is {num_vars}, but lambdas and num_trivial give {cfg.num_vars}")
     return cfg
 
 
@@ -171,16 +185,14 @@ def cmd_solve_transport(args, cfg: RunConfig) -> int:
         if args.potential == "v0"
         else _load_potential(args.potential, cfg, ctx)
     )
-    sol = solve_transport(
-        ctx, oracle, w, cfg.transport(), enforce_hypotheses=cfg.strict_hypotheses
-    )
+    sol = solve_transport(ctx, oracle, w, cfg, enforce_hypotheses=cfg.strict_hypotheses)
     v = quadratic_potential(ctx, cfg.degree_cap) + w
     law = oracle.law_of(sol.Y, max_degree=cfg.law_degree)
     res = sd_residual(law, ctx, v, args.degree)
     dist = gibbs_distance(law, oracle.moment, cfg.gamma, args.degree, ctx.num_vars)
     report = {
         "command": "solve-transport",
-        "norm_W_Rsigma": sol.norm_W,
+        "norm_W_Rsigma": sol.hypotheses.norm_W_Rsigma,
         "hypotheses": sol.hypotheses.as_dict(),
         "iterations": sol.iterations,
         "delta_history": sol.delta_history,
@@ -209,7 +221,7 @@ def cmd_invert(args, cfg: RunConfig) -> int:
     if len(terms) != ctx.num_vars:
         raise ValueError(f"need {ctx.num_vars} series components, got {len(terms)}")
     y = [poly_from_terms(ctx.num_vars, t, cfg.degree_cap) for t in terms]
-    h = invert_series(y, cfg.transport())
+    h = invert_series(y, cfg)
     report = {
         "command": "invert",
         "inverse_residual": inversion_residual(y, h, cfg.degree_cap),
@@ -224,7 +236,7 @@ def cmd_q_isomorphism(args, cfg: RunConfig) -> int:
     report = q_isomorphism_pipeline(
         ctx,
         cfg.q,
-        cfg.transport(),
+        cfg,
         c=cfg.c,
         level_cap=cfg.level_cap,
         sd_degree=args.degree,

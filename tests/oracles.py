@@ -12,7 +12,7 @@ import numpy as np
 from nctransport.arakiwoods import XiData, _orthonormal_columns, _wick
 from nctransport.calculus import delta, partial_bar
 from nctransport.errors import DimMismatch, VarCountMismatch
-from nctransport.modular import ModularContext, apply_sigma, matrix_power
+from nctransport.modular import ModularContext, apply_sigma, matrix_power, modular_norm
 from nctransport.moments import MomentOracle
 from nctransport.ncpoly import (
     CENTRALIZER_TOL,
@@ -645,3 +645,27 @@ def build_xi_per_vector_reference(ctx: ModularContext, q: float, d: int) -> XiDa
 
     xi = TensorPoly.sum(nv, map(level, range(d + 1 if q != 0.0 else 1)), cap)
     return XiData(q=q, max_level=d, xi=xi)
+
+
+def load_config_reference(raw: dict) -> dict:
+    """The configuration fields of a valid JSON object as the float/int
+    casts of the former ``cli.load_config`` set them, ``transport()`` fields
+    included; every default spelled out."""
+    lambdas = [float(x) for x in raw.get("lambdas", [])]
+    r_default = 4.0 * modular_norm(lambdas) ** 0.5
+    return {
+        "lambdas": lambdas,
+        "num_trivial": int(raw.get("num_trivial", 0)),
+        "q": float(raw.get("q", 0.0)),
+        "R": float(raw.get("R", r_default)),
+        "R_prime": float(raw.get("R_prime", raw.get("R", r_default) + 1.0)),
+        "rho": float(raw.get("rho", 1.0)),
+        "degree_cap": int(raw.get("degree_cap", 8)),
+        "tolerance": float(raw.get("tolerance", 1e-9)),
+        "max_iterations": int(raw.get("max_iterations", 200)),
+        "gamma": float(raw.get("gamma", 0.25)),
+        "level_cap": int(raw.get("level_cap", min(int(raw.get("degree_cap", 8)), 8))),
+        "c": float(raw.get("c", 1.0)),
+        "law_degree": int(raw["law_degree"]) if raw.get("law_degree") is not None else None,
+        "strict_hypotheses": bool(raw.get("strict_hypotheses", False)),
+    }

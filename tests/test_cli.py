@@ -1,9 +1,11 @@
+import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
-from nctransport import arakiwoods
+from nctransport import arakiwoods, cli
 from nctransport.cli import (
     EXIT_HYPOTHESIS,
     EXIT_NUMERICAL,
@@ -13,6 +15,13 @@ from nctransport.cli import (
     run,
 )
 from nctransport.tensor import TensorPoly
+from nctransport.transport import TransportConfig
+from oracles import load_config_reference
+
+# the strict lambda = 2, q = 3e-5 run, as the CI steps write it
+BASE = {"lambdas": [2.0], "num_trivial": 0, "R": 6.0, "R_prime": 7.0, "degree_cap": 6,
+        "tolerance": 1e-9}
+STRICT = {**BASE, "q": 3e-5, "level_cap": 4, "strict_hypotheses": True}
 
 
 @pytest.fixture()
@@ -53,11 +62,103 @@ def test_load_config_validation(tmp_path):
     bad.write_text(json.dumps({"lambdas": [2.0], "q": 3e-5, "level_cap": -1}))
     with pytest.raises(ValueError):
         load_config(str(bad))
-    # max_iterations is checked where the transport configuration is built
+    # max_iterations is checked by the TransportConfig that the config is
     bad.write_text(json.dumps({"lambdas": [2.0], "q": 3e-5, "max_iterations": 0}))
     with pytest.raises(ValueError):
-        load_config(str(bad)).transport()
+        load_config(str(bad))
     assert run(["q-isomorphism", "--config", str(bad), "--quiet"]) == EXIT_USAGE
+
+
+# the README example, every configuration of the tests, the CI runs and the
+# benchmark workloads, and one with integers where numbers go
+VALID_CONFIGS = [
+    {"lambdas": [2.0], "num_trivial": 0, "q": 0.01, "R": 4.0, "R_prime": 5.0, "rho": 1.0,
+     "degree_cap": 8, "tolerance": 1e-9, "max_iterations": 200, "gamma": 0.25,
+     "level_cap": 8, "c": 1.0, "law_degree": None, "strict_hypotheses": False},
+    {"lambdas": [], "num_trivial": 1, "q": 0.3, "R": 4.0, "degree_cap": 8},
+    {"lambdas": [], "num_trivial": 1, "q": 0.0},
+    {"lambdas": [], "num_trivial": 1, "R": 4.0, "degree_cap": 6},
+    {"lambdas": [], "num_trivial": 1, "R": 4.0, "degree_cap": 6, "strict_hypotheses": True},
+    {"lambdas": [], "num_trivial": 1, "q": 0.0, "degree_cap": 6, "level_cap": 4},
+    {"lambdas": [], "num_trivial": 1, "q": 0.01, "degree_cap": 6, "level_cap": 6},
+    {"lambdas": [], "num_trivial": 1},
+    STRICT,
+    {**STRICT, "strict_hypotheses": False},
+    {**BASE, "q": 0.01, "level_cap": 4},
+    {**BASE, "q": 3e-5, "level_cap": 0, "strict_hypotheses": True},
+    {"lambdas": [2.0, 3.0], "num_trivial": 0, "R": 7.0, "R_prime": 8.0, "degree_cap": 6,
+     "tolerance": 1e-9, "q": 1e-5, "level_cap": 4},
+    {"lambdas": [2.0], "q": 0.005},
+    {"lambdas": [2.0], "q": 1e-4, "R": 6.0, "R_prime": 7.0, "degree_cap": 8, "level_cap": 4},
+    {"lambdas": [2, 3], "num_trivial": 1, "num_vars": 5, "q": 0, "R": 7, "degree_cap": 5},
+]
+
+
+@pytest.mark.parametrize("raw", VALID_CONFIGS)
+def test_load_config_keeps_the_field_values(tmp_path, raw):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    cfg = load_config(str(path))
+    assert isinstance(cfg, TransportConfig)
+    got = dataclasses.asdict(cfg)
+    want = load_config_reference(raw)
+    assert got == want
+    assert [type(v) for v in got.values()] == [type(want[k]) for k in got]
+    assert all(type(x) is float for x in cfg.lambdas)
+
+
+def test_null_means_the_default(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"lambdas": [2.0]}))
+    default = load_config(str(path))
+    nulls = dict.fromkeys(cli.CONFIG_KEYS, None)
+    path.write_text(json.dumps({**nulls, "lambdas": [2.0]}))
+    assert load_config(str(path)) == default
+    path.write_text(json.dumps({**STRICT, "degree_cap": None}))
+    assert load_config(str(path)).degree_cap == default.degree_cap == 8
+    assert run(["moments", "--config", str(path), "--word", "1,2", "--quiet"]) == EXIT_OK
+
+
+BAD_CONFIGS = {
+    "negative lambda": ("q-isomorphism", {**STRICT, "lambdas": [-2.0]}, "lambda must be > 0"),
+    "gamma above 1/3": ("solve-transport", {**STRICT, "gamma": 0.5}, "gamma must lie in"),
+    "negative R": ("q-isomorphism", {**STRICT, "R": -6}, "0 < R < R_prime"),
+    "c below -2": ("q-isomorphism", {**STRICT, "c": -3}, "c must be > -2"),
+    "zero tolerance": ("q-isomorphism", {**STRICT, "tolerance": 0}, "tolerance must be > 0"),
+    "misspelt strict_hypotheses": (
+        "q-isomorphism", {**STRICT, "strict_hypothesis": True}, "key 'strict_hypothesis'"),
+    "misspelt tolerance": ("q-isomorphism", {**STRICT, "tolerence": 1e-9}, "key 'tolerence'"),
+    "not an object": ("q-isomorphism", [1, 2], "must be a JSON object"),
+    "lambdas a number": ("q-isomorphism", {**STRICT, "lambdas": 2}, "lambdas must be an array"),
+    "level_cap over the Gram bound": (
+        "q-isomorphism",
+        {"lambdas": [2.0, 3.0], "q": 1e-5, "R": 7.0, "R_prime": 8.0, "degree_cap": 8},
+        "level 6 is the largest",
+    ),
+    "boolean as a string": (
+        "q-isomorphism", {**STRICT, "strict_hypotheses": "false"}, "must be a boolean"),
+    "lambdas as a string": ("q-isomorphism", {**STRICT, "lambdas": "23"}, "must be an array"),
+    "fractional degree_cap": ("q-isomorphism", {**STRICT, "degree_cap": 6.7}, "an integer"),
+    "boolean degree_cap": ("q-isomorphism", {**STRICT, "degree_cap": True}, "an integer"),
+    "boolean R": ("q-isomorphism", {**STRICT, "R": True}, "R must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_bad_config_is_refused_before_any_work(tmp_path, monkeypatch, capsys, case):
+    # each of these once ran to a numerical failure, a traceback, a whole
+    # solve or an exit 0
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(arakiwoods, "build_xi", no_work)
+    monkeypatch.setattr(cli, "solve_transport", no_work)
+    command, raw, message = BAD_CONFIGS[case]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert run([command, "--config", str(path), "--quiet"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
 
 
 def test_moments_command(config_n1, capsys):
@@ -191,14 +292,34 @@ def test_nan_in_the_kernel_fails_the_run(strict_argv, monkeypatch, capsys, posit
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_a_majorant_is_reported_as_one(strict_argv, tmp_path, capsys):
+    # at cap 8 and q = 1e-4 the iterate leaves the centralizer by rounding,
+    # so the last delta and the |ghat| that stops the solve are the
+    # norm_A^(deg-1) norm_R majorant of norm_R_sigma, not the norm
+    path = tmp_path / "majorant.json"
+    path.write_text(json.dumps(
+        {"lambdas": [2.0], "q": 1e-4, "R": 6.0, "R_prime": 7.0, "degree_cap": 8, "level_cap": 4}
+    ))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["q-isomorphism", "--config", str(path), "--quiet"]) == EXIT_HYPOTHESIS
+    assert [str(w.message) for w in caught] == [
+        "delta at iteration 3 is the off-centralizer majorant",
+        "contraction ratio 0.6408 above 0.55",
+    ]
+    error = json.loads(capsys.readouterr().out)["transport"]["error"]
+    assert error.startswith("the majorant of |ghat| (ghat left the centralizer) = 38.45")
+    # every norm of the strict run is exact
+    assert run(strict_argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["transport"]["warnings"] == []
+
+
 def test_report_determinism(tmp_path):
     cfgp = tmp_path / "c.json"
     cfgp.write_text(
         json.dumps({"lambdas": [], "num_trivial": 1, "q": 0.01, "degree_cap": 6, "level_cap": 6})
     )
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    import warnings
-
     # byte-identical output for identical configuration, whatever the verdict
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -46,6 +46,10 @@ def quartic(eps: float, cap: int = 8) -> NCPoly:
 def test_config_validation():
     with pytest.raises(ValueError):
         TransportConfig(R=4.0, R_prime=4.0, rho=1.0)
+    with pytest.raises(ValueError, match="0 < R < R_prime"):
+        TransportConfig(R=-6.0, R_prime=7.0)
+    with pytest.raises(ValueError, match="tolerance must be > 0"):
+        TransportConfig(R=4.0, R_prime=5.0, tolerance=0.0)
     with pytest.raises(ValueError):
         TransportConfig(R=4.0, R_prime=5.0, rho=0.0)
     # with no iteration the solver would have no delta to report
