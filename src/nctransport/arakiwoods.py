@@ -434,7 +434,7 @@ def q_isomorphism_pipeline(
 
     try:
         sol = solve_transport(
-            ctx, o0, w_capped, cfg, enforce_hypotheses=enforce_hypotheses
+            ctx, o0, w_capped, cfg, enforce_hypotheses=enforce_hypotheses, hypotheses=hyp
         )
     except (NormTooLarge, NoConvergence) as exc:
         report["transport"] = {"completed": False, "error": str(exc)}

@@ -11,23 +11,29 @@ goes through, live in a base class shared with ``tensor.TensorPoly``.
 One kernel, ``_product``, multiplies both kinds.  A key has one leg (a
 word) or two (a word pair of P (x) P^op); leg 0 joins left to right, and
 leg 1, of the opposite algebra, right to left.  The word product is the #
-product on the left leg.  Large products are summed as numpy arrays instead
-of pair by pair (``batched_pairs``).  Words then travel as exact integer
-codes (``WordCodes``), and ``pair_sums`` adds the value of every pair onto
-its key in pair order and prunes the sums exactly as the per-pair loop and
-the constructor do, so both routes give the same coefficients, bit for bit,
-in the same key order.  Pairs in a grade whose bound proves every key
-pruned are not formed.  An operand's leg codes and coefficient array are
-built once and kept on the instance (its coded view, ``_Sparse._coded``); a
-batched product hands its result the view it already holds from the kept
-keys' codes.
+product on the left leg.  Each operand keeps a grade summary, its largest
+modulus and term count per grade (``_Sparse._grades``), and the kernel
+reads from the two summaries which pairs of grades are live: a grade whose
+bound proves every key pruned forms no pair, on either route.  Products
+with at least ``PAIR_BATCH_MIN`` live pairs are summed as numpy arrays
+instead of pair by pair (``_product_batched``).  Words then travel as exact
+integer codes (``WordCodes``), ``live_pairs`` lists the live pairs in loop
+order, and ``pair_sums`` adds the value of every pair onto its key in pair
+order and prunes the sums exactly as the per-pair loop and the constructor
+do, so both routes give the same coefficients, bit for bit, in the same
+key order.  An operand's leg codes and coefficient array are built once and
+kept on the instance (its coded view, ``_Sparse._coded``); a batched
+product hands its result the view it already holds from the kept keys'
+codes.  The loop route keeps its inner operand's terms grouped by grade
+(``_Sparse._rows``).
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import NamedTuple
 
 import numpy as np
@@ -42,10 +48,10 @@ PRUNE_TOL = 1e-14
 
 CENTRALIZER_TOL = 1e-9
 
-# Products (NCPoly and #) with at least this many coefficient pairs are summed
-# as numpy arrays; below it numpy's fixed cost per call makes the per-pair
-# loop faster.
-PAIR_BATCH_MIN = 1024
+# Products (NCPoly and #) with at least this many live pairs are summed as
+# numpy arrays; below it numpy's fixed cost per call makes the per-pair loop
+# faster.
+PAIR_BATCH_MIN = 256
 
 
 class WordCodes:
@@ -115,7 +121,8 @@ class _Sparse:
     The storage and linear structure shared by ``NCPoly`` (keys are words)
     and ``tensor.TensorPoly`` (keys are word pairs).  A subclass supplies
     the key rules of ``_product``: ``_size`` (a key's degree), ``_legs`` and
-    ``_join``, and ``_rjoin``, the join on swapped arguments.  Coefficients
+    ``_join``, ``_rjoin``, the join on swapped arguments, and
+    ``_term_grades``, the leg lengths of each key.  Coefficients
     at noise level are pruned on construction, and every sum goes through
     ``sum``, which enforces the cap: words beyond it are dropped and set the
     taint flag.  Each subclass defines its own one-line ``__add__``, where
@@ -123,9 +130,11 @@ class _Sparse:
     whose map is already pruned and holds ``complex`` values wraps it with
     ``_pruned``, which keeps it.
 
-    No instance changes its map, so the coded view a batched product reads
-    (``_coded``) stays valid for the instance's life.  It is an attribute,
-    not a field: it takes no part in ``==`` or ``repr``.
+    No instance changes its map, so what the products read from it and keep
+    on it stays valid for the instance's life: the coded view (``_coded``),
+    the grade summary (``_grades``) and the terms by grade (``_rows``).
+    They are attributes, not fields: they take no part in ``==`` or
+    ``repr``.
     """
 
     num_vars: int
@@ -204,10 +213,71 @@ class _Sparse:
         view = self.__dict__["_view"] = (dtype, degree, arrays, coef)
         return view
 
+    def _grades(self) -> list:
+        """The grade summary ``_product`` reads: per grade, the tuple (size,
+        length of leg 0, largest modulus, term count, grade), in ascending
+        order of size.  A NaN coefficient makes its grade's largest modulus
+        NaN.  Built on the first request, from the coded view where the
+        instance has one, and kept."""
+        summary = self.__dict__.get("_summary")
+        if summary is not None:
+            return summary
+        view = self.__dict__.get("_view")
+        acc: dict = {}
+        if view is None:
+            for g, m in zip(self._term_grades(), map(abs, self.coeffs.values())):
+                entry = acc.get(g)
+                if entry is None:
+                    acc[g] = [m, 1]
+                else:
+                    entry[1] += 1
+                    # a NaN is kept: nothing compares above it
+                    if m > entry[0] or m != m:
+                        entry[0] = m
+        else:
+            lens, mods = view[2][1::2], np.abs(view[3])
+            radix = view[1] + 1
+            codes = lens[0] if self._legs == 1 else lens[0] * radix + lens[1]
+            counts = np.bincount(codes)
+            top = np.zeros(len(counts))
+            # np.maximum keeps a NaN
+            with np.errstate(invalid="ignore"):
+                np.maximum.at(top, codes, mods)
+            grades = np.flatnonzero(counts)
+            for g, m, n in zip(grades.tolist(), top[grades].tolist(), counts[grades].tolist()):
+                acc[g if self._legs == 1 else divmod(g, radix)] = [m, n]
+        summary = []
+        for g, (m, n) in acc.items():
+            size, first = (g, g) if self._legs == 1 else (g[0] + g[1], g[0])
+            summary.append((size, first, m, n, g))
+        # size and the length of leg 0 fix the grade, so no tie reaches the
+        # moduli
+        summary.sort()
+        self.__dict__["_summary"] = summary
+        return summary
+
+    def _rows(self, grades: tuple) -> list:
+        """The (index, key, coefficient) of the terms of ``grades``, in key
+        order: what the loop route reads of its inner operand.  The rows of
+        single grades are built on the first request, those of a tuple
+        merged from them by index, and each is kept."""
+        rows = self.__dict__.get("_grade_rows")
+        if rows is None:
+            rows = self.__dict__["_grade_rows"] = {}
+            for i, (k, c), g in zip(count(), self.coeffs.items(), self._term_grades()):
+                rows.setdefault((g,), []).append((i, k, c))
+        row = rows.get(grades)
+        if row is None:
+            row = rows[grades] = sorted(chain.from_iterable(rows[(g,)] for g in grades))
+        return row
+
     def degree(self) -> int:
         view = self.__dict__.get("_view")
         if view is not None:
             return view[1]
+        summary = self.__dict__.get("_summary")
+        if summary is not None:
+            return summary[-1][0] if summary else 0
         return max(map(self._size, self.coeffs), default=0)
 
     def is_zero(self) -> bool:
@@ -217,10 +287,11 @@ class _Sparse:
         """Retarget the cap, dropping (and tainting on) too-long keys."""
         if self.degree() <= cap:
             # nothing to drop: share the map, which no instance changes, and
-            # its coded view
+            # what the products keep on it
             out = self._pruned(self.num_vars, self.coeffs, cap, self.truncated)
-            if "_view" in self.__dict__:
-                out.__dict__["_view"] = self.__dict__["_view"]
+            for cached in ("_view", "_summary", "_grade_rows"):
+                if cached in self.__dict__:
+                    out.__dict__[cached] = self.__dict__[cached]
             return out
         size = self._size
         kept = {k: c for k, c in self.coeffs.items() if size(k) <= cap}
@@ -262,6 +333,10 @@ class NCPoly(_Sparse):
     _legs = 1
     _join = staticmethod(operator.add)
     _rjoin = staticmethod(lambda w2, w1: w1 + w2)
+
+    def _term_grades(self) -> list:
+        """Each word's grade, its length, in key order."""
+        return list(map(len, self.coeffs))
 
     # -- constructors ------------------------------------------------------
 
@@ -335,70 +410,88 @@ def _product(left: _Sparse, right: _Sparse, cap: int, outer_right: bool = False)
     The pairs run with ``left`` in the outer loop (``right`` with
     ``outer_right``, joined by ``_rjoin``), and each key sums its pairs in
     that order from 0j, as ``pair_sums`` starts from 0.0 in each part:
-    Python 3.14's 0.0 + c would keep a -0.0.  With at least
-    ``PAIR_BATCH_MIN`` coefficient pairs they are summed as arrays
-    (``_product_batched``), with the loop's result bit for bit.
-    """
-    taint = left.truncated or right.truncated
-    if len(left.coeffs) * len(right.coeffs) >= PAIR_BATCH_MIN:
-        return _product_batched(left, right, cap, taint, outer_right)
-    size = left._size
-    outer, inner, join = (right, left, left._rjoin) if outer_right else (left, right, left._join)
-    out = {}
-    dropped = False
-    for ka, ca in outer.coeffs.items():
-        room = cap - size(ka)
-        for kb, cb in inner.coeffs.items():
-            if size(kb) > room:
-                dropped = True
-                continue
-            k = join(ka, kb)
-            out[k] = out.get(k, 0j) + ca * cb
-    kept = {k: c for k, c in out.items() if not abs(c) <= PRUNE_TOL}
-    return left._pruned(left.num_vars, kept, cap, taint or dropped)
+    Python 3.14's 0.0 + c would keep a -0.0.
 
-
-def batched_pairs(
-    c1: np.ndarray, g1: np.ndarray, c2: np.ndarray, g2: np.ndarray, fits: np.ndarray, key,
-    outer_second: bool = False,
-):
-    """The per-pair product loop of two coefficient lists, as array sums.
-
-    Over the pairs (p, r) with ``fits[p, r]``, p in the outer loop (r with
-    ``outer_second``), adds c1[p] * c2[r] onto the exact key code
-    ``key(p, r)`` of integer arrays p and r, and prunes as ``pair_sums``
-    does.  Each product uses Python's complex-product formula on the parts,
-    so it is bit-identical to ``c1[p] * c2[r]``.  Returns p and r of each
-    kept key's first pair and the real and imaginary parts of its sum, in
-    order of first occurrence.
-
-    ``g1`` and ``g2`` grade the terms by nonnegative integers that add under
-    the product: the pairs onto a key of grade G split it as g1 + g2 = G, at
-    most one pair per split.  Such a key's sum is then at most
-    bound(G) = sum over g1 + g2 = G of max|c1 at g1| * max|c2 at g2|.  Where
+    Only the live pairs are formed.  A key's grade is its leg lengths
+    (``_term_grades``), which add under the product, and a key of grade G
+    gets at most one pair per split g1 + g2 = G, since the split fixes where
+    the key's legs are cut.  So its sum is at most bound(G), the sum over the
+    splits of the largest moduli at g1 and at g2 (``_grades``).  Where
     bound(G) is at most PRUNE_TOL, with a margin far above the rounding of
-    the sums, ``pair_sums`` prunes every key of grade G whatever the order
-    of its sums, and those pairs are not formed.  The pairs of every other
-    key stay, in loop order, so the result is the one over all pairs.
+    the sums, every key of grade G is pruned whatever the order of its sums,
+    and its pairs are skipped; a NaN bound keeps its grade.  Every other key
+    keeps all of its pairs in loop order, so the result is the one over all
+    pairs, bit for bit.  The taint comes from the degrees: a pair of grades
+    beyond the cap drops its pairs.  With at least ``PAIR_BATCH_MIN`` live
+    pairs they are summed as arrays (``_product_batched``).
     """
-    m1 = np.zeros(g1.max(initial=0) + 1)
-    m2 = np.zeros(g2.max(initial=0) + 1)
-    # a NaN coefficient makes its grade's maximum and every bound it enters
-    # NaN, and a NaN bound keeps its grade
-    with np.errstate(invalid="ignore"):
-        np.maximum.at(m1, g1, np.abs(c1))
-        np.maximum.at(m2, g2, np.abs(c2))
-        live = ~(np.convolve(m1, m2) * (1 + 1e-9) <= PRUNE_TOL)
-    fits = fits & live[g1[:, None] + g2[None, :]]
-    if outer_second:
-        r, p = np.nonzero(fits.T)
+    if outer_right:
+        outer, inner, join = right, left, left._rjoin
     else:
-        p, r = np.nonzero(fits)
-    a, b = c1[p], c2[r]
-    re = a.real * b.real - a.imag * b.imag
-    im = a.real * b.imag + a.imag * b.real
-    first, re, im = pair_sums(key(p, r), re, im)
-    return p[first], r[first], re, im
+        outer, inner, join = left, right, left._join
+    # a key's grade is fixed by its size and the length of its leg 0
+    radix = cap + 1
+    bound: dict = {}
+    fitting = []
+    dropped = False
+    inner_grades = inner._grades()
+    for size1, first1, top1, n1, g1 in outer._grades():
+        room = cap - size1
+        for size2, first2, top2, n2, g2 in inner_grades:
+            if size2 > room:
+                dropped = True
+                break
+            g = (size1 + size2) * radix + first1 + first2
+            bound[g] = bound.get(g, 0.0) + top1 * top2
+            fitting.append((g, g1, g2, n1 * n2))
+    # per outer grade, its live inner grades
+    partners: dict = {}
+    pairs = 0
+    for g, g1, g2, n in fitting:
+        if not bound[g] * (1 + 1e-9) <= PRUNE_TOL:
+            partners.setdefault(g1, []).append(g2)
+            pairs += n
+    taint = left.truncated or right.truncated or dropped
+    if pairs >= PAIR_BATCH_MIN:
+        return _product_batched(left, right, cap, taint, outer_right, partners)
+    # per outer grade, the inner terms of its live grades in inner order
+    rows = {g: inner._rows(tuple(part)) for g, part in partners.items()}
+    out: dict = {}
+    get = out.get
+    for (ka, ca), g in zip(outer.coeffs.items(), outer._term_grades()):
+        for _, kb, cb in rows.get(g, ()):
+            k = join(ka, kb)
+            out[k] = get(k, 0j) + ca * cb
+    kept = {k: c for k, c in out.items() if not abs(c) <= PRUNE_TOL}
+    return left._pruned(left.num_vars, kept, cap, taint)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [s, s + l) of each start s and length l, one after the other."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def live_pairs(g1: np.ndarray, g2: np.ndarray, partners: dict, size: int) -> tuple:
+    """The pairs (p, r) of terms with g2[r] one of ``partners[g1[p]]``, in
+    the order of the loop over p and, within it, over r.
+
+    Each term's grade is an integer below ``size``.  Block b holds the
+    inner terms live with the b-th outer grade, in index order: the nonzero
+    entries of a table of blocks by inner terms.
+    """
+    blocks = list(partners)
+    # the last block, of the outer grades with no live partner, is empty
+    live = np.zeros((len(blocks) + 1) * size, bool)
+    live[[b * size + g for b, a in enumerate(blocks) for g in partners[a]]] = True
+    owner, rows = np.nonzero(live.reshape(-1, size)[:, g2])
+    width = np.bincount(owner, minlength=len(blocks) + 1)
+    block_of = [len(blocks)] * size
+    for b, a in enumerate(blocks):
+        block_of[a] = b
+    block = np.array(block_of)[g1]
+    n = width[block]
+    return np.repeat(np.arange(len(g1)), n), rows[_ranges((np.cumsum(width) - width)[block], n)]
 
 
 def _coef_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -408,24 +501,38 @@ def _coef_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return coef
 
 
+@functools.cache
+def _word_codes(num_vars: int, cap: int) -> WordCodes:
+    """The one ``WordCodes`` of each generator count and cap."""
+    return WordCodes(num_vars, cap)
+
+
 def _product_batched(
-    left: _Sparse, right: _Sparse, cap: int, taint: bool, outer_right: bool
+    left: _Sparse, right: _Sparse, cap: int, taint: bool, outer_right: bool, partners: dict
 ) -> _Sparse:
-    """The product loop's result under ``cap``, from ``batched_pairs``, with
-    its coded view attached.  A term's grade is its leg lengths in mixed
-    radix: no leg is longer than the codes' cap, so the split of a key's
-    legs fixes the pair onto it."""
-    codes = WordCodes(left.num_vars, max(cap, left.degree(), right.degree()))
+    """The product loop's result under ``cap`` over the live pairs of
+    ``_product``, those of each outer grade with its ``partners``, as array
+    sums, with its coded view attached.
+
+    The live pairs come from ``live_pairs`` in loop order.  Each product
+    uses Python's complex-product formula on the parts, so it is
+    bit-identical to ``c1[p] * c2[r]``, and ``pair_sums`` adds them onto
+    their keys' exact codes and prunes as the loop does.  A term's grade is
+    its leg lengths in mixed radix: no leg is longer than the codes' cap, so
+    the split of a key's legs fixes the pair onto it."""
+    codes = _word_codes(left.num_vars, max(cap, left.degree(), right.degree()))
     radix = codes.cap + 1
     _, _, v1, c1 = left._coded(codes)
     _, _, v2, c2 = right._coded(codes)
-    fits = sum(v1[1::2])[:, None] + sum(v2[1::2])[None, :] <= cap
 
     def grade(view):
         g = view[1]
         for lens in view[3::2]:
             g = g * radix + lens
         return g
+
+    def grade_code(g):
+        return g if left._legs == 1 else g[0] * radix + g[1]
 
     def legs(p, r):
         # leg 0 joins left to right, leg 1 (of P^op) right to left: each
@@ -446,14 +553,21 @@ def _product_batched(
             code = code * codes.powers[lens] + index
         return code * radix**left._legs + grade(view)
 
-    p, r, re, im = batched_pairs(c1, grade(v1), c2, grade(v2), fits, key, outer_right)
-    k1, k2, join = list(left.coeffs), list(right.coeffs), left._join
-    out = {
-        join(k1[x], k2[y]): complex(u, v)
-        for x, y, u, v in zip(p.tolist(), r.tolist(), re.tolist(), im.tolist())
-    }
-    prod = left._pruned(left.num_vars, out, cap, taint or not fits.all())
-    prod._attach(codes.dtype, tuple(legs(p, r)), _coef_array(re, im))
+    coded = {grade_code(a): [grade_code(b) for b in part] for a, part in partners.items()}
+    if outer_right:
+        r, p = live_pairs(grade(v2), grade(v1), coded, radix**left._legs)
+    else:
+        p, r = live_pairs(grade(v1), grade(v2), coded, radix**left._legs)
+    a, b = c1[p], c2[r]
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    first, re, im = pair_sums(key(p, r), re, im)
+    p, r = p[first], r[first]
+    coef = _coef_array(re, im)
+    k1, k2 = list(left.coeffs), list(right.coeffs)
+    keys = map(left._join, map(k1.__getitem__, p.tolist()), map(k2.__getitem__, r.tolist()))
+    prod = left._pruned(left.num_vars, dict(zip(keys, coef.tolist())), cap, taint)
+    prod._attach(codes.dtype, tuple(legs(p, r)), coef)
     return prod
 
 

@@ -10,8 +10,9 @@ representation, which is what every estimate in this library consumes.
 
 The # product and the word product of ``NCPoly`` are one kernel,
 ``ncpoly._product``: a word pair is a key of two legs, and the right leg,
-of the opposite algebra, joins right to left.  Large products are summed
-there as numpy arrays, with the per-pair loop's result bit for bit.
+of the opposite algebra, joins right to left.  A pair's grade is its
+bidegree; the kernel forms only the pairs of live grades, and sums large
+products as numpy arrays, with the per-pair loop's result bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ class TensorPoly(_Sparse):
         return a1 + a2, b2 + b1
 
     _rjoin = staticmethod(lambda k2, k1: (k1[0] + k2[0], k2[1] + k1[1]))
+
+    def _term_grades(self) -> list:
+        """Each pair's grade, its bidegree (|a|, |b|), in key order."""
+        return [(len(a), len(b)) for a, b in self.coeffs]
 
     @staticmethod
     def one(num_vars: int, cap: int) -> "TensorPoly":

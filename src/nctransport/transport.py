@@ -259,16 +259,19 @@ def solve_transport(
     W: NCPoly,
     cfg: TransportConfig,
     enforce_hypotheses: bool = True,
+    hypotheses: HypothesisReport | None = None,
 ) -> TransportSolution:
     """Iterate ghat -> SymPi F(ghat) from the seed ghat = W to a fixed point.
 
     With ``enforce_hypotheses`` the sufficient inequalities must hold before
     iterating; without it they are still evaluated and recorded, and the
     contraction is measured empirically (a ratio at or above one aborts).
+    A caller that has already evaluated them for this W and ``cfg`` passes
+    its report as ``hypotheses``.
     """
     if o.q != 0.0:
         raise ValueError("transport solves against the undeformed state")
-    rep = check_hypotheses(ctx, W, cfg)
+    rep = check_hypotheses(ctx, W, cfg) if hypotheses is None else hypotheses
     if enforce_hypotheses and not rep.pass_:
         raise HypothesisViolation(
             f"|W|_Rsigma = {rep.norm_W_Rsigma:.6g} (needs < {rep.bound_W:.6g}), "

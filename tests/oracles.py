@@ -144,6 +144,63 @@ def tensor_of_reference(P: NCPoly, Q: NCPoly, cap: int | None = None) -> TensorP
     return TensorPoly(P.num_vars, out, cap, P.truncated or Q.truncated or dropped)
 
 
+def product_reference(left, right, cap: int, outer_right: bool = False):
+    """``ncpoly._product`` as one loop over all pairs of keys: ``left`` in
+    the outer loop (``right`` with ``outer_right``, joined by ``_rjoin``),
+    each key summed in that order from 0j, the sums pruned; a pair beyond
+    the cap is dropped and taints the result."""
+    size = left._size
+    outer, inner, join = (right, left, left._rjoin) if outer_right else (left, right, left._join)
+    out: dict = {}
+    dropped = False
+    for ka, ca in outer.coeffs.items():
+        room = cap - size(ka)
+        for kb, cb in inner.coeffs.items():
+            if size(kb) > room:
+                dropped = True
+                continue
+            k = join(ka, kb)
+            out[k] = out.get(k, 0j) + ca * cb
+    kept = {k: c for k, c in out.items() if not abs(c) <= PRUNE_TOL}
+    return left._pruned(left.num_vars, kept, cap, left.truncated or right.truncated or dropped)
+
+
+def live_pair_count(left, right, cap: int) -> int:
+    """The pairs of keys within the cap whose grade (the leg lengths of the
+    joined key) has bound(G) * (1 + 1e-9) > PRUNE_TOL, or a NaN bound:
+    bound(G) sums, over the splits of G, the products of the largest moduli
+    of the two operands at the split's grades."""
+
+    def grade(key):
+        return (len(key),) if left._legs == 1 else (len(key[0]), len(key[1]))
+
+    def tops(P):
+        top: dict = {}
+        for k, c in P.coeffs.items():
+            g, m = grade(k), abs(c)
+            prev = top.get(g, 0.0)
+            # a NaN modulus is kept
+            top[g] = prev if prev != prev else m if m != m else max(prev, m)
+        return top
+
+    def join(g1, g2):
+        return tuple(a + b for a, b in zip(g1, g2))
+
+    top1, top2 = tops(left), tops(right)
+    bound: dict = {}
+    for g1, m1 in top1.items():
+        for g2, m2 in top2.items():
+            g = join(g1, g2)
+            bound[g] = bound.get(g, 0.0) + m1 * m2
+    return sum(
+        1
+        for k1 in left.coeffs
+        for k2 in right.coeffs
+        if sum(join(grade(k1), grade(k2))) <= cap
+        and not bound[join(grade(k1), grade(k2))] * (1 + 1e-9) <= PRUNE_TOL
+    )
+
+
 def rho_reference(ctx: ModularContext, P: NCPoly, k: int = 1) -> NCPoly:
     """The k-fold twisted cyclic rotation (``ncpoly.rho`` is k = 1), per
     degree, reading the entries of A as numpy scalars, with the full twists

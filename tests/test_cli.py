@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nctransport import arakiwoods, cli
+from nctransport import arakiwoods, cli, transport
 from nctransport.cli import (
     EXIT_HYPOTHESIS,
     EXIT_NUMERICAL,
@@ -290,6 +290,34 @@ def test_nan_in_the_kernel_fails_the_run(strict_argv, monkeypatch, capsys, posit
     monkeypatch.setattr(arakiwoods, "build_xi", with_nan)
     assert run(strict_argv) == EXIT_NUMERICAL
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_the_pipeline_checks_the_hypotheses_once(strict_argv, tmp_path, monkeypatch):
+    # the pipeline hands its hypothesis report to solve_transport, which
+    # evaluates nothing again; the report is the one of a run in which
+    # solve_transport evaluates the hypotheses itself
+    calls = []
+    check = transport.check_hypotheses
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(transport, "check_hypotheses", counted)
+    monkeypatch.setattr(arakiwoods, "check_hypotheses", counted)
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert run([*strict_argv, "--report", str(once)]) == EXIT_OK
+    assert len(calls) == 1
+    solve = arakiwoods.solve_transport
+
+    def without_report(*args, hypotheses=None, **kwargs):
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(arakiwoods, "solve_transport", without_report)
+    calls.clear()
+    assert run([*strict_argv, "--report", str(twice)]) == EXIT_OK
+    assert len(calls) == 2
+    assert once.read_bytes() == twice.read_bytes()
 
 
 def test_a_majorant_is_reported_as_one(strict_argv, tmp_path, capsys):

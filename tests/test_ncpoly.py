@@ -29,9 +29,11 @@ from oracles import (
     constant,
     fresh_view,
     is_centralizer,
+    live_pair_count,
     max_coeff_diff_reference,
     norm_R_reference,
     norm_R_sigma_reference,
+    product_reference,
     substitute_reference,
     sum_loop_reference,
     tensor_of_reference,
@@ -313,6 +315,45 @@ def test_coded_views_stay_out_of_eq_and_repr_and_follow_with_cap(monkeypatch, ki
 
 
 @pytest.mark.parametrize("kind", sorted(PRODUCTS))
+def test_grade_summaries_from_the_map_and_the_view_agree(monkeypatch, kind):
+    # per grade, in ascending order of size: the size, the length of leg 0,
+    # the largest modulus (NaN where a coefficient is NaN) and the term
+    # count, whether read term by term or from the coded view; with_cap
+    # passes the summary and the rows on only with the map itself
+    make, product = PRODUCTS[kind]
+    rng = np.random.default_rng(9)
+    monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
+    p = product(make(rng, 2, 30, 5, 12), make(rng, 2, 30, 5, 12))
+    nan_key = next(iter(p.coeffs))
+    coeffs = {**p.coeffs, nan_key: complex("nan")}
+    for q in (p, type(p)._pruned(2, coeffs, 12)):
+        plain = type(q)._pruned(2, q.coeffs, q.degree_cap)
+        if "_view" not in q.__dict__:
+            q._coded(ncpoly._word_codes(2, 12))
+        from_map, from_view = plain._grades(), q._grades()
+        assert [e[:2] + e[3:] for e in from_map] == [e[:2] + e[3:] for e in from_view]
+        grades = {}
+        for k, c in q.coeffs.items():
+            g = (len(k),) if kind == "NCPoly" else (len(k[0]), len(k[1]))
+            grades.setdefault(g, []).append(abs(c))
+        for (size, first, top_map, count, g), (*_, top_view, _, _) in zip(from_map, from_view):
+            mods = grades[(g,) if kind == "NCPoly" else g]
+            assert count == len(mods) and size == sum((g,) if kind == "NCPoly" else g)
+            if any(m != m for m in mods):
+                assert top_map != top_map and top_view != top_view
+            else:
+                # numpy's modulus may differ from Python's in the last bit
+                assert top_map == max(mods) and abs(top_view - top_map) <= 4e-16 * top_map
+        assert [e[0] for e in from_map] == sorted(e[0] for e in from_map)
+    degree = p.degree()
+    rows = p._rows((from_map[0][4],))
+    shared, cut = p.with_cap(degree), p.with_cap(degree - 1)
+    assert shared.__dict__["_summary"] is p.__dict__["_summary"]
+    assert shared._rows((from_map[0][4],)) is rows
+    assert "_summary" not in cut.__dict__ and "_grade_rows" not in cut.__dict__
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCTS))
 @pytest.mark.parametrize("n, low, high, max_len", [(2, 31, 62, 30), (30, 11, 12, 5)])
 def test_coded_views_are_rebuilt_for_the_other_code_dtype(monkeypatch, kind, n, low, high, max_len):
     # views of int64 codes are never reused under Python-int codes, nor the
@@ -424,6 +465,100 @@ def test_mul_new_key_has_no_negative_zero(monkeypatch):
     for limit in (10**9, 0):
         monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
         assert _bits(a * b) == ([((2, 2, 2), (6.0).hex(), (0.0).hex())], False)
+
+
+def _spread_operand(rng, kind, n, terms, max_len, cap, seed_terms):
+    """Random NCPoly or TensorPoly with exactly ``terms`` coefficients,
+    ``seed_terms`` among them, the rest of modulus 1e-20 to 1, falling
+    with the degree: whole grades of a product fall below the prune
+    threshold, and others hold keys on both sides of it."""
+
+    def word(length):
+        return tuple(int(j) for j in rng.integers(1, n + 1, length))
+
+    coeffs = {k: complex(c) for k, c in seed_terms.items()}
+    while len(coeffs) < terms:
+        if kind is NCPoly:
+            key = word(rng.integers(0, max_len + 1))
+        else:
+            key = (word(rng.integers(0, max_len // 2 + 1)), word(rng.integers(0, max_len // 2 + 1)))
+        exponent = min(20.0, 2.5 * kind._size(key) + rng.uniform(0, 6))
+        coeffs.setdefault(key, complex(10.0**-exponent * np.exp(2j * np.pi * rng.uniform())))
+    return kind._pruned(n, coeffs, cap)
+
+
+def _seeds(kind, nan):
+    """X1 * (X1X1 / 4) cancels X1X1 * (-X1 / 4); (-2 X2) * (-3 X2X2) has the
+    imaginary part -0.0; a NaN coefficient of degree 3 keeps every grade it
+    reaches live."""
+    left = {(1,): 1.0, (1, 1): 1.0, (2,): -2.0}
+    right = {(1, 1): 0.25, (1,): -0.25, (2, 2): -3.0}
+    if nan:
+        left[(2, 1, 2)] = complex("nan")
+    if kind is NCPoly:
+        return left, right
+    return {(w, ()): c for w, c in left.items()}, {(w, ()): c for w, c in right.items()}
+
+
+@pytest.mark.parametrize("kind", [NCPoly, TensorPoly], ids=["NCPoly", "TensorPoly"])
+@pytest.mark.parametrize("outer_right", [False, True])
+@pytest.mark.parametrize("cap, nan", [(12, False), (6, False), (6, True), (4, True)])
+def test_product_matches_the_all_pairs_loop(monkeypatch, kind, outer_right, cap, nan):
+    # both routes give the all-pairs loop's product bit for bit: keys, key
+    # order, both parts of every coefficient (the sign of zero included) and
+    # the taint, with whole grades pruned, pairs beyond the cap and a NaN
+    rng = np.random.default_rng(cap + 2 * nan + 4 * outer_right)
+    seed_left, seed_right = _seeds(kind, nan)
+    left = _spread_operand(rng, kind, 2, 60, 6, 12, seed_left)
+    right = _spread_operand(rng, kind, 2, 50, 6, 12, seed_right)
+    want = product_reference(left, right, cap, outer_right)
+    assert want.truncated == (cap < 12)
+    assert any(c != c for c in want.coeffs.values()) == nan
+    for limit in (10**9, 0, ncpoly.PAIR_BATCH_MIN):
+        monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
+        assert _bits(ncpoly._product(left, right, cap, outer_right)) == _bits(want)
+    # the summaries and rows the routes kept on the operands give it again
+    assert _bits(ncpoly._product(left, right, cap, outer_right)) == _bits(want)
+
+
+@pytest.mark.parametrize("kind", [NCPoly, TensorPoly], ids=["NCPoly", "TensorPoly"])
+@pytest.mark.parametrize("outer_right", [False, True])
+@pytest.mark.parametrize("nan", [False, True])
+def test_each_route_forms_exactly_the_live_pairs(monkeypatch, kind, outer_right, nan):
+    # the loop route joins the keys of the live pairs and of no other pair;
+    # the batched route sums exactly those pairs
+    rng = np.random.default_rng(11 + nan + 2 * outer_right)
+    seed_left, seed_right = _seeds(kind, nan)
+    left = _spread_operand(rng, kind, 2, 60, 6, 12, seed_left)
+    right = _spread_operand(rng, kind, 2, 50, 6, 12, seed_right)
+    cap = 8
+    live = live_pair_count(left, right, cap)
+    fitting = sum(kind._size(kind._join(a, b)) <= cap for a in left.coeffs for b in right.coeffs)
+    # a NaN of degree 3 keeps every grade of degree 3 and more live
+    assert 0 < live <= fitting and (live < fitting or nan)
+    joined, summed = [], []
+    name = "_rjoin" if outer_right else "_join"
+    join = getattr(kind, name)
+
+    def counting_join(a, b):
+        joined.append(1)
+        return join(a, b)
+
+    pair_sums = ncpoly.pair_sums
+
+    def counting_sums(codes, re, im):
+        summed.append(len(codes))
+        return pair_sums(codes, re, im)
+
+    monkeypatch.setattr(kind, name, staticmethod(counting_join))
+    monkeypatch.setattr(ncpoly, "pair_sums", counting_sums)
+    monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 10**9)
+    loop = ncpoly._product(left, right, cap, outer_right)
+    assert len(joined) == live and not summed
+    monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
+    batched = ncpoly._product(left, right, cap, outer_right)
+    assert summed == [live]
+    assert _bits(loop) == _bits(batched)
 
 
 def test_mul_var_mismatch():
