@@ -6,8 +6,11 @@ an identity block, so its spectrum is {1} together with the pairs
 lambda_k^{+-1}.  All one-parameter symmetries used here are real powers of A
 acting linearly on generators and multiplicatively on words.
 A word is twisted letter by letter (``twist_paths``) through the rows of
-A^{-s}, which a context keeps per power s; it also keeps, without bound,
-each (s, word)'s twist with coefficient one (``ModularContext.unit_twist``).
+A^{-s}, which a context keeps per power s.  It also keeps, without bound,
+each (s, word)'s twist with coefficient one that ``unit_twist`` is asked
+for: the right legs of ``tensor.t_sigma`` at s != 0 ask for them.
+``calculus.cyclic_D`` expands its tails' twists from the rows itself and
+keeps them on the polynomial, not here.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ class ModularContext:
     _eigvecs: np.ndarray = field(repr=False, default=None)
     # The rows of A^{-s} and the unit twists this context has computed, per
     # power s and per (s, word); a fresh context, or one made from it by
-    # ``dataclasses.replace``, starts with both empty.
+    # ``dataclasses.replace``, starts with both empty.  Only ``unit_twist``
+    # fills the unit twists, for the right legs of ``tensor.t_sigma``.
     sigma_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     unit_twists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     alpha_rows: list = field(init=False, repr=False, compare=False)
@@ -97,7 +101,8 @@ class ModularContext:
     def unit_twist(self, s: float, word: Word) -> dict[Word, complex]:
         """The twist of ``word`` at s with coefficient one, as ``apply_sigma``
         returns it: each path's coefficient taken from 0j and pruned.
-        Expanded on the first request for (s, word) and kept."""
+        Expanded on the first request for (s, word) and kept, without bound;
+        ``tensor.t_sigma`` asks for the twists of its right legs."""
         got = self.unit_twists.get((s, word))
         if got is None:
             from .ncpoly import PRUNE_TOL

@@ -85,6 +85,14 @@ class WordCodes:
             idx[full] = np.add.reduceat(digits, (ends - lens)[full])
         return idx, lens
 
+    def words(self, keys: np.ndarray) -> list[Word]:
+        """The words of the codes index * (cap + 1) + length."""
+        index, lens = keys // (self.cap + 1), (keys % (self.cap + 1)).astype(np.intp)
+        # each position's digit, shifted by the letters after it
+        shifts = lens[:, None] - 1 - np.arange(int(lens.max(initial=0)))
+        letters = index[:, None] // self.powers[np.maximum(shifts, 0)] % self.num_vars + 1
+        return [tuple(row[:n]) for row, n in zip(letters.tolist(), lens.tolist())]
+
 
 def pair_sums(codes: np.ndarray, re: np.ndarray, im: np.ndarray):
     """Sum the values of a list of pairs onto the pairs' keys.
@@ -494,6 +502,11 @@ def live_pairs(g1: np.ndarray, g2: np.ndarray, partners: dict, size: int) -> tup
     return np.repeat(np.arange(len(g1)), n), rows[_ranges((np.cumsum(width) - width)[block], n)]
 
 
+def _cmul(ar, ai, br, bi):
+    """The parts of the products a * b by Python's complex-product formula."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _coef_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The complex array with these parts, bit for bit."""
     coef = np.empty(len(re), complex)
@@ -559,8 +572,7 @@ def _product_batched(
     else:
         p, r = live_pairs(grade(v1), grade(v2), coded, radix**left._legs)
     a, b = c1[p], c2[r]
-    re = a.real * b.real - a.imag * b.imag
-    im = a.real * b.imag + a.imag * b.real
+    re, im = _cmul(a.real, a.imag, b.real, b.imag)
     first, re, im = pair_sums(key(p, r), re, im)
     p, r = p[first], r[first]
     coef = _coef_array(re, im)

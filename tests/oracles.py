@@ -521,6 +521,51 @@ def cyclic_D_composed(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
     return t_flip_m(t_diamond(t)).with_cap(P.degree_cap)
 
 
+def cyclic_D_loop(ctx: ModularContext, j: int, P: NCPoly, drops: list | None = None) -> NCPoly:
+    """Cyclic derivative path by path, into one dict: each tail's unit twist
+    from the context's memo (``ModularContext.unit_twist``), each path's
+    0j + ct (c alpha_{j, w_l}) pruned, then added to its key with
+    prune-on-touch, as ``NCPoly.sum`` adds the per-term products.  A key
+    that a sum drops is appended to ``drops``, when given."""
+    ctx.check_index(j)
+    if P.num_vars != ctx.num_vars:
+        raise VarCountMismatch(
+            f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
+        )
+    alpha = ctx.alpha_rows[j - 1]
+    nv, cap = P.num_vars, P.degree_cap
+    acc: dict[Word, complex] = {}
+    dropped = False
+    for w, c in P.coeffs.items():
+        for l in range(len(w)):
+            a = alpha[w[l] - 1]
+            if abs(a) == 0.0:
+                continue
+            tw = ctx.unit_twist(-1.0, w[l + 1:])
+            m = c * a
+            if abs(m) <= PRUNE_TOL:
+                continue
+            if len(w) - 1 > cap:
+                dropped = dropped or bool(tw)
+                continue
+            head = w[:l]
+            for t, ct in tw.items():
+                # the product's new key from 0j and its prune, then the sum's
+                v = 0j + ct * m
+                if abs(v) <= PRUNE_TOL:
+                    continue
+                key = t + head
+                v = acc.get(key, 0.0) + v
+                if not abs(v) <= PRUNE_TOL:
+                    acc[key] = v
+                else:
+                    # only a key in acc gets here: a new key's sum is v
+                    del acc[key]
+                    if drops is not None:
+                        drops.append(key)
+    return NCPoly._pruned(nv, acc, cap, dropped or P.truncated)
+
+
 def cyclic_D_reference(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
     """Cyclic derivative term by term: each (word, position) term is the
     product twist(tail) * (c alpha_{j, w_l}) head, with one twist per

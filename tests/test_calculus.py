@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nctransport import calculus, ncpoly
 from nctransport.calculus import (
     cyclic_D,
     delta,
@@ -13,8 +14,10 @@ from nctransport.calculus import (
     sigma_inv_op,
     symmetrize_S,
 )
+from nctransport.arakiwoods import build_xi, conjugate_vars, invert_xi, natural_radius, potential_W
 from nctransport.errors import IndexOutOfRange
 from nctransport.modular import apply_sigma, build_context
+from nctransport.moments import MomentOracle
 from nctransport.ncpoly import (
     PRUNE_TOL,
     NCPoly,
@@ -26,6 +29,7 @@ from nctransport.ncpoly import (
     rho,
 )
 from nctransport.randgen import random_centralizer, random_poly
+from nctransport.transport import F_map, TransportConfig
 from nctransport.tensor import (
     TensorMatrix,
     mat_mul,
@@ -37,6 +41,7 @@ from nctransport.tensor import (
 from oracles import (
     constant,
     cyclic_D_composed,
+    cyclic_D_loop,
     cyclic_D_reference,
     identity_matrix,
     lmul,
@@ -156,8 +161,9 @@ def _bits(p):
     ids=["lam2", "lam2_3", "lam1.0001", "trivial1"],
 )
 def test_cyclic_derivative_matches_per_term_form(lambdas, num_trivial, rng):
-    # the one-dict accumulation gives the per-term products summed by
-    # NCPoly.sum bit for bit: keys, key order, coefficients and taint
+    # the array sums give the dict loop's result and the per-term products
+    # summed by NCPoly.sum, bit for bit: keys, key order, coefficients and
+    # taint
     ctx = build_context(lambdas, num_trivial)
     n = ctx.num_vars
     inputs = [random_poly(ctx, rng, 6, cap=6, terms=12) for _ in range(4)]
@@ -185,7 +191,120 @@ def test_cyclic_derivative_matches_per_term_form(lambdas, num_trivial, rng):
         inputs += [cancel, back]
     for P in inputs:
         for j in range(1, n + 1):
-            assert _bits(cyclic_D(ctx, j, P)) == _bits(cyclic_D_reference(ctx, j, P))
+            got = _bits(cyclic_D(ctx, j, P))
+            assert got == _bits(cyclic_D_loop(ctx, j, P)) == _bits(cyclic_D_reference(ctx, j, P))
+
+
+@pytest.fixture(scope="module")
+def two_block():
+    """The two-block (lambda = [2, 3], N = 4) pipeline at q = 1e-5, level 4,
+    cap 6, R = 7: its potential V and its transport solve's first iterate,
+    after ``sigma_inv_op``, the input of that iteration's cyclic gradient."""
+    ctx = build_context([2.0, 3.0])
+    q = 1e-5
+    xi = build_xi(ctx, q, 4)
+    invert_xi(xi, natural_radius(q, 1.0), 1e-9, 1.0, ctx)
+    V = potential_W(ctx, conjugate_vars(ctx, xi, MomentOracle(ctx, q))).V
+    cfg = TransportConfig(R=7.0, R_prime=8.0, degree_cap=6, tolerance=1e-9)
+    W = (V - quadratic_potential(ctx, V.degree_cap)).with_cap(cfg.degree_cap)
+    ghat = symmetrize_S(ctx, pi_op(F_map(ctx, MomentOracle(ctx, 0.0), W, W, cfg)))
+    return ctx, {"V": V, "iterate": sigma_inv_op(ghat)}
+
+
+@pytest.mark.parametrize("name", ["V", "iterate"])
+def test_cyclic_derivative_replays_every_drop(two_block, name):
+    # on these inputs the dict loop's sums fall to PRUNE_TOL again and again:
+    # each drops its key, which a later term inserts again at the end.  The
+    # array sums give the loop's result and the per-term form's, bit for
+    # bit, on a fresh polynomial and on one whose plan is kept
+    ctx, inputs = two_block
+    P = inputs[name]
+    fresh = NCPoly(P.num_vars, P.coeffs, P.degree_cap, P.truncated)
+    drops = back = 0
+    for j in range(1, ctx.num_vars + 1):
+        dropped: list = []
+        loop = cyclic_D_loop(ctx, j, P, dropped)
+        drops += len(dropped)
+        back += len(set(dropped) & set(loop.coeffs))
+        assert _bits(cyclic_D(ctx, j, fresh)) == _bits(loop) == _bits(cyclic_D_reference(ctx, j, P))
+        assert _bits(cyclic_D(ctx, j, P)) == _bits(loop)
+    assert drops >= 100 and back > 0
+
+
+@pytest.mark.parametrize(
+    "lambdas, num_trivial", [([2.0], 0), ([2.0], 1), ([], 2)], ids=["lam2", "lam2_triv1", "trivial2"]
+)
+def test_cyclic_derivative_edge_cases(lambdas, num_trivial):
+    # the array route against the dict loop and the per-term form, bit for
+    # bit, where the loop's skips, prunes and taint decide the result
+    ctx = build_context(lambdas, num_trivial)
+    n, cap = ctx.num_vars, 4
+    nan = complex(float("nan"), 0.0)
+    # |alpha_1n| < 1 on the block, 0 off it: c alpha_1n is pruned for j = 1
+    tiny = 1.2e-14
+    inputs = {
+        # a NaN coefficient is kept, in every sum it enters, never dropped
+        "nan": NCPoly(n, {(1, n, 1): nan, (n, 1): 1.0, (1,): 0.5, (1, 1): -0.5}, cap),
+        # a word of cap + 1 letters fits, one of cap + 2 taints when one of
+        # its terms is kept
+        "cap + 1": NCPoly(n, {(1,) * (cap + 1): 1.0, (n, 1): 0.5}, cap),
+        "cap + 2": NCPoly(n, {(1,) * (cap + 2): 1.0, (n, 1): 0.5}, cap),
+        "cap + 2, pruned for j = 1": NCPoly(n, {(n,) * (cap + 2): tiny}, cap),
+        "every term pruned for j = 1": NCPoly(n, {(n,): tiny, (n, n, n): tiny}, cap),
+        "empty": NCPoly(n, {}, cap),
+        "empty, tainted": NCPoly(n, {}, cap, True),
+        "constant": NCPoly(n, {(): 3.0}, cap),
+        "constant, tainted": NCPoly(n, {(): 3.0}, cap, True),
+        # signed zeros, which 0j + ct * m clears
+        "signed zeros": NCPoly(
+            n, {(): complex(-1.0, -0.0), (1,): complex(-1.0, -0.0), (n, 1): complex(-0.0, 2.0)}, cap
+        ),
+    }
+    got = {}
+    for name, P in inputs.items():
+        for j in range(1, n + 1):
+            got[name, j] = out = cyclic_D(ctx, j, P)
+            assert _bits(out) == _bits(cyclic_D_loop(ctx, j, P)), (name, j)
+            assert _bits(out) == _bits(cyclic_D_reference(ctx, j, P)), (name, j)
+    assert any(c != c for c in got["nan", 1].coeffs.values())
+    assert not got["cap + 1", 1].truncated and (1,) * cap in got["cap + 1", 1].coeffs
+    assert got["cap + 2", 1].truncated
+    assert got["cap + 2, pruned for j = 1", 1].is_zero()
+    assert not got["cap + 2, pruned for j = 1", 1].truncated
+    assert got["cap + 2, pruned for j = 1", n].truncated
+    assert got["every term pruned for j = 1", 1].is_zero()
+    for name in ("empty", "constant"):
+        for j in range(1, n + 1):
+            assert got[name, j].is_zero() and not got[name, j].truncated
+            assert got[name + ", tainted", j].is_zero() and got[name + ", tainted", j].truncated
+    assert all(c.imag.hex() != "-0x0.0p+0" for c in got["signed zeros", 1].coeffs.values())
+
+
+def test_prune_mask_decides_as_python_abs(rng):
+    # the squared modulus decides far from PRUNE_TOL, hypot near it: the
+    # mask equals abs(complex) <= PRUNE_TOL, NaN and inf included
+    tol = PRUNE_TOL
+    near = [tol * (1 + k * 2.0**-52) for k in range(-8, 9)]
+    parts = near + [0.0, -0.0, 5e-324, 1e-200, tol / 2**0.5, 1e-14 * 0.7, 1e300, float("inf"), float("nan")]
+    values = [complex(a, b) for a in parts + [-x for x in parts] for b in (0.0, -0.0, *parts)]
+    # near the circle |z| = PRUNE_TOL off the axes, where the squared modulus
+    # rounds the other way than hypot
+    values += [complex(d * (1 + k * 2.0**-52), d) for d in (tol / 2**0.5,) for k in range(-8, 9)]
+    values += [complex(x, y) for x, y in (tol * rng.random((400, 2)) * 1.5).tolist()]
+    re = np.array([z.real for z in values])
+    im = np.array([z.imag for z in values])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = calculus._prunes(re, im)
+    assert got.tolist() == [abs(z) <= tol for z in values]
+
+
+def test_cyclic_derivative_on_python_int_codes(rng):
+    # at N = 4 and cap 31 the key codes outgrow int64 and are Python ints
+    ctx = build_context([2.0, 3.0])
+    P = random_poly(ctx, rng, 6, cap=31, terms=30)
+    assert ncpoly._word_codes(4, 31).dtype is object
+    for j in range(1, 5):
+        assert _bits(cyclic_D(ctx, j, P)) == _bits(cyclic_D_loop(ctx, j, P))
 
 
 def test_homogeneous_fast_path(lam2, rng):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nctransport import build_context, cli, modular
+from nctransport import build_context, calculus, cli, modular
 from nctransport.calculus import cyclic_D, partial_bar, partial_sigma
 from nctransport.errors import EmptyContext, NonPositiveLambda, VarCountMismatch
 from nctransport.modular import ModularContext, apply_sigma, matrix_power
@@ -13,6 +13,7 @@ from nctransport.randgen import random_poly, random_tensor
 from nctransport.tensor import TensorPoly, t_sigma
 from oracles import (
     apply_sigma_reference,
+    cyclic_D_loop,
     cyclic_D_reference,
     moment_reference,
     rho_reference,
@@ -174,9 +175,9 @@ def test_sigma_table_starts_empty_and_fills_on_demand(lam2):
     rows = [[(k + 1, m) for k, m in enumerate(row) if m != 0] for row in matrix_power(ctx, 1.0)]
     assert ctx.rows(-1.0) is ctx.sigma_rows[-1.0]
     assert ctx.sigma_rows[-1.0] == rows
-    # cyclic_D keeps the unit twist of every tail
+    # cyclic_D expands its tails' twists from the rows, and keeps no unit twist
     cyclic_D(ctx, 1, NCPoly(2, {(1, 1, 2): 1.0, (2,): 0.5}, 4))
-    assert set(ctx.unit_twists) == {(-1.0, (1, 2)), (-1.0, (2,)), (-1.0, ())}
+    assert set(ctx.sigma_rows) == {-1.0} and not ctx.unit_twists
     # a context made from another by dataclasses.replace starts empty
     assert _empty(dataclasses.replace(ctx))
     # the unit twist is the twisted monomial, pruned
@@ -192,6 +193,9 @@ def test_sigma_table_is_per_context(rng):
     for ctx in (a, b):
         for j in (1, 2):
             assert _bits(cyclic_D(ctx, j, p)) == _bits(cyclic_D_reference(ctx, j, p))
+            assert _bits(cyclic_D(ctx, j, p)) == _bits(cyclic_D_loop(ctx, j, p))
+        # p keeps the plan of the last context it was differentiated under
+        assert p.__dict__["_twist_plan"].ctx is ctx
     assert set(a.unit_twists) == set(b.unit_twists)
     assert a.unit_twists is not b.unit_twists
     word = next(w for w in p.coeffs if w)
@@ -218,11 +222,13 @@ def test_sigma_table_checks_and_tracial_shortcut(rng):
 
 
 def test_cli_runs_share_no_table_and_expand_each_word_once(strict_argv, monkeypatch):
-    # each cli.run builds its own context, whose memo starts empty; on the
-    # strict pipeline every distinct (s, word) is expanded for its unit twist
-    # exactly once
-    contexts, expansions, asked = [], [], []
+    # each cli.run builds its own context, whose memo starts empty.  On the
+    # strict pipeline no unit twist is expanded or kept: cyclic_D expands the
+    # tails of each polynomial it differentiates once, into the polynomial's
+    # plan, which the components of grad_D share
+    contexts, expansions, asked, planned = [], [], [], []
     build, paths, unit_twist = cli.build_context, modular.twist_paths, ModularContext.unit_twist
+    twist_plan = calculus._twist_plan
     inside = [False]
 
     def counting_build(*args):
@@ -231,6 +237,7 @@ def test_cli_runs_share_no_table_and_expand_each_word_once(strict_argv, monkeypa
         contexts.append(ctx)
         expansions.append(0)
         asked.append(set())
+        planned.append([])
         return ctx
 
     def counting_paths(rows, word, c):
@@ -245,20 +252,26 @@ def test_cli_runs_share_no_table_and_expand_each_word_once(strict_argv, monkeypa
         finally:
             inside[0] = False
 
+    def recording_plan(ctx, P):
+        plan = P.__dict__.get("_twist_plan")
+        planned[-1].append((P, plan is not None and plan.ctx is ctx))
+        return twist_plan(ctx, P)
+
     monkeypatch.setattr(cli, "build_context", counting_build)
     monkeypatch.setattr(modular, "twist_paths", counting_paths)
     monkeypatch.setattr(ModularContext, "unit_twist", recording_unit_twist)
+    monkeypatch.setattr(calculus, "_twist_plan", recording_plan)
     assert cli.run(strict_argv) == cli.EXIT_OK
     assert cli.run(strict_argv) == cli.EXIT_OK
     assert len(contexts) == 2 and contexts[0].unit_twists is not contexts[1].unit_twists
-    for ctx, count, keys in zip(contexts, expansions, asked):
-        assert count == len(keys) == len(ctx.unit_twists) > 0
-        assert keys == set(ctx.unit_twists)
-        # the memo holds unit dicts of complex, nothing else
-        for unit in ctx.unit_twists.values():
-            assert type(unit) is dict
-            assert all(type(w) is tuple and type(c) is complex for w, c in unit.items())
-    assert expansions[0] == expansions[1]
+    for ctx, count, keys, plans in zip(contexts, expansions, asked, planned):
+        assert count == len(keys) == len(ctx.unit_twists) == 0
+        # one plan per polynomial, built on its first call and read by the
+        # other components
+        built = [id(P) for P, warm in plans if not warm]
+        assert len(built) == len(set(built)) == len({id(P) for P, _ in plans}) > 0
+        assert len(plans) == ctx.num_vars * len(built)
+    assert len(planned[0]) == len(planned[1])
 
 
 def _hex(z):
@@ -302,6 +315,8 @@ def test_scalar_tables_match_numpy_reads(lambdas, num_trivial, rng):
                 assert _bits(apply_sigma(ctx, P, s)) == _bits(apply_sigma_reference(ctx, P, s))
             for j in range(1, n + 1):
                 assert _bits(cyclic_D(ctx, j, P)) == _bits(cyclic_D_reference(ctx, j, P))
+                # the dict loop reads the unit twists from the memo
+                assert _bits(cyclic_D(ctx, j, P)) == _bits(cyclic_D_loop(ctx, j, P))
                 assert _bits(partial_sigma(ctx, j, P)) == _bits(
                     weighted_delta_reference(ctx.alpha[:, j - 1], P)
                 )
