@@ -32,6 +32,7 @@ from .ncpoly import (
     PRUNE_TOL,
     NCPoly,
     Word,
+    _prunes,
     is_cyclically_symmetric,
     max_coeff_diff,
     quadratic_potential,
@@ -235,7 +236,7 @@ def build_xi(ctx: ModularContext, q: float, d: int) -> XiData:
         vecs = wk @ cols
         block = q**n * (vecs @ vecs.conj().T)
         # only the entries the constructor would keep, in row-major order
-        kept = np.nonzero(~(np.abs(block) <= PRUNE_TOL))
+        kept = np.nonzero(~_prunes(block.real, block.imag))
         # one reversed word per monomial, shared by all keys of its column
         rights = [b[::-1] for b in monos]
         coeffs = {

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimMismatch, IndexOutOfRange, VarCountMismatch
 from .modular import ModularContext
-from .ncpoly import PRUNE_TOL, NCPoly, Word, WordCodes, _cmul, _word_codes, rho
+from .ncpoly import PRUNE_TOL, NCPoly, Word, WordCodes, _cmul, _prunes, _word_codes, rho
 from .tensor import TensorMatrix, TensorPoly
 
 
@@ -55,8 +55,6 @@ def partial_bar(ctx: ModularContext, j: int, P: NCPoly) -> TensorPoly:
     return _weighted_delta(ctx.alpha_rows[j - 1], P)
 
 
-# Squared moduli surely at most, and surely above, PRUNE_TOL**2 (``_prunes``).
-_BELOW, _ABOVE = PRUNE_TOL**2 * (1 - 1e-9), PRUNE_TOL**2 * (1 + 1e-9)
 # The terms each key's running sum takes per step of ``_touch_sums``: most
 # keys of the strict run finish in two steps, and a key that drops reads
 # again at most this many terms (a two-block call drops about 1,500 times).
@@ -94,22 +92,11 @@ class _TwistPlan(NamedTuple):
     codes: WordCodes
 
 
-def _prunes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Whether |re + i im| <= PRUNE_TOL, as ``abs`` of a Python complex
-    decides it: hypot, which is slow, is taken only where the squared
-    modulus, within a few ulps of the square of hypot, lies near
-    PRUNE_TOL**2, or is NaN.  A NaN modulus is not pruned."""
-    square = re * re + im * im
-    out = square <= _BELOW
-    near = ~(out | (square > _ABOVE))
-    out[near] = np.hypot(re[near], im[near]) <= PRUNE_TOL
-    return out
-
-
-def _unit_twists(rows: list, letters: np.ndarray, first: np.ndarray, lengths: np.ndarray, codes):
-    """The twist of each tail with coefficient one, as ``twist_paths`` and
-    ``ModularContext.unit_twist`` give it, for all tails at once, about
-    PATH_CHUNK paths at a time.  Tail u is the ``lengths[u]`` letters after
+def _tail_twists(rows: list, letters: np.ndarray, first: np.ndarray, lengths: np.ndarray, codes):
+    """The twist of each tail with coefficient one, for all tails at once,
+    about PATH_CHUNK paths at a time: the paths of ``twist_paths`` from
+    1 + 0j through ``rows``, each then added to 0j and pruned, as
+    ``tensor.t_sigma`` twists a right leg.  Tail u is the ``lengths[u]`` letters after
     position ``first[u]`` of ``letters``; the lengths ascend.  Returns, per
     kept path in the expansion's order, its tail, the base-N index of its
     word, and the parts of its coefficient."""
@@ -184,7 +171,7 @@ def _twist_plan(ctx: ModularContext, P: NCPoly) -> _TwistPlan:
     tail_of = np.empty(len(order), np.intp)
     tail_of[order] = np.cumsum(new) - 1
     first = order[new]
-    owner, index, tw_re, tw_im = _unit_twists(ctx.rows(-1.0), letters, first, tail[first], codes)
+    owner, index, tw_re, tw_im = _tail_twists(ctx.A_rows, letters, first, tail[first], codes)
     count = np.bincount(owner, minlength=len(first))
     n = count[tail_of]
     fits = wlen[word] - 1 <= P.degree_cap
@@ -311,8 +298,8 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
     dict with prune-on-touch.
 
     Here the twists and keys come from P's plan (``_twist_plan``), built on
-    the first call for P and the context and kept on P, so the components
-    of ``grad_D`` share it; the unit-twist memo of the context is not read.
+    the first call for P and the context from the context's rows of A and
+    kept on P, so the components of ``grad_D`` share it.
     The products take Python's complex-product formula on the parts, each
     key's terms are summed in loop order with the loop's drops and restarts
     (``_touch_sums``), and a kept key sits where the loop last inserted it.

@@ -22,7 +22,7 @@ from .modular import ModularContext, build_context, modular_norm
 from .moments import MomentOracle
 from .ncpoly import NCPoly, quadratic_potential
 from .schwinger import gibbs_distance, sd_residual
-from .serialize import dumps_report, poly_from_terms, poly_to_terms, sanitize
+from .serialize import dumps_report, is_number, poly_from_terms, poly_to_terms, sanitize
 from .transport import (
     TransportConfig,
     invert_series,
@@ -73,19 +73,15 @@ class RunConfig(TransportConfig):
         return build_context(self.lambdas, self.num_trivial)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 # The JSON type of each field annotation: its name, a test of the parsed
 # value and the conversion to the field; booleans are neither numbers nor integers.
 JSON_TYPES = {
-    "float": ("a number", _is_number, float),
-    "int": ("an integer", lambda x: _is_number(x) and isinstance(x, int), int),
+    "float": ("a number", is_number, float),
+    "int": ("an integer", lambda x: is_number(x) and isinstance(x, int), int),
     "bool": ("a boolean", lambda x: isinstance(x, bool), bool),
     "list[float]": (
         "an array of numbers",
-        lambda x: isinstance(x, list) and all(map(_is_number, x)),
+        lambda x: isinstance(x, list) and all(map(is_number, x)),
         lambda x: [float(v) for v in x],
     ),
 }
@@ -146,6 +142,8 @@ def _load_potential(spec: str, cfg: RunConfig, ctx: ModularContext) -> NCPoly:
 def cmd_moments(args, cfg: RunConfig) -> int:
     ctx = cfg.context()
     word = tuple(int(x) for x in args.word.split(",")) if args.word else ()
+    if not all(1 <= j <= ctx.num_vars for j in word):
+        raise ValueError(f"--word {args.word}: every index must lie in 1..{ctx.num_vars}")
     oracle = MomentOracle(ctx, cfg.q)
     val = complex(oracle.moment(word))
     if not args.quiet:
@@ -217,9 +215,9 @@ def cmd_invert(args, cfg: RunConfig) -> int:
     ctx = cfg.context()
     with open(args.series) as fh:
         raw = json.load(fh)
-    terms = raw["Y"] if isinstance(raw, dict) else raw
-    if len(terms) != ctx.num_vars:
-        raise ValueError(f"need {ctx.num_vars} series components, got {len(terms)}")
+    terms = raw.get("Y") if isinstance(raw, dict) else raw
+    if not isinstance(terms, list) or len(terms) != ctx.num_vars:
+        raise ValueError(f'a series must be a list of {ctx.num_vars} term lists, or {{"Y": ...}} holding one')
     y = [poly_from_terms(ctx.num_vars, t, cfg.degree_cap) for t in terms]
     h = invert_series(y, cfg)
     report = {

@@ -5,12 +5,11 @@ generators.  A is block diagonal: one 2x2 block per parameter lambda_k plus
 an identity block, so its spectrum is {1} together with the pairs
 lambda_k^{+-1}.  All one-parameter symmetries used here are real powers of A
 acting linearly on generators and multiplicatively on words.
-A word is twisted letter by letter (``twist_paths``) through the rows of
-A^{-s}, which a context keeps per power s.  It also keeps, without bound,
-each (s, word)'s twist with coefficient one that ``unit_twist`` is asked
-for: the right legs of ``tensor.t_sigma`` at s != 0 ask for them.
-``calculus.cyclic_D`` expands its tails' twists from the rows itself and
-keeps them on the polynomial, not here.
+A word is twisted letter by letter (``twist_paths``) through the nonzero
+entries of A^{-s} row by row (``twist_rows``).  A context derives those of
+A itself (s = -1) on construction; ``apply_sigma`` and ``tensor.t_sigma``
+build those of their power once per call.  A context is derived in full on
+construction and never changes afterwards: it keeps no memo.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyContext, NonPositiveLambda, VarCountMismatch
+from .errors import EmptyContext, IndexOutOfRange, NonPositiveLambda, VarCountMismatch
 
 # Eigenvalues of A below this indicate corrupted input, never legitimate data.
 EIG_FLOOR = 1e-12
@@ -42,8 +41,10 @@ class ModularContext:
     alpha_rows, inner_rows : alpha and ``inner_U`` as lists of rows of
         Python ``complex``, which the per-term loops read: an entry read from
         a list and multiplied costs about a third of a numpy scalar's, with
-        the same bits.  Derived on construction.  The rows of A^{-s} are read
-        the same way, through ``rows``.
+        the same bits.
+    A_rows : the nonzero entries of A row by row (``twist_rows``), through
+        which ``ncpoly.rho`` and ``calculus.cyclic_D`` twist at s = -1.
+    All three are derived on construction; nothing else is kept.
     """
 
     num_vars: int
@@ -55,19 +56,15 @@ class ModularContext:
     # Eigendecomposition of A, cached for real matrix powers.
     _eigvals: np.ndarray = field(repr=False, default=None)
     _eigvecs: np.ndarray = field(repr=False, default=None)
-    # The rows of A^{-s} and the unit twists this context has computed, per
-    # power s and per (s, word); a fresh context, or one made from it by
-    # ``dataclasses.replace``, starts with both empty.  Only ``unit_twist``
-    # fills the unit twists, for the right legs of ``tensor.t_sigma``.
-    sigma_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    unit_twists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     alpha_rows: list = field(init=False, repr=False, compare=False)
     inner_rows: list = field(init=False, repr=False, compare=False)
+    A_rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # complex, never float, so that no product is a mixed complex * float
         for name, M in (("alpha_rows", self.alpha), ("inner_rows", self.inner_U)):
             object.__setattr__(self, name, np.asarray(M, dtype=complex).tolist())
+        object.__setattr__(self, "A_rows", twist_rows(self.A))
 
     @property
     def inner_U(self) -> np.ndarray:
@@ -81,44 +78,20 @@ class ModularContext:
         return not self.lambdas
 
     def check_index(self, j: int) -> None:
-        from .errors import IndexOutOfRange
-
         if not 1 <= j <= self.num_vars:
             raise IndexOutOfRange(f"generator index {j} outside 1..{self.num_vars}")
 
-    def rows(self, s: float) -> list:
-        """The nonzero entries of each row of A^{-s}, as (index, entry) pairs
-        with index ascending and the entry a Python ``complex``; computed on
-        the first request for s and kept."""
-        got = self.sigma_rows.get(s)
-        if got is None:
-            got = self.sigma_rows[s] = [
-                [(k + 1, m) for k, m in enumerate(row) if m != 0]
-                for row in matrix_power(self, -s).tolist()
-            ]
-        return got
 
-    def unit_twist(self, s: float, word: Word) -> dict[Word, complex]:
-        """The twist of ``word`` at s with coefficient one, as ``apply_sigma``
-        returns it: each path's coefficient taken from 0j and pruned.
-        Expanded on the first request for (s, word) and kept, without bound;
-        ``tensor.t_sigma`` asks for the twists of its right legs."""
-        got = self.unit_twists.get((s, word))
-        if got is None:
-            from .ncpoly import PRUNE_TOL
-
-            # adding to 0j leaves |v| as it is
-            got = self.unit_twists[s, word] = {
-                w: 0j + v
-                for w, v in twist_paths(self.rows(s), word, 1.0 + 0j)
-                if not abs(v) <= PRUNE_TOL
-            }
-        return got
+def twist_rows(M: np.ndarray) -> list:
+    """The nonzero entries of each row of M, as (index, entry) pairs with
+    index ascending and the entry a Python ``complex``: the rows that
+    ``twist_paths`` reads for M = A^{-s}."""
+    return [[(k + 1, m) for k, m in enumerate(row) if m != 0] for row in np.asarray(M, complex).tolist()]
 
 
 def twist_paths(rows: list, word: Word, c: complex) -> list[tuple[Word, complex]]:
     """Each twisted word of c ``word`` with its coefficient, for one row of
-    nonzero (index, entry) pairs per letter (``ModularContext.rows``).  c is
+    nonzero (index, entry) pairs per letter (``twist_rows``).  c is
     carried letter by letter, v -> 0j + v * m, index ascending at each
     letter.  No two paths end in the same word."""
     paths = [((), c)]
@@ -200,8 +173,9 @@ def apply_sigma(ctx: ModularContext, P, s: float):
     """Modular action at imaginary parameter: X_j -> sum_k [A^{-s}]_{jk} X_k.
 
     Extended to words multiplicatively and to polynomials linearly.  s = -1
-    sends the generator vector to A X; s = 0 is the identity.  Each word's
-    paths are expanded from its coefficient (``twist_paths``).
+    sends the generator vector to A X; s = 0 is the identity.  The rows of
+    A^{-s} are built once per call, and each word's paths are expanded from
+    its coefficient (``twist_paths``).
     """
     from .ncpoly import NCPoly
 
@@ -211,7 +185,7 @@ def apply_sigma(ctx: ModularContext, P, s: float):
         )
     if s == 0.0 or ctx.is_tracial:
         return P
-    rows = ctx.rows(s)
+    rows = twist_rows(matrix_power(ctx, -s))
     out: dict[Word, complex] = {}
     for word, c in P.coeffs.items():
         for w2, v in twist_paths(rows, word, c):

@@ -45,6 +45,8 @@ from .modular import ModularContext, Word
 # tolerance, and are pruned on construction.  Every prune test reads
 # ``not abs(c) <= PRUNE_TOL``, so a NaN coefficient is kept, never pruned.
 PRUNE_TOL = 1e-14
+# Squared moduli surely at most, and surely above, PRUNE_TOL**2 (``_prunes``).
+_BELOW, _ABOVE = PRUNE_TOL**2 * (1 - 1e-9), PRUNE_TOL**2 * (1 + 1e-9)
 
 CENTRALIZER_TOL = 1e-9
 
@@ -94,6 +96,21 @@ class WordCodes:
         return [tuple(row[:n]) for row, n in zip(letters.tolist(), lens.tolist())]
 
 
+def _prunes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Whether |re + i im| <= PRUNE_TOL, as ``abs`` of a Python complex
+    decides it, for arrays of parts (``pair_sums``, the kernel's level
+    blocks, ``cyclic_D``): hypot, which is slow, is taken only where the
+    squared modulus, within a few ulps of the square of hypot, lies near
+    PRUNE_TOL**2.  A NaN square, or one that overflows (numpy warns), is
+    not pruned, as no NaN or infinite modulus is."""
+    square = re * re + im * im
+    out = square <= _BELOW
+    near = (square <= _ABOVE) ^ out
+    if np.count_nonzero(near):
+        out[near] = np.hypot(re[near], im[near]) <= PRUNE_TOL
+    return out
+
+
 def pair_sums(codes: np.ndarray, re: np.ndarray, im: np.ndarray):
     """Sum the values of a list of pairs onto the pairs' keys.
 
@@ -117,7 +134,8 @@ def pair_sums(codes: np.ndarray, re: np.ndarray, im: np.ndarray):
     # bincount adds each key's values in pair order
     sum_re = np.bincount(key_of, weights=re, minlength=len(first))
     sum_im = np.bincount(key_of, weights=im, minlength=len(first))
-    kept = np.flatnonzero(~(np.hypot(sum_re, sum_im) <= PRUNE_TOL))
+    with np.errstate(over="ignore"):
+        kept = np.flatnonzero(~_prunes(sum_re, sum_im))
     order = kept[np.argsort(first[kept])]
     return first[order], sum_re[order], sum_im[order]
 
@@ -652,7 +670,7 @@ def rho(ctx: ModularContext, P: NCPoly) -> NCPoly:
         raise VarCountMismatch(
             f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
         )
-    A = ctx.rows(-1.0)
+    A = ctx.A_rows
     rotated: dict[Word, complex] = {}
     for w, c in sorted(P.coeffs.items(), key=lambda t: len(t[0])):
         if not w:

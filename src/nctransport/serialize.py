@@ -23,16 +23,28 @@ def poly_to_terms(P: NCPoly) -> list[dict]:
     return terms
 
 
+def is_number(x) -> bool:
+    """A JSON number: an int or a float, never a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def poly_from_terms(num_vars: int, terms, cap: int) -> NCPoly:
+    """The polynomial of a list of terms in the format of ``poly_to_terms``:
+    "indices" an array of integers in 1..num_vars, "re" and "im" numbers
+    (0 when missing), and no other key.  Anything else raises ValueError."""
+    if not isinstance(terms, list):
+        raise ValueError(f"a polynomial must be an array of terms, got {json.dumps(terms)}")
     coeffs = {}
     for t in terms:
-        w = tuple(int(i) for i in t["indices"])
-        for j in w:
-            if not 1 <= j <= num_vars:
-                raise ValueError(f"index {j} outside 1..{num_vars}")
-        coeffs[w] = coeffs.get(w, 0.0) + complex(
-            float(t.get("re", 0.0)), float(t.get("im", 0.0))
-        )
+        ok = isinstance(t, dict) and t.keys() <= {"indices", "re", "im"}
+        w, re, im = (t.get("indices"), t.get("re", 0.0), t.get("im", 0.0)) if ok else (None, 0.0, 0.0)
+        # a JSON integer parses to an int, never to its subclass bool
+        if not (isinstance(w, list) and all(type(j) is int and 1 <= j <= num_vars for j in w)):
+            raise ValueError(f"a term holds indices, integers in 1..{num_vars}, and re and im: {json.dumps(t)}")
+        if not (is_number(re) and is_number(im)):
+            raise ValueError(f"re and im of a term must be numbers: {json.dumps(t)}")
+        w = tuple(w)
+        coeffs[w] = coeffs.get(w, 0.0) + complex(float(re), float(im))
     return NCPoly(num_vars, coeffs, cap)
 
 

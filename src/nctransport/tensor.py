@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimMismatch, VarCountMismatch
-from .modular import ModularContext, twist_paths
+from .modular import ModularContext, matrix_power, twist_paths, twist_rows
 from . import ncpoly
 from .ncpoly import PRUNE_TOL, NCPoly, Word, _Sparse
 
@@ -129,8 +129,10 @@ def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -
 
     Each term c a (x) b becomes sigma(c a) (x) sigma(b): c is carried along
     the paths of a's twist at s_left (``modular.twist_paths``), pruned as
-    ``apply_sigma`` prunes, and b takes its unit twist at s_right from the
-    context's memo (``ModularContext.unit_twist``).
+    ``apply_sigma`` prunes, and b takes its twist at s_right with
+    coefficient one, each path from 0j and pruned.  The rows of each nonzero
+    power are built once per call, and each distinct right leg is expanded
+    once, into a dict that lives for this call only.
     The pairs are added into one dict as ``TensorPoly.sum`` adds the
     per-term tensors of sigma(c a) and sigma(b), each built pair by pair
     with every key from 0.0 and pruned, then summed with prune-on-touch.  A
@@ -143,7 +145,8 @@ def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -
     if ctx.is_tracial or (s_left == 0.0 and s_right == 0.0):
         return S
     cap = S.degree_cap
-    rows = ctx.rows(s_left) if s_left != 0.0 else None
+    rows_left, rows_right = (twist_rows(matrix_power(ctx, -s)) if s else None for s in (s_left, s_right))
+    rights: dict[Word, dict[Word, complex]] = {}
     acc: dict[Pair, complex] = {}
     dropped = False
     for (a, b), c in S.coeffs.items():
@@ -151,8 +154,13 @@ def t_sigma(ctx: ModularContext, S: TensorPoly, s_left: float, s_right: float) -
             left = [(a, c)]
         else:
             # apply_sigma's sum from 0.0 (|v| unchanged), then its prune
-            left = [(wa, 0.0 + v) for wa, v in twist_paths(rows, a, c) if not abs(v) <= PRUNE_TOL]
-        right = ctx.unit_twist(s_right, b) if s_right != 0.0 else {b: 1.0 + 0j}
+            left = [(wa, 0.0 + v) for wa, v in twist_paths(rows_left, a, c) if not abs(v) <= PRUNE_TOL]
+        if s_right == 0.0:
+            right = {b: 1.0 + 0j}
+        elif (right := rights.get(b)) is None:
+            # each path from 0j, which leaves |v| as it is, then pruned
+            paths = twist_paths(rows_right, b, 1.0 + 0j)
+            right = rights[b] = {wb: 0j + v for wb, v in paths if not abs(v) <= PRUNE_TOL}
         if len(a) + len(b) > cap:
             dropped = dropped or bool(left and right)
             continue

@@ -12,7 +12,7 @@ import numpy as np
 from nctransport.arakiwoods import XiData, _orthonormal_columns, _wick
 from nctransport.calculus import delta, partial_bar
 from nctransport.errors import DimMismatch, VarCountMismatch
-from nctransport.modular import ModularContext, apply_sigma, matrix_power, modular_norm
+from nctransport.modular import ModularContext, apply_sigma, matrix_power, modular_norm, twist_paths
 from nctransport.moments import MomentOracle
 from nctransport.ncpoly import (
     CENTRALIZER_TOL,
@@ -522,9 +522,10 @@ def cyclic_D_composed(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
 
 
 def cyclic_D_loop(ctx: ModularContext, j: int, P: NCPoly, drops: list | None = None) -> NCPoly:
-    """Cyclic derivative path by path, into one dict: each tail's unit twist
-    from the context's memo (``ModularContext.unit_twist``), each path's
-    0j + ct (c alpha_{j, w_l}) pruned, then added to its key with
+    """Cyclic derivative path by path, into one dict: each tail's twist with
+    coefficient one, expanded through the context's rows of A on its first
+    use in this call, each path from 0j and pruned; then each path's
+    0j + ct (c alpha_{j, w_l}) pruned and added to its key with
     prune-on-touch, as ``NCPoly.sum`` adds the per-term products.  A key
     that a sum drops is appended to ``drops``, when given."""
     ctx.check_index(j)
@@ -534,6 +535,7 @@ def cyclic_D_loop(ctx: ModularContext, j: int, P: NCPoly, drops: list | None = N
         )
     alpha = ctx.alpha_rows[j - 1]
     nv, cap = P.num_vars, P.degree_cap
+    twists: dict[Word, dict[Word, complex]] = {}
     acc: dict[Word, complex] = {}
     dropped = False
     for w, c in P.coeffs.items():
@@ -541,7 +543,11 @@ def cyclic_D_loop(ctx: ModularContext, j: int, P: NCPoly, drops: list | None = N
             a = alpha[w[l] - 1]
             if abs(a) == 0.0:
                 continue
-            tw = ctx.unit_twist(-1.0, w[l + 1:])
+            tail = w[l + 1:]
+            if tail not in twists:
+                paths = twist_paths(ctx.A_rows, tail, 1.0 + 0j)
+                twists[tail] = {t: 0j + v for t, v in paths if not abs(v) <= PRUNE_TOL}
+            tw = twists[tail]
             m = c * a
             if abs(m) <= PRUNE_TOL:
                 continue

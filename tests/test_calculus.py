@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nctransport import calculus, ncpoly
+from nctransport import arakiwoods, ncpoly
 from nctransport.calculus import (
     cyclic_D,
     delta,
@@ -280,9 +280,9 @@ def test_cyclic_derivative_edge_cases(lambdas, num_trivial):
     assert all(c.imag.hex() != "-0x0.0p+0" for c in got["signed zeros", 1].coeffs.values())
 
 
-def test_prune_mask_decides_as_python_abs(rng):
-    # the squared modulus decides far from PRUNE_TOL, hypot near it: the
-    # mask equals abs(complex) <= PRUNE_TOL, NaN and inf included
+def _near_tol(rng) -> list[complex]:
+    # values within a few ulps of PRUNE_TOL, on and off the axes, with
+    # signed zeros, subnormals, NaN and inf
     tol = PRUNE_TOL
     near = [tol * (1 + k * 2.0**-52) for k in range(-8, 9)]
     parts = near + [0.0, -0.0, 5e-324, 1e-200, tol / 2**0.5, 1e-14 * 0.7, 1e300, float("inf"), float("nan")]
@@ -291,11 +291,46 @@ def test_prune_mask_decides_as_python_abs(rng):
     # rounds the other way than hypot
     values += [complex(d * (1 + k * 2.0**-52), d) for d in (tol / 2**0.5,) for k in range(-8, 9)]
     values += [complex(x, y) for x, y in (tol * rng.random((400, 2)) * 1.5).tolist()]
+    return values
+
+
+def test_prune_mask_decides_as_python_abs(rng):
+    # the squared modulus decides far from PRUNE_TOL, hypot near it: the
+    # mask equals abs(complex) <= PRUNE_TOL, NaN and inf included
+    values = _near_tol(rng)
     re = np.array([z.real for z in values])
     im = np.array([z.imag for z in values])
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = calculus._prunes(re, im)
-    assert got.tolist() == [abs(z) <= tol for z in values]
+    with np.errstate(over="ignore"):
+        got = ncpoly._prunes(re, im)
+    assert got.tolist() == [abs(z) <= PRUNE_TOL for z in values]
+
+
+def test_array_prunes_keep_what_python_abs_keeps(rng, monkeypatch):
+    # pair_sums and the kernel's level blocks keep exactly the values with
+    # not abs(z) <= PRUNE_TOL
+    values = _near_tol(rng)
+    want = [i for i, z in enumerate(values) if not abs(z) <= PRUNE_TOL]
+    re = np.array([z.real for z in values])
+    im = np.array([z.imag for z in values])
+    first, _, _ = ncpoly.pair_sums(np.arange(len(values)), re, im)
+    assert first.tolist() == want
+    # the level-1 block of N trivial generators, overwritten with the values
+    # where the kernel decides which entries it keeps (no kernel block holds
+    # the values that overflow the square)
+    n = int(np.ceil(len(values) ** 0.5))
+    block = np.ones(n * n, complex)
+    block[: len(values)] = values
+    prunes = arakiwoods._prunes
+
+    def overwriting(re, im):
+        re[...], im[...] = block.real.reshape(re.shape), block.imag.reshape(im.shape)
+        with np.errstate(over="ignore"):
+            return prunes(re, im)
+
+    monkeypatch.setattr(arakiwoods, "_prunes", overwriting)
+    xi = build_xi(build_context([], n), 0.5, 1).xi
+    kept = [i * n + j for (a, b), _ in xi.coeffs.items() if a for i, j in [(a[0] - 1, b[0] - 1)]]
+    assert [i for i in kept if i < len(values)] == want
 
 
 def test_cyclic_derivative_on_python_int_codes(rng):

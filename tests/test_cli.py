@@ -173,6 +173,49 @@ def test_moments_empty_word(config_n1, capsys):
     assert capsys.readouterr().out.strip() == "1.0"
 
 
+@pytest.mark.parametrize("word", ["1,3", "0", "2,-1"])
+def test_moments_word_outside_the_generators_is_a_usage_error(tmp_path, capsys, word):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(BASE))
+    assert run(["moments", "--config", str(path), "--word", word]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and "1..2" in captured.err
+    assert captured.out == ""
+
+
+TERM = {"indices": [1, 2], "re": 0.5, "im": 0.0}
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("verify-sd", "--potential", [1, 2]),
+    ("verify-sd", "--potential", {"indices": [1, 2], "re": 0.5}),
+    ("verify-sd", "--potential", [{**TERM, "indices": [1.9, 2]}]),
+    ("verify-sd", "--potential", [{**TERM, "indices": "12"}]),
+    ("verify-sd", "--potential", [{**TERM, "indices": [True, 2]}]),
+    ("verify-sd", "--potential", [{**TERM, "indices": [1, 3]}]),
+    ("verify-sd", "--potential", [{**TERM, "indices": [0]}]),
+    ("verify-sd", "--potential", [{"re": 0.5}]),
+    ("verify-sd", "--potential", [{**TERM, "Re": 0.5}]),
+    ("verify-sd", "--potential", [{**TERM, "re": "0.5"}]),
+    ("verify-sd", "--potential", [{**TERM, "im": True}]),
+    ("solve-transport", "--potential", [{**TERM, "indices": [1.0, 2]}]),
+    ("invert", "--series", {"Y": 5}),
+    ("invert", "--series", 5),
+    ("invert", "--series", {"X": [[TERM], [TERM]]}),
+    ("invert", "--series", [[TERM]]),
+    ("invert", "--series", [[TERM], 7]),
+    ("invert", "--series", {"Y": [[TERM], [{**TERM, "indices": [True]}]]}),
+], ids=lambda v: json.dumps(v) if not isinstance(v, str) else v)
+def test_malformed_polynomial_files_are_usage_errors(tmp_path, capsys, command, flag, content):
+    # polynomial and series files follow the JSON type rules of the
+    # configuration: integer indices in 1..N, numeric parts, N term lists
+    cfg, data = tmp_path / "c.json", tmp_path / "p.json"
+    cfg.write_text(json.dumps(BASE))
+    data.write_text(json.dumps(content))
+    assert run([command, "--config", str(cfg), flag, str(data), "--quiet"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_verify_sd_quasi_free(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"lambdas": [], "num_trivial": 1, "q": 0.0}))

@@ -1,14 +1,15 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
-from nctransport import build_context, calculus, cli, modular
+from nctransport import build_context, calculus, cli, selftest
 from nctransport.calculus import cyclic_D, partial_bar, partial_sigma
 from nctransport.errors import EmptyContext, NonPositiveLambda, VarCountMismatch
-from nctransport.modular import ModularContext, apply_sigma, matrix_power
+from nctransport.modular import apply_sigma, matrix_power, twist_paths
 from nctransport.moments import MomentOracle
-from nctransport.ncpoly import NCPoly, max_coeff_diff, quadratic_potential, rho
+from nctransport.ncpoly import PRUNE_TOL, NCPoly, max_coeff_diff, quadratic_potential, rho
 from nctransport.randgen import random_poly, random_tensor
 from nctransport.tensor import TensorPoly, t_sigma
 from oracles import (
@@ -132,9 +133,20 @@ def test_adjoint_intertwines_sigma(lam2, rng):
         assert max_coeff_diff(lhs, rhs) < 1e-10
 
 
-def _empty(ctx):
-    # the context's sigma memo: its rows of A^{-s} and its unit twists
-    return not ctx.sigma_rows and not ctx.unit_twists
+def _state(ctx):
+    # each attribute of a context, with a copy of its value
+    return {k: (v, copy.deepcopy(v)) for k, v in vars(ctx).items()}
+
+
+def _unchanged(ctx, state):
+    # the same attributes, each the same object with the same value
+    assert vars(ctx).keys() == state.keys()
+    for k, (obj, value) in state.items():
+        assert vars(ctx)[k] is obj, k
+        if isinstance(value, np.ndarray):
+            assert (obj.dtype, obj.shape, obj.tobytes()) == (value.dtype, value.shape, value.tobytes()), k
+        else:
+            assert obj == value, k
 
 
 def _bits(p):
@@ -163,28 +175,31 @@ def test_apply_sigma_matches_expansion_per_call(lambdas, num_trivial, rng):
                 assert _bits(apply_sigma(ctx, P, s)) == _bits(apply_sigma_reference(ctx, P, s))
 
 
-def test_sigma_table_starts_empty_and_fills_on_demand(lam2):
+def test_context_derives_its_tables_on_construction(rng):
     ctx = build_context([2.0])
-    assert _empty(ctx)
-    assert "sigma_rows" not in repr(ctx) and "unit_twists" not in repr(ctx)
+    assert not any(isinstance(v, dict) for v in vars(ctx).values())
+    assert "A_rows" not in repr(ctx)
+    # A's rows: its nonzero entries row by row, index ascending
+    assert ctx.A_rows == [[(k + 1, m) for k, m in enumerate(row) if m != 0] for row in ctx.A]
+    state = _state(ctx)
+    # the twisting operations read the context and keep nothing on it
     p = NCPoly(2, {(1, 2): 1.0, (2,): 0.5}, 4)
-    # apply_sigma expands its words on every call and keeps only the rows
-    apply_sigma(ctx, p, -1.0)
-    assert set(ctx.sigma_rows) == {-1.0} and not ctx.unit_twists
-    # A^{-s} once per power, its nonzero entries row by row
-    rows = [[(k + 1, m) for k, m in enumerate(row) if m != 0] for row in matrix_power(ctx, 1.0)]
-    assert ctx.rows(-1.0) is ctx.sigma_rows[-1.0]
-    assert ctx.sigma_rows[-1.0] == rows
-    # cyclic_D expands its tails' twists from the rows, and keeps no unit twist
+    for s in (-1.0, 0.5):
+        apply_sigma(ctx, p, s)
+    rho(ctx, p)
+    t_sigma(ctx, random_tensor(ctx, rng, 3), 0.5, -1.0)
     cyclic_D(ctx, 1, NCPoly(2, {(1, 1, 2): 1.0, (2,): 0.5}, 4))
-    assert set(ctx.sigma_rows) == {-1.0} and not ctx.unit_twists
-    # a context made from another by dataclasses.replace starts empty
-    assert _empty(dataclasses.replace(ctx))
-    # the unit twist is the twisted monomial, pruned
+    _unchanged(ctx, state)
+    # a context made from another by dataclasses.replace derives its own rows
+    other = dataclasses.replace(ctx)
+    assert other.A_rows == ctx.A_rows and other.A_rows is not ctx.A_rows
+    # a right leg's twist is the twisted monomial, pruned
     unit = apply_sigma(ctx, NCPoly.monomial(2, (1, 2), 1.0, cap=4), -1.0)
-    assert ctx.unit_twist(-1.0, (1, 2)) == unit.coeffs
-    assert ctx.unit_twist(-1.0, (1, 2)) is ctx.unit_twists[-1.0, (1, 2)]
-    assert ctx.unit_twists is not lam2.unit_twists and ctx.sigma_rows is not lam2.sigma_rows
+    right = t_sigma(ctx, TensorPoly.elementary(2, (), (1, 2), 1.0, 4), 0.0, -1.0)
+    assert {b: c for (_, b), c in right.coeffs.items()} == unit.coeffs
+    assert unit.coeffs == {
+        w: 0j + v for w, v in twist_paths(ctx.A_rows, (1, 2), 1.0 + 0j) if not abs(v) <= PRUNE_TOL
+    }
 
 
 def test_sigma_table_is_per_context(rng):
@@ -196,82 +211,81 @@ def test_sigma_table_is_per_context(rng):
             assert _bits(cyclic_D(ctx, j, p)) == _bits(cyclic_D_loop(ctx, j, p))
         # p keeps the plan of the last context it was differentiated under
         assert p.__dict__["_twist_plan"].ctx is ctx
-    assert set(a.unit_twists) == set(b.unit_twists)
-    assert a.unit_twists is not b.unit_twists
-    word = next(w for w in p.coeffs if w)
-    assert a.unit_twist(0.5, word) != b.unit_twist(0.5, word)
-    assert a.rows(0.5) != b.rows(0.5)
+    word = NCPoly.monomial(2, next(w for w in p.coeffs if w), 1.0, cap=6)
+    assert apply_sigma(a, word, 0.5) != apply_sigma(b, word, 0.5)
+    assert a.A_rows != b.A_rows
 
 
 def test_sigma_table_checks_and_tracial_shortcut(rng):
     lam = build_context([2.0])
+    state = _state(lam)
     with pytest.raises(VarCountMismatch):
         apply_sigma(lam, NCPoly.gen(1, 1, 4), 1.0)
     with pytest.raises(VarCountMismatch):
         t_sigma(lam, TensorPoly.elementary(1, (1,), (1,), 1.0, 4), 1.0, 0.0)
     with pytest.raises(VarCountMismatch):
         cyclic_D(lam, 1, NCPoly.gen(1, 1, 4))
-    assert _empty(lam)
-    # the tracial shortcut returns its input and leaves the memo empty
+    _unchanged(lam, state)
+    # the tracial shortcut returns its input and leaves the context as it is
     tr = build_context([], 2)
+    state = _state(tr)
     p = random_poly(tr, rng, 4, cap=6)
     S = random_tensor(tr, rng, 3)
     assert apply_sigma(tr, p, -1.0) is p
     assert t_sigma(tr, S, 0.5, -1.0) is S
-    assert _empty(tr)
+    _unchanged(tr, state)
 
 
 def test_cli_runs_share_no_table_and_expand_each_word_once(strict_argv, monkeypatch):
-    # each cli.run builds its own context, whose memo starts empty.  On the
-    # strict pipeline no unit twist is expanded or kept: cyclic_D expands the
-    # tails of each polynomial it differentiates once, into the polynomial's
-    # plan, which the components of grad_D share
-    contexts, expansions, asked, planned = [], [], [], []
-    build, paths, unit_twist = cli.build_context, modular.twist_paths, ModularContext.unit_twist
-    twist_plan = calculus._twist_plan
-    inside = [False]
+    # each cli.run builds its own context, which the run leaves as it was
+    # built.  cyclic_D expands the tails of each polynomial it
+    # differentiates once, into the polynomial's plan, which the
+    # components of grad_D share
+    contexts, planned = [], []
+    build, twist_plan = cli.build_context, calculus._twist_plan
 
-    def counting_build(*args):
+    def recording_build(*args):
         ctx = build(*args)
-        assert _empty(ctx)
-        contexts.append(ctx)
-        expansions.append(0)
-        asked.append(set())
+        contexts.append((ctx, _state(ctx)))
         planned.append([])
         return ctx
-
-    def counting_paths(rows, word, c):
-        expansions[-1] += inside[0]
-        return paths(rows, word, c)
-
-    def recording_unit_twist(self, s, word):
-        asked[-1].add((s, word))
-        inside[0] = True
-        try:
-            return unit_twist(self, s, word)
-        finally:
-            inside[0] = False
 
     def recording_plan(ctx, P):
         plan = P.__dict__.get("_twist_plan")
         planned[-1].append((P, plan is not None and plan.ctx is ctx))
         return twist_plan(ctx, P)
 
-    monkeypatch.setattr(cli, "build_context", counting_build)
-    monkeypatch.setattr(modular, "twist_paths", counting_paths)
-    monkeypatch.setattr(ModularContext, "unit_twist", recording_unit_twist)
+    monkeypatch.setattr(cli, "build_context", recording_build)
     monkeypatch.setattr(calculus, "_twist_plan", recording_plan)
     assert cli.run(strict_argv) == cli.EXIT_OK
     assert cli.run(strict_argv) == cli.EXIT_OK
-    assert len(contexts) == 2 and contexts[0].unit_twists is not contexts[1].unit_twists
-    for ctx, count, keys, plans in zip(contexts, expansions, asked, planned):
-        assert count == len(keys) == len(ctx.unit_twists) == 0
+    assert len(contexts) == 2 and contexts[0][0] is not contexts[1][0]
+    for (ctx, state), plans in zip(contexts, planned):
+        _unchanged(ctx, state)
         # one plan per polynomial, built on its first call and read by the
         # other components
         built = [id(P) for P, warm in plans if not warm]
         assert len(built) == len(set(built)) == len({id(P) for P, _ in plans}) > 0
         assert len(plans) == ctx.num_vars * len(built)
     assert len(planned[0]) == len(planned[1])
+
+
+def test_selftest_leaves_its_contexts_unchanged(monkeypatch):
+    # the battery twists at many powers (the sigma-homomorphism check) and
+    # twists right legs (the Jacobian check); no context keeps any of it
+    contexts = []
+    build = selftest.build_context
+
+    def recording_build(*args):
+        ctx = build(*args)
+        contexts.append((ctx, _state(ctx)))
+        return ctx
+
+    monkeypatch.setattr(selftest, "build_context", recording_build)
+    assert all(ok for _, _, ok in selftest.run_selftest())
+    assert len(contexts) >= 5
+    for ctx, state in contexts:
+        _unchanged(ctx, state)
 
 
 def _hex(z):
@@ -292,11 +306,12 @@ def test_scalar_tables_match_numpy_reads(lambdas, num_trivial, rng):
     for rows, M in ((ctx.alpha_rows, ctx.alpha), (ctx.inner_rows, ctx.inner_U)):
         assert all(type(x) is complex for row in rows for x in row)
         assert [list(map(_hex, row)) for row in rows] == [list(map(_hex, row)) for row in M]
-    # rho's rows: the nonzero entries of A, index ascending
-    assert all(type(m) is complex for row in ctx.rows(-1.0) for _, m in row)
-    assert [[(k, _hex(m)) for k, m in row] for row in ctx.rows(-1.0)] == [
+    # A's rows, which rho and cyclic_D read: its nonzero entries, index ascending
+    assert all(type(m) is complex for row in ctx.A_rows for _, m in row)
+    assert [[(k, _hex(m)) for k, m in row] for row in ctx.A_rows] == [
         [(k + 1, _hex(m)) for k, m in enumerate(row) if m != 0] for row in ctx.A
     ]
+    state = _state(ctx)
     polys = [random_poly(ctx, rng, 5, cap=6, terms=10) for _ in range(3)]
     # real coefficients, whose products with real entries have zero parts
     polys.append(random_poly(ctx, rng, 5, cap=6, terms=10, real=True))
@@ -308,14 +323,13 @@ def test_scalar_tables_match_numpy_reads(lambdas, num_trivial, rng):
     tensors.append(TensorPoly(n, {
         ((), ()): complex(-1.0, -0.0), ((1,), (n,)): complex(-0.0, 2.0), ((n, 1), (1,)): -0.5,
     }, 6))
-    for _ in range(2):  # a cold and a warm memo
+    for _ in range(2):  # a cold and a repeated call
         for P in polys:
             assert _bits(rho(ctx, P)) == _bits(rho_reference(ctx, P, 1))
             for s in (1.0, 0.5, -1.0, 2.0):
                 assert _bits(apply_sigma(ctx, P, s)) == _bits(apply_sigma_reference(ctx, P, s))
             for j in range(1, n + 1):
                 assert _bits(cyclic_D(ctx, j, P)) == _bits(cyclic_D_reference(ctx, j, P))
-                # the dict loop reads the unit twists from the memo
                 assert _bits(cyclic_D(ctx, j, P)) == _bits(cyclic_D_loop(ctx, j, P))
                 assert _bits(partial_sigma(ctx, j, P)) == _bits(
                     weighted_delta_reference(ctx.alpha[:, j - 1], P)
@@ -326,10 +340,7 @@ def test_scalar_tables_match_numpy_reads(lambdas, num_trivial, rng):
         for T in tensors:
             for sl, sr in ((1.0, 0.0), (0.5, 0.0), (-1.0, 0.0), (0.0, -1.0), (0.5, -1.0)):
                 assert _bits(t_sigma(ctx, T, sl, sr)) == _bits(t_sigma_reference(ctx, T, sl, sr))
-    assert ctx.unit_twists
-    assert all(type(m) is complex for rows in ctx.sigma_rows.values() for row in rows for _, m in row)
-    for unit in ctx.unit_twists.values():
-        assert all(type(c) is complex for c in unit.values())
+    _unchanged(ctx, state)
     # both moment routes, each word on a fresh memo and on one shared memo
     words = [()] + [
         tuple(int(x) for x in rng.integers(1, n + 1, size=m)) for m in (1, 2, 3, 4, 4, 6, 6, 8)
