@@ -26,6 +26,7 @@ from .errors import (
     NormTooLarge,
     NotCyclicallySymmetric,
 )
+from .forkjoin import fork_join
 from .modular import ModularContext
 from .moments import MomentOracle
 from .ncpoly import (
@@ -35,6 +36,7 @@ from .ncpoly import (
     _prunes,
     is_cyclically_symmetric,
     max_coeff_diff,
+    max_or_nan,
     quadratic_potential,
 )
 from .schwinger import deformed_adjoint, ibp_residual, sd_residual
@@ -364,9 +366,7 @@ def potential_W(ctx: ModularContext, xi_vec: list[NCPoly]) -> PotentialResult:
         )
     W = V - quadratic_potential(ctx, cap)
     grads = grad_D(ctx, V)
-    res = 0.0
-    for j in range(nv):
-        res = max(res, max_coeff_diff(grads[j], xi_vec[j].with_cap(cap)))
+    res = max_or_nan(max_coeff_diff(grads[j], xi_vec[j].with_cap(cap)) for j in range(nv))
     return PotentialResult(V=V, W=W, grad_residual=res)
 
 
@@ -385,15 +385,13 @@ def q_isomorphism_pipeline(
 
     Stages: kernel build and inversion (at the natural radius), conjugate
     variables, potential assembly, contractivity report, transport solve,
-    then the verification battery (Schwinger-Dyson residual of the
-    transported law, monotonicity certificate, series inversion).  Returns a
-    flat report dict ready for serialization; every stage's norms and
-    residuals are included.  ``law_degree`` truncates law evaluation for
-    larger generator counts; None keeps it exact.  A negative degree, and
-    at q != 0 a level_cap whose q-Gram exceeds MAX_GRAM_DIM, is refused
-    before any work.  ``pass`` needs the transport, the Schwinger-Dyson
-    residual, the monotonicity certificate, the inversion and, when
-    computed, the conjugate-variable check.
+    then the checks: the Schwinger-Dyson residual, and beside it (see
+    ``fork_join``) the conjugate-variable check, the monotonicity
+    certificate and the series inversion.  Returns a flat report dict.
+    ``law_degree`` truncates law evaluation; None keeps it exact.  A
+    negative degree, and at q != 0 a level_cap whose q-Gram exceeds
+    MAX_GRAM_DIM, is refused before any work.  ``pass`` needs the transport
+    and every check: the conjugate-variable check when it is computed.
     """
     if sd_degree < 0 or (conjugate_check_degree is not None and conjugate_check_degree < 0):
         raise ValueError("degree must be >= 0")
@@ -417,27 +415,34 @@ def q_isomorphism_pipeline(
     report["neumann_terms"] = xi.neumann_terms
 
     xi_vec = conjugate_vars(ctx, xi, oq)
-    if conjugate_check_degree is not None:
-        report["conjugate_check"] = conjugate_check(ctx, oq, xi_vec, conjugate_check_degree)
+    # checked once the solve is done, beside the other checks; reported here
+    checked = [] if conjugate_check_degree is None else ["conjugate_check"]
+    report.update(dict.fromkeys(checked))
 
-    pot = potential_W(ctx, xi_vec)
-    w_capped = pot.W.with_cap(cfg.degree_cap)
-    hyp = check_hypotheses(ctx, w_capped, cfg)
-    report["norm_W_Rsigma"] = hyp.norm_W_Rsigma
-    report["potential_grad_residual"] = pot.grad_residual
-    report["hypotheses"] = hyp.as_dict()
-    if not hyp.pass_ and q != 0.0:
-        # The perturbation scales linearly in q at leading order, so this
-        # estimates where both inequalities would start to hold.
-        factors = [hyp.bound_W / max(hyp.norm_W_Rsigma, 1e-300),
-                   hyp.bound_delta / max(hyp.sum_delta_pi_norm, 1e-300)]
-        report["hypotheses"]["q_estimate_pass"] = abs(q) * min(min(factors), 1.0)
+    def conjugate() -> dict:
+        return {k: conjugate_check(ctx, oq, xi_vec, conjugate_check_degree) for k in checked}
 
     try:
+        pot = potential_W(ctx, xi_vec)
+        w_capped = pot.W.with_cap(cfg.degree_cap)
+        hyp = check_hypotheses(ctx, w_capped, cfg)
+        report["norm_W_Rsigma"] = hyp.norm_W_Rsigma
+        report["potential_grad_residual"] = pot.grad_residual
+        report["hypotheses"] = hyp.as_dict()
+        if not hyp.pass_ and q != 0.0:
+            # W is linear in q to leading order: where both would start to hold
+            factors = [hyp.bound_W / max(hyp.norm_W_Rsigma, 1e-300),
+                       hyp.bound_delta / max(hyp.sum_delta_pi_norm, 1e-300)]
+            report["hypotheses"]["q_estimate_pass"] = abs(q) * min(min(factors), 1.0)
         sol = solve_transport(
             ctx, o0, w_capped, cfg, enforce_hypotheses=enforce_hypotheses, hypotheses=hyp
         )
-    except (NormTooLarge, NoConvergence) as exc:
+    except Exception as exc:
+        # the conjugate-variable check comes first in serial order, so its
+        # error wins, and a failed solve still reports it
+        report.update(conjugate())
+        if not isinstance(exc, (NormTooLarge, NoConvergence)):
+            raise
         report["transport"] = {"completed": False, "error": str(exc)}
         report["sd_residual"] = None
         report["monotone_certified"] = None
@@ -458,15 +463,22 @@ def q_isomorphism_pipeline(
 
     v_target = quadratic_potential(ctx, cfg.degree_cap) + w_capped
     law = o0.law_of(sol.Y, max_degree=law_degree)
-    report["sd_residual"] = sd_residual(law, ctx, v_target, sd_degree)
 
-    cert = monotonicity_certificate(ctx, sol.f, cfg.R)
+    def certify():
+        cert = monotonicity_certificate(ctx, sol.f, cfg.R)
+        return cert, inversion_residual(sol.Y, invert_series(sol.Y, cfg), cfg.degree_cap)
+
+    # The checks only read finished results: the Schwinger-Dyson residual
+    # runs here while a child process runs the others (see forkjoin).
+    conj, sd, (cert, inv) = fork_join(
+        conjugate, lambda: sd_residual(law, ctx, v_target, sd_degree), certify
+    )
+    report.update(conj)
+    report["sd_residual"] = sd
     report["monotone_bound"] = cert.bound
     report["monotone_lambda_min"] = cert.lambda_min
     report["monotone_certified"] = cert.certified
-
-    H = invert_series(sol.Y, cfg)
-    report["inverse_residual"] = inversion_residual(sol.Y, H, cfg.degree_cap)
+    report["inverse_residual"] = inv
 
     max_ratio = max(sol.contraction_ratios, default=0.0)
     report["pass"] = bool(

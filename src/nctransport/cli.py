@@ -22,7 +22,7 @@ from .modular import ModularContext, build_context, modular_norm
 from .moments import MomentOracle
 from .ncpoly import NCPoly, quadratic_potential
 from .schwinger import gibbs_distance, sd_residual
-from .serialize import dumps_report, is_number, poly_from_terms, poly_to_terms, sanitize
+from .serialize import dumps_report, is_number, load_json, poly_from_terms, poly_to_terms, sanitize
 from .transport import (
     TransportConfig,
     invert_series,
@@ -96,8 +96,7 @@ def load_config(path: str) -> RunConfig:
     """The configuration in a JSON object of CONFIG_KEYS.  null means the
     default, as a missing key does: RunConfig's, but R = 4 sqrt(norm A),
     R_prime = R + 1 and level_cap = min(degree_cap, 8)."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = load_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"configuration must be a JSON object, got {type(raw).__name__}")
     given = {}
@@ -134,9 +133,7 @@ def _emit(report: dict, args) -> None:
 def _load_potential(spec: str, cfg: RunConfig, ctx: ModularContext) -> NCPoly:
     if spec == "v0":
         return quadratic_potential(ctx, cfg.degree_cap)
-    with open(spec) as fh:
-        terms = json.load(fh)
-    return poly_from_terms(ctx.num_vars, terms, cfg.degree_cap)
+    return poly_from_terms(ctx.num_vars, load_json(spec), cfg.degree_cap)
 
 
 def cmd_moments(args, cfg: RunConfig) -> int:
@@ -213,8 +210,7 @@ def cmd_solve_transport(args, cfg: RunConfig) -> int:
 
 def cmd_invert(args, cfg: RunConfig) -> int:
     ctx = cfg.context()
-    with open(args.series) as fh:
-        raw = json.load(fh)
+    raw = load_json(args.series)
     terms = raw.get("Y") if isinstance(raw, dict) else raw
     if not isinstance(terms, list) or len(terms) != ctx.num_vars:
         raise ValueError(f'a series must be a list of {ctx.num_vars} term lists, or {{"Y": ...}} holding one')

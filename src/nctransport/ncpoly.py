@@ -642,6 +642,16 @@ def norm_R(P: _Sparse, R: float) -> float:
     return float(sum(abs(c) * powers[size(k)] for k, c in P.coeffs.items()))
 
 
+def max_or_nan(values) -> float:
+    """The largest of some non-negative floats, 0.0 for none; NaN when any
+    is NaN."""
+    values = list(values)
+    # max passes over a NaN after the first item; a sum of non-negative
+    # floats is NaN only through one
+    total = sum(values)
+    return total if total != total else max(values, default=0.0)
+
+
 def max_coeff_diff(P: _Sparse, Q: _Sparse) -> float:
     """Largest coefficient deviation between two maps of one kind; NaN when
     any deviation is NaN."""
@@ -650,10 +660,7 @@ def max_coeff_diff(P: _Sparse, Q: _Sparse) -> float:
     diffs = [abs(c - q.get(k, 0.0)) for k, c in p.items()]
     # |0.0 - c| = |c| on the keys P lacks
     diffs += [abs(c) for k, c in q.items() if k not in p]
-    # max passes over a NaN after the first item; a sum of moduli is NaN
-    # only through one
-    total = sum(diffs)
-    return total if total != total else max(diffs, default=0.0)
+    return max_or_nan(diffs)
 
 
 def rho(ctx: ModularContext, P: NCPoly) -> NCPoly:

@@ -17,7 +17,7 @@ from .calculus import grad_D, partial_bar, partial_sigma
 from .errors import BadGamma, NotCyclicallySymmetric
 from .modular import ModularContext
 from .moments import MomentOracle
-from .ncpoly import NCPoly, Word, is_cyclically_symmetric
+from .ncpoly import NCPoly, Word, is_cyclically_symmetric, max_or_nan
 from .tensor import TensorPoly, t_mul
 
 
@@ -89,7 +89,7 @@ def ibp_residual(phi, ctx: ModularContext, xs: list[NCPoly], d: int) -> float:
     ``Law`` or ``MomentOracle.moment``).  It is asked once for each word
     the comparisons need, in lexicographic order, which lets a ``Law``
     multiply out each word's product once; the values are kept for this
-    call only.
+    call only.  A NaN deviation gives NaN.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
@@ -106,12 +106,13 @@ def ibp_residual(phi, ctx: ModularContext, xs: list[NCPoly], d: int) -> float:
         for a, b in split:
             words.update((a, b))
     value = {w: phi(w) for w in sorted(words)}
-    worst = 0.0
-    for star, p, split in sides:
+
+    def deviation(star, p, split) -> float:
         lhs = sum((c * value[w + p] for w, c in star), 0.0 + 0.0j)
         rhs = sum((c * value[a] * value[b] for (a, b), c in split.items()), 0.0 + 0.0j)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        return abs(lhs - rhs)
+
+    return max_or_nan(deviation(*side) for side in sides)
 
 
 def sd_residual(law, ctx: ModularContext, V: NCPoly, d: int) -> float:
@@ -125,14 +126,14 @@ def sd_residual(law, ctx: ModularContext, V: NCPoly, d: int) -> float:
 
 def gibbs_distance(law1, law2, gamma: float, L: int, num_vars: int) -> float:
     """Weighted moment distance: sum over degrees l of gamma^l times the
-    worst monomial disagreement at that degree, truncated at degree L."""
+    worst monomial disagreement at that degree, truncated at degree L; NaN
+    when a disagreement is NaN."""
     if not 0.0 < gamma < 1.0 / 3.0:
         raise BadGamma(f"gamma must lie in (0, 1/3), got {gamma}")
     total = 0.0
     for l in range(1, L + 1):
-        delta_l = max(
-            (abs(law1(w) - law2(w)) for w in product(range(1, num_vars + 1), repeat=l)),
-            default=0.0,
+        delta_l = max_or_nan(
+            abs(law1(w) - law2(w)) for w in product(range(1, num_vars + 1), repeat=l)
         )
         total += gamma**l * delta_l
     return total

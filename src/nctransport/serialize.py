@@ -14,6 +14,17 @@ from typing import Any
 from .ncpoly import NCPoly
 
 
+def load_json(path: str):
+    """The JSON value in the file at path.  NaN, Infinity and -Infinity,
+    which Python's reader accepts but JSON has not, raise ValueError."""
+
+    def refuse(literal: str):
+        raise ValueError(f"{path}: {literal} is not a JSON number")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
 def poly_to_terms(P: NCPoly) -> list[dict]:
     """Polynomial file format: [{"indices": [...], "re": ..., "im": ...}]."""
     terms = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import DimMismatch, VarCountMismatch
 from .modular import ModularContext, matrix_power, twist_paths, twist_rows
 from . import ncpoly
-from .ncpoly import PRUNE_TOL, NCPoly, Word, _Sparse
+from .ncpoly import PRUNE_TOL, NCPoly, Word, _Sparse, max_or_nan
 
 Pair = tuple[Word, Word]
 
@@ -294,8 +294,9 @@ def trace_Ainv(ctx: ModularContext, Q: TensorMatrix) -> TensorPoly:
 
 
 def pi_norm_bound_mat(Q: TensorMatrix, R: float) -> float:
-    """Max row sum of entrywise projective-norm bounds."""
-    return max(
+    """Max row sum of entrywise projective-norm bounds; NaN when a row sum
+    is NaN."""
+    return max_or_nan(
         sum(pi_norm_bound(Q[i, j], R) for j in range(Q.dim)) for i in range(Q.dim)
     )
 

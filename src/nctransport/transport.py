@@ -44,6 +44,7 @@ from .ncpoly import (
     generators,
     is_cyclically_symmetric,
     max_coeff_diff,
+    max_or_nan,
     norm_R,
     norm_R_sigma,
     substitute,
@@ -380,7 +381,7 @@ def monotonicity_certificate(
     Q = jac_J_sigma(ctx, f)
     star = mat_star(Q)
     twisted = mat_sigma(ctx, Q, 1.0, 0.0)
-    dev = max(
+    dev = max_or_nan(
         max_pair_diff(star[i, j], twisted[i, j])
         for i in range(Q.dim)
         for j in range(Q.dim)
@@ -445,11 +446,9 @@ def invert_series(Y: list[NCPoly], cfg: TransportConfig) -> list[NCPoly]:
 
 
 def inversion_residual(Y: list[NCPoly], H: list[NCPoly], cap: int) -> float:
-    """Worst coefficient error of H(Y) against the generators, up to cap."""
+    """Worst coefficient error of H(Y) against the generators, up to cap;
+    NaN when an error is NaN."""
     nv = Y[0].num_vars
-    worst = 0.0
-    for j in range(nv):
-        comp = substitute(H[j], Y, cap=cap)
-        target = NCPoly.gen(nv, j + 1, cap)
-        worst = max(worst, max_coeff_diff(comp, target))
-    return worst
+    return max_or_nan(
+        max_coeff_diff(substitute(H[j], Y, cap=cap), NCPoly.gen(nv, j + 1, cap)) for j in range(nv)
+    )

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import os
+import signal
 import warnings
 from pathlib import Path
 
 import pytest
 
-from nctransport import arakiwoods, cli, transport
+from nctransport import arakiwoods, cli, forkjoin, transport
 from nctransport.cli import (
     EXIT_HYPOTHESIS,
     EXIT_NUMERICAL,
@@ -14,6 +16,8 @@ from nctransport.cli import (
     load_config,
     run,
 )
+from nctransport.errors import NoConvergence, NotGradient
+from nctransport.moments import MomentOracle
 from nctransport.tensor import TensorPoly
 from nctransport.transport import TransportConfig
 from oracles import load_config_reference
@@ -422,3 +426,172 @@ def test_float_formatting_roundtrip():
     data = json.loads(text)
     assert data["x"] == 0.1 + 0.2
     assert data["c"]["re"] == 1 / 3 and data["c"]["im"] == -2 / 7
+
+
+@pytest.mark.parametrize("name, literal", [
+    ("config", "Infinity"), ("potential", "NaN"), ("potential", "Infinity"), ("series", "-Infinity"),
+])
+def test_non_finite_json_literals_are_refused(tmp_path, capsys, monkeypatch, name, literal):
+    # Python's reader takes NaN, Infinity and -Infinity, which are not JSON;
+    # each file refuses them before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done")
+
+    monkeypatch.setattr(arakiwoods, "build_xi", no_work)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(STRICT))
+    bad = tmp_path / f"{name}.json"
+    bad.write_text({
+        "config": f'{{"lambdas": [2.0], "q": 3e-5, "level_cap": 4, "tolerance": {literal}}}',
+        "potential": f'[{{"indices": [1, 1], "re": {literal}}}, {{"indices": [2, 2], "re": 0.5625}}]',
+        "series": f'[[{{"indices": [1], "re": {literal}}}], [{{"indices": [2], "re": 1.0}}]]',
+    }[name])
+    argv = {
+        "config": ["q-isomorphism", "--config", str(bad)],
+        "potential": ["verify-sd", "--config", str(good), "--potential", str(bad)],
+        "series": ["invert", "--config", str(good), "--series", str(bad)],
+    }[name]
+    assert run([*argv, "--quiet"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {bad}: {literal} is not a JSON number\n"
+
+
+def test_a_nan_residual_fails_the_run(strict_argv, monkeypatch, capsys):
+    # a law that is NaN at the word (1, 2): the Schwinger-Dyson residual is
+    # NaN, not the 0.0 that max made of it, and the run fails
+    law_of = MomentOracle.law_of
+
+    def nan_law(self, *args, **kwargs):
+        law = law_of(self, *args, **kwargs)
+        return lambda w: complex("nan") if w == (1, 2) else law(w)
+
+    monkeypatch.setattr(MomentOracle, "law_of", nan_law)
+    assert run(strict_argv) == EXIT_NUMERICAL
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["sd_residual"] == "nan" and rep["hypotheses"]["pass"] is True
+    assert rep["pass"] is False
+
+
+# The checks that follow the solve run in a forked child when a second CPU
+# is free; each test below runs both ways, the probe forced, and leaves no
+# child process behind.
+@pytest.fixture(params=[True, False], ids=["forked", "inline"])
+def forked(request, monkeypatch):
+    monkeypatch.setattr(forkjoin, "can_fork", lambda: request.param)
+    yield request.param
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _wrap_stage(monkeypatch, name, before):
+    """Replace the pipeline's stage ``name`` by one that calls ``before``
+    and then the stage."""
+    stage = getattr(arakiwoods, name)
+
+    def wrapped(*args, **kwargs):
+        before()
+        return stage(*args, **kwargs)
+
+    monkeypatch.setattr(arakiwoods, name, wrapped)
+
+
+def _raise(exc):
+    def raising():
+        raise exc
+
+    return raising
+
+
+def test_forked_and_inline_checks_write_one_report(strict_argv, tmp_path, monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    reports = []
+    for can in (True, False):
+        monkeypatch.setattr(forkjoin, "can_fork", lambda: can)
+        reports.append(tmp_path / f"{can}.json")
+        assert run([*strict_argv, "--report", str(reports[-1])]) == EXIT_OK
+        assert len(forks) == 1
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    # a fork that fails (no process to spare) runs the checks here
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(forkjoin, "can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert run([*strict_argv, "--report", str(tmp_path / "unforked.json")]) == EXIT_OK
+    assert (tmp_path / "unforked.json").read_bytes() == reports[0].read_bytes()
+
+
+def test_a_failed_solve_reports_the_conjugate_check(strict_argv, tmp_path, capsys, forked):
+    # the gap run at q = 0.01 stops in the solve; the conjugate-variable
+    # check is still computed, and keeps its place in the report
+    cfgp = tmp_path / "gap.json"
+    cfgp.write_text(json.dumps({**BASE, "q": 0.01, "level_cap": 4}))
+    assert run(["q-isomorphism", "--config", str(cfgp), "--conjugate-degree", "4"]) == EXIT_HYPOTHESIS
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["transport"]["completed"] is False
+    keys = list(rep)
+    assert keys[keys.index("neumann_terms") + 1] == "conjugate_check"
+    assert rep["conjugate_check"] == pytest.approx(8.19e-9, rel=1e-3)
+
+
+def test_a_check_that_raises_in_the_child_fails_the_run(strict_argv, monkeypatch, capsys, forked):
+    _wrap_stage(monkeypatch, "monotonicity_certificate", _raise(NotGradient("not a gradient")))
+    assert run(strict_argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical error: not a gradient\n"
+
+
+@pytest.mark.parametrize("failing, wins", [
+    (("conjugate_check", "sd_residual"), "conjugate_check"),
+    (("sd_residual", "monotonicity_certificate"), "sd_residual"),
+    (("sd_residual", "invert_series"), "sd_residual"),
+    (("monotonicity_certificate", "inversion_residual"), "monotonicity_certificate"),
+])
+def test_of_two_failed_checks_the_serially_first_wins(strict_argv, monkeypatch, capsys, forked,
+                                                      failing, wins):
+    for name in failing:
+        _wrap_stage(monkeypatch, name, _raise(NoConvergence(name)))
+    assert run(strict_argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical error: {wins}\n"
+
+
+def test_an_unpicklable_error_in_the_child_is_a_numerical_failure(strict_argv, monkeypatch, capsys):
+    class Local(Exception):
+        pass
+
+    monkeypatch.setattr(forkjoin, "can_fork", lambda: True)
+    _wrap_stage(monkeypatch, "invert_series", _raise(Local("local")))
+    assert run(strict_argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: the checks' child process cannot send its result")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_killed_child_is_a_numerical_failure(strict_argv, monkeypatch, capsys):
+    monkeypatch.setattr(forkjoin, "can_fork", lambda: True)
+    _wrap_stage(monkeypatch, "invert_series", lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert run(strict_argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical error: the checks' child process ended without a result "
+        f"(killed by signal {int(signal.SIGKILL)})\n"
+    )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_warning_in_the_child_is_shown_once(strict_argv, tmp_path, monkeypatch, forked):
+    _wrap_stage(monkeypatch, "invert_series", lambda: warnings.warn("from a check", UserWarning))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(strict_argv) == EXIT_OK
+    mine = [w for w in caught if str(w.message) == "from a check"]
+    assert len(mine) == 1 and mine[0].category is UserWarning
+    assert mine[0].filename == __file__

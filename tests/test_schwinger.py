@@ -257,3 +257,24 @@ def test_trace_gradient_identity_and_k_assembly(lam2, ctx1, rng):
             for j in range(ctx.num_vars):
                 lhs_k = star_term[j].scale(-1.0) - f[j].with_cap(20)
                 assert max_coeff_diff(lhs_k, rhs_k[j].with_cap(20)) < 1e-8
+
+
+def _nan_at(phi, word):
+    """The word functional phi, but NaN at one word."""
+    return lambda w: complex("nan") if w == word else phi(w)
+
+
+def test_a_nan_deviation_is_the_residual(lam2):
+    # max passes over a NaN that is not the first item, so the NaN of the
+    # word (1, 2) read as a residual of 0.0
+    o = MomentOracle(lam2, 0.0)
+    v0 = quadratic_potential(lam2, 6)
+    assert sd_residual(o.moment, lam2, v0, 2) <= TOL
+    assert np.isnan(sd_residual(_nan_at(o.moment, (1, 2)), lam2, v0, 2))
+    assert np.isnan(ibp_residual(_nan_at(o.moment, (1, 2)), lam2, grad_D(lam2, v0), 2))
+
+
+def test_a_nan_moment_is_the_distance(lam2):
+    o = MomentOracle(lam2, 0.0)
+    assert gibbs_distance(o.moment, o.moment, 0.2, 3, 2) == 0.0
+    assert np.isnan(gibbs_distance(o.moment, _nan_at(o.moment, (1, 2)), 0.2, 3, 2))

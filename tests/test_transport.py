@@ -319,6 +319,16 @@ def test_monotonicity_certificate_gradient(lam2, rng):
     assert cert.certified
 
 
+def test_a_nan_coefficient_is_not_certified(lam2):
+    # max passed over the NaN row sum and gradient defect of the second
+    # component, so this map was certified with the bound of the first
+    f = grad_D(lam2, quadratic_potential(lam2, 6).scale(0.01))
+    coeffs = dict(f[1].coeffs)
+    coeffs[list(coeffs)[-1]] = complex("nan")
+    cert = monotonicity_certificate(lam2, [f[0], NCPoly(2, coeffs, f[1].degree_cap)], 6.0)
+    assert np.isnan(cert.bound) and not cert.certified
+
+
 def test_monotonicity_rejects_non_gradient(lam2):
     # X_2 and zero is not a cyclic gradient pattern for this context
     f = [NCPoly.gen(2, 2, 6), NCPoly.gen(2, 1, 6).scale(2.0)]
