@@ -29,6 +29,7 @@ from .errors import (
 from .forkjoin import fork_join
 from .modular import ModularContext
 from .moments import MomentOracle
+from . import ncpoly
 from .ncpoly import (
     PRUNE_TOL,
     NCPoly,
@@ -60,7 +61,7 @@ from .transport import (
 DEFAULT_LEVEL_CAP = 6
 
 # Hard bound on the per-level Gram dimension N^n.
-MAX_GRAM_DIM = 4096
+MAX_GRAM_DIM = 1024
 
 GRAM_EIG_FLOOR = 1e-12
 
@@ -277,7 +278,8 @@ def invert_xi(xi: XiData, R: float, tol: float, c: float, ctx: ModularContext) -
     """
     try:
         pb = pi_bound(xi.q, ctx.num_vars, ctx.norm_A, 1.0, c)
-    except DenominatorNonpositive:
+    except (DenominatorNonpositive, OverflowError):
+        # no bound holds, or (3 + c)^2 overflows: the bound reads +inf
         pb = float("inf")
     xi.pi_bound_value = pb
     one = TensorPoly.one(ctx.num_vars, xi.xi.degree_cap)
@@ -356,7 +358,7 @@ def potential_W(ctx: ModularContext, xi_vec: list[NCPoly]) -> PotentialResult:
     weights = ((j, k, complex(half[j, k])) for j in range(nv) for k in range(nv))
     acc = NCPoly.sum(
         nv,
-        ((xi_vec[k].with_cap(cap) * xs[j]).scale(c) for j, k, c in weights if abs(c) >= 1e-16),
+        (ncpoly.product(xi_vec[k], xs[j], cap).scale(c) for j, k, c in weights if abs(c) >= 1e-16),
         cap,
     )
     V = sigma_inv_op(acc)
@@ -366,7 +368,7 @@ def potential_W(ctx: ModularContext, xi_vec: list[NCPoly]) -> PotentialResult:
         )
     W = V - quadratic_potential(ctx, cap)
     grads = grad_D(ctx, V)
-    res = max_or_nan(max_coeff_diff(grads[j], xi_vec[j].with_cap(cap)) for j in range(nv))
+    res = max_or_nan(max_coeff_diff(grads[j], xi_vec[j]) for j in range(nv))
     return PotentialResult(V=V, W=W, grad_residual=res)
 
 

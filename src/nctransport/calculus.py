@@ -76,7 +76,6 @@ class _TwistPlan(NamedTuple):
     the cap, stably sorted by their keys' codes, so each key's paths are
     one run, in loop order."""
 
-    ctx: ModularContext
     letter: np.ndarray  # per segment: w_l - 1
     c_re: np.ndarray  # per segment: the parts of its word's coefficient
     c_im: np.ndarray
@@ -147,11 +146,12 @@ def _firsts(a: np.ndarray) -> np.ndarray:
 
 
 def _twist_plan(ctx: ModularContext, P: NCPoly) -> _TwistPlan:
-    """P's plan under ``ctx``, built on the first request and kept on P for
-    the context it was built for."""
-    plan = P.__dict__.get("_twist_plan")
-    if plan is not None and plan.ctx is ctx:
-        return plan
+    """P's plan under ``ctx``, from the context's rows of A, kept nowhere:
+    its caller holds it."""
+    if P.num_vars != ctx.num_vars:
+        raise VarCountMismatch(
+            f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
+        )
     words = list(P.coeffs)
     codes = _word_codes(P.num_vars, max(P.degree_cap, P.degree()))
     radix = codes.cap + 1
@@ -205,8 +205,7 @@ def _twist_plan(ctx: ModularContext, P: NCPoly) -> _TwistPlan:
     twist = twist[pos]
     del pos
     starts = _firsts(keys)
-    plan = P.__dict__["_twist_plan"] = _TwistPlan(
-        ctx,
+    return _TwistPlan(
         letters - 1,
         coef.real[word],
         coef.imag[word],
@@ -222,7 +221,6 @@ def _twist_plan(ctx: ModularContext, P: NCPoly) -> _TwistPlan:
         tw_im,
         codes,
     )
-    return plan
 
 
 def _touch_sums(v: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -285,7 +283,7 @@ def _summed_terms(plan: _TwistPlan, live: np.ndarray, m_re, m_im, lo: int, hi: i
     return at[kept], v[kept], summed
 
 
-def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
+def cyclic_D(ctx: ModularContext, j: int, P: NCPoly, plan: _TwistPlan | None = None) -> NCPoly:
     """Twisted cyclic derivative.
 
     On a word, every position l contributes alpha_{j, w_l} times the tail,
@@ -297,20 +295,17 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
     and adds each path's 0j + ct (c alpha_{j, w_l}), unless pruned, into one
     dict with prune-on-touch.
 
-    Here the twists and keys come from P's plan (``_twist_plan``), built on
-    the first call for P and the context from the context's rows of A and
-    kept on P, so the components of ``grad_D`` share it.
+    Here the twists and keys come from P's plan under ``ctx``
+    (``_twist_plan``): ``plan`` when the caller holds it, as ``grad_D``
+    does for its N components, and otherwise one built for this call.
     The products take Python's complex-product formula on the parts, each
     key's terms are summed in loop order with the loop's drops and restarts
     (``_touch_sums``), and a kept key sits where the loop last inserted it.
     The output carries the input's truncation taint.
     """
     ctx.check_index(j)
-    if P.num_vars != ctx.num_vars:
-        raise VarCountMismatch(
-            f"polynomial over {P.num_vars} vars, context has {ctx.num_vars}"
-        )
-    plan = _twist_plan(ctx, P)
+    if plan is None:
+        plan = _twist_plan(ctx, P)
     a = ctx.alpha[j - 1][plan.letter]
     # NaN and inf run through as in Python's float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
@@ -336,8 +331,9 @@ def cyclic_D(ctx: ModularContext, j: int, P: NCPoly) -> NCPoly:
 
 def grad_D(ctx: ModularContext, P: NCPoly) -> list[NCPoly]:
     """Cyclic gradient vector (D_1 P, ..., D_N P): one ``cyclic_D`` call per
-    component, all reading the plan the first one keeps on P."""
-    return [cyclic_D(ctx, j, P) for j in range(1, ctx.num_vars + 1)]
+    component, all reading the one plan of P that this call builds."""
+    plan = _twist_plan(ctx, P)
+    return [cyclic_D(ctx, j, P, plan) for j in range(1, ctx.num_vars + 1)]
 
 
 def _jacobian(ctx: ModularContext, f: list[NCPoly], entry) -> TensorMatrix:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import DimMismatch, IndexOutOfRange, VarCountMismatch
 from .modular import ModularContext
-from .ncpoly import NCPoly, Word
+from .ncpoly import NCPoly, Word, product
 from .tensor import TensorPoly
 
 
@@ -169,7 +169,8 @@ class Law:
 
     Products of the Y_j are exact by default; ``max_degree`` truncates them,
     trading accuracy for speed on larger generator counts.  A word's product
-    is the left fold of its factors from one.  The law keeps the products of
+    is the left fold of its factors from one, each step a ``product`` with
+    Y_j itself at the prefix's cap.  The law keeps the products of
     the prefixes of the last word it multiplied out, and a new word starts
     from the longest prefix it shares with that word: asked for in
     lexicographic order, every word is multiplied out once, and one word's
@@ -187,7 +188,6 @@ class Law:
         self._last: Word = ()
         self._chain: list[NCPoly] = []
         self._degrees = [max(y.degree(), 1) for y in self.Y]
-        self._capped: dict[tuple[int, int], NCPoly] = {}
 
     def __call__(self, word) -> complex:
         word = tuple(word)
@@ -213,16 +213,7 @@ class Law:
             maxdeg = self.max_degree
             if maxdeg is None:
                 maxdeg = sum(self._degrees[j - 1] for j in word[:n])
-            if chain:
-                prod = chain[-1]
-                if prod.degree_cap != maxdeg:
-                    prod = prod.with_cap(maxdeg)
-            else:
-                prod = NCPoly.one(self.oracle.ctx.num_vars, maxdeg)
-            j = word[n - 1]
-            factor = self._capped.get((j, maxdeg))
-            if factor is None:
-                factor = self._capped[j, maxdeg] = self.Y[j - 1].with_cap(maxdeg)
-            chain.append(prod * factor)
+            prod = chain[-1] if chain else NCPoly.one(self.oracle.ctx.num_vars, maxdeg)
+            chain.append(product(prod, self.Y[word[n - 1] - 1], maxdeg))
         self._last = word
         return chain[-1]

@@ -8,7 +8,7 @@ degree > cap" honestly.  Sums enforce the cap too: the coefficient format
 and its linear structure, including the one in-place accumulator every sum
 goes through, live in a base class shared with ``tensor.TensorPoly``.
 
-One kernel, ``_product``, multiplies both kinds.  A key has one leg (a
+One kernel, ``product``, multiplies both kinds.  A key has one leg (a
 word) or two (a word pair of P (x) P^op); leg 0 joins left to right, and
 leg 1, of the opposite algebra, right to left.  The word product is the #
 product on the left leg.  Each operand keeps a grade summary, its largest
@@ -146,7 +146,7 @@ class _Sparse:
 
     The storage and linear structure shared by ``NCPoly`` (keys are words)
     and ``tensor.TensorPoly`` (keys are word pairs).  A subclass supplies
-    the key rules of ``_product``: ``_size`` (a key's degree), ``_legs`` and
+    the key rules of ``product``: ``_size`` (a key's degree), ``_legs`` and
     ``_join``, ``_rjoin``, the join on swapped arguments, and
     ``_term_grades``, the leg lengths of each key.  Coefficients
     at noise level are pruned on construction, and every sum goes through
@@ -159,8 +159,8 @@ class _Sparse:
     No instance changes its map, so what the products read from it and keep
     on it stays valid for the instance's life: the coded view (``_coded``),
     the grade summary (``_grades``) and the terms by grade (``_rows``).
-    They are attributes, not fields: they take no part in ``==`` or
-    ``repr``.
+    None of them moves to another instance.  They are attributes, not
+    fields: they take no part in ``==`` or ``repr``.
     """
 
     num_vars: int
@@ -240,7 +240,7 @@ class _Sparse:
         return view
 
     def _grades(self) -> list:
-        """The grade summary ``_product`` reads: per grade, the tuple (size,
+        """The grade summary ``product`` reads: per grade, the tuple (size,
         length of leg 0, largest modulus, term count, grade), in ascending
         order of size.  A NaN coefficient makes its grade's largest modulus
         NaN.  Built on the first request, from the coded view where the
@@ -310,15 +310,10 @@ class _Sparse:
         return not self.coeffs
 
     def with_cap(self, cap: int):
-        """Retarget the cap, dropping (and tainting on) too-long keys."""
+        """Retarget the cap, dropping (and tainting on) too-long keys; with none
+        to drop, the instance itself at its cap, else a bare one on its map."""
         if self.degree() <= cap:
-            # nothing to drop: share the map, which no instance changes, and
-            # what the products keep on it
-            out = self._pruned(self.num_vars, self.coeffs, cap, self.truncated)
-            for cached in ("_view", "_summary", "_grade_rows"):
-                if cached in self.__dict__:
-                    out.__dict__[cached] = self.__dict__[cached]
-            return out
+            return self if cap == self.degree_cap else self._pruned(self.num_vars, self.coeffs, cap, self.truncated)
         size = self._size
         kept = {k: c for k, c in self.coeffs.items() if size(k) <= cap}
         return self._pruned(self.num_vars, kept, cap, True)
@@ -403,8 +398,7 @@ class NCPoly(_Sparse):
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         """Word-concatenation product; words beyond the cap are dropped."""
-        self._check(other)
-        return _product(self, other, min(self.degree_cap, other.degree_cap))
+        return product(self, other, min(self.degree_cap, other.degree_cap))
 
     def adjoint(self) -> "NCPoly":
         """Word reversal with conjugated coefficients; an involution."""
@@ -428,10 +422,11 @@ class NCPoly(_Sparse):
         return sorted({len(w) for w in self.coeffs})
 
 
-def _product(left: _Sparse, right: _Sparse, cap: int, outer_right: bool = False) -> _Sparse:
+def product(left: _Sparse, right: _Sparse, cap: int, outer_right: bool = False) -> _Sparse:
     """The product of two maps of one kind under ``cap``: each pair of keys
     joins by the class's ``_join``.  A pair beyond the cap is dropped and
-    taints the result, as a tainted operand does.
+    taints the result, as a tainted operand does.  The operands' own caps
+    play no part.  Operands over differing generator counts raise.
 
     The pairs run with ``left`` in the outer loop (``right`` with
     ``outer_right``, joined by ``_rjoin``), and each key sums its pairs in
@@ -451,6 +446,7 @@ def _product(left: _Sparse, right: _Sparse, cap: int, outer_right: bool = False)
     beyond the cap drops its pairs.  With at least ``PAIR_BATCH_MIN`` live
     pairs they are summed as arrays (``_product_batched``).
     """
+    left._check(right)
     if outer_right:
         outer, inner, join = right, left, left._rjoin
     else:
@@ -542,7 +538,7 @@ def _product_batched(
     left: _Sparse, right: _Sparse, cap: int, taint: bool, outer_right: bool, partners: dict
 ) -> _Sparse:
     """The product loop's result under ``cap`` over the live pairs of
-    ``_product``, those of each outer grade with its ``partners``, as array
+    ``product``, those of each outer grade with its ``partners``, as array
     sums, with its coded view attached.
 
     The live pairs come from ``live_pairs`` in loop order.  Each product
@@ -625,7 +621,7 @@ def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
             c = c * (1 + 0j)
             term = NCPoly._pruned(nv, {} if abs(c) <= PRUNE_TOL else {(): c}, cap)
             for j in word:
-                term = _product(term, capped[j - 1], cap)
+                term = product(term, capped[j - 1], cap)
             yield term
 
     out = NCPoly.sum(nv, terms(), cap)
@@ -634,11 +630,15 @@ def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
 
 def norm_R(P: _Sparse, R: float) -> float:
     """Weighted coefficient-sum norm: sum |c(k)| R^{|k|}, with |k| the
-    degree of the key (``_size``)."""
+    degree of the key (``_size``); +inf where a power of R overflows."""
     if R <= 0:
         raise ValueError("R must be positive")
     size = P._size
-    powers = [R**n for n in range(P.degree() + 1)]
+    try:
+        powers = [R**n for n in range(P.degree() + 1)]
+    except OverflowError:
+        # R^degree overflows: the norm reads +inf (NaN with a NaN coefficient)
+        return float(sum(abs(c) * float("inf") for c in P.coeffs.values()))
     return float(sum(abs(c) * powers[size(k)] for k, c in P.coeffs.items()))
 
 

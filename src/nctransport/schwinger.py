@@ -11,14 +11,14 @@ check.
 
 from __future__ import annotations
 
-from itertools import product
+import itertools
 
 from .calculus import grad_D, partial_bar, partial_sigma
 from .errors import BadGamma, NotCyclicallySymmetric
 from .modular import ModularContext
 from .moments import MomentOracle
-from .ncpoly import NCPoly, Word, is_cyclically_symmetric, max_or_nan
-from .tensor import TensorPoly, t_mul
+from .ncpoly import NCPoly, Word, is_cyclically_symmetric, max_or_nan, product
+from .tensor import TensorPoly
 
 
 def deformed_adjoint(
@@ -31,8 +31,9 @@ def deformed_adjoint(
 
     where d_j is the twisted difference quotient, dbar_j its conjugate
     variant, and CL/CR contract the left/right leg with the state.  The #
-    products are exact (caps lifted to the degree sum); words beyond the cap
-    |T| + 1 are dropped and taint the result, as does a tainted T or Xi.
+    products are exact, at the degree sum, on Xi itself with ``t_mul``'s
+    outer loop; words beyond the cap |T| + 1 are dropped and taint the
+    result, as does a tainted T or Xi.
     """
     ctx.check_index(j)
     nv = ctx.num_vars
@@ -42,7 +43,7 @@ def deformed_adjoint(
     def contracted(contract, base: TensorPoly) -> NCPoly:
         if not trivial:
             full = base.degree() + Xi.degree()
-            base = t_mul(base.with_cap(full), Xi.with_cap(full))
+            base = product(base, Xi, full, outer_right=len(base.coeffs) > len(Xi.coeffs))
         return contract(base).with_cap(cap)
 
     acc: dict[Word, complex] = {}
@@ -75,7 +76,7 @@ def deformed_adjoint(
 
 def _words_up_to(n_vars: int, d: int):
     for length in range(d + 1):
-        yield from product(range(1, n_vars + 1), repeat=length)
+        yield from itertools.product(range(1, n_vars + 1), repeat=length)
 
 
 def ibp_residual(phi, ctx: ModularContext, xs: list[NCPoly], d: int) -> float:
@@ -133,7 +134,7 @@ def gibbs_distance(law1, law2, gamma: float, L: int, num_vars: int) -> float:
     total = 0.0
     for l in range(1, L + 1):
         delta_l = max_or_nan(
-            abs(law1(w) - law2(w)) for w in product(range(1, num_vars + 1), repeat=l)
+            abs(law1(w) - law2(w)) for w in itertools.product(range(1, num_vars + 1), repeat=l)
         )
         total += gamma**l * delta_l
     return total

@@ -9,7 +9,7 @@ computed here is the upper bound read off the stored elementary-tensor
 representation, which is what every estimate in this library consumes.
 
 The # product and the word product of ``NCPoly`` are one kernel,
-``ncpoly._product``: a word pair is a key of two legs, and the right leg,
+``ncpoly.product``: a word pair is a key of two legs, and the right leg,
 of the opposite algebra, joins right to left.  A pair's grade is its
 bidegree; the kernel forms only the pairs of live grades, and sums large
 products as numpy arrays, with the per-pair loop's result bit for bit.
@@ -71,13 +71,11 @@ class TensorPoly(_Sparse):
 
 def tensor_of(P: NCPoly, Q: NCPoly, cap: int | None = None) -> TensorPoly:
     """The tensor P (x) Q = (P (x) 1) # (1 (x) Q) of two polynomials."""
-    P._check(Q)
     if cap is None:
         cap = P.degree_cap + Q.degree_cap
-    nv = P.num_vars
-    left = TensorPoly._pruned(nv, {(w, ()): c for w, c in P.coeffs.items()}, cap, P.truncated)
-    right = TensorPoly._pruned(nv, {((), w): c for w, c in Q.coeffs.items()}, cap, Q.truncated)
-    return ncpoly._product(left, right, cap)
+    left = TensorPoly._pruned(P.num_vars, {(w, ()): c for w, c in P.coeffs.items()}, cap, P.truncated)
+    right = TensorPoly._pruned(Q.num_vars, {((), w): c for w, c in Q.coeffs.items()}, cap, Q.truncated)
+    return ncpoly.product(left, right, cap)
 
 
 def t_mul(S: TensorPoly, T: TensorPoly) -> TensorPoly:
@@ -87,9 +85,8 @@ def t_mul(S: TensorPoly, T: TensorPoly) -> TensorPoly:
     so equal operands give equal results whether or not they are one
     object.
     """
-    S._check(T)
     cap = min(S.degree_cap, T.degree_cap)
-    return ncpoly._product(S, T, cap, outer_right=len(S.coeffs) > len(T.coeffs))
+    return ncpoly.product(S, T, cap, outer_right=len(S.coeffs) > len(T.coeffs))
 
 
 # The involutions map keys one to one and keep every modulus, so each wraps
@@ -265,10 +262,6 @@ def vec_dot(f: list[NCPoly], g: list[NCPoly]) -> NCPoly:
         raise DimMismatch(f"vector lengths {len(f)} and {len(g)}")
     cap = min(p.degree_cap for p in f + g)
     return NCPoly.sum(f[0].num_vars, (fj * gj for fj, gj in zip(f, g)), cap)
-
-
-def trace(Q: TensorMatrix) -> TensorPoly:
-    return TensorPoly.sum(Q.num_vars, (Q[i, i] for i in range(Q.dim)), Q.degree_cap)
 
 
 def _trace_weighted(ctx: ModularContext, Q: TensorMatrix, M) -> TensorPoly:

@@ -188,7 +188,8 @@ def q_series(
         raise ValueError("series is defined against the undeformed state")
     norm_g, exact = norm_R_sigma(ctx, ghat, R)
     r = 2.0 * norm_g / (R * R)
-    if r >= 1.0:
+    # a NaN r (inf / inf, once R * R overflows) is refused too
+    if not r < 1.0:
         what = "|ghat|" if exact else "the majorant of |ghat| (ghat left the centralizer)"
         raise NormTooLarge(f"{what} = {norm_g} exceeds R^2/2 = {R * R / 2}")
     if ghat.is_zero():
@@ -399,10 +400,11 @@ def monotonicity_certificate(
 def _inversion_constant(norm_f_S: float, s_prime: float, S: float) -> float:
     """C(S') = |f|_S max_k k S'^{k-1} S^{-k}; the max is over integers.
 
-    Terms decrease once k exceeds S' / (S - S'), so the scan is finite.
+    Terms decrease once k exceeds S' / (S - S'), so the scan is finite; as
+    k (S'/S)^{k-1} / S, a term overflows for no S.
     """
     k_max = int(s_prime / (S - s_prime)) + 2
-    best = max(k * s_prime ** (k - 1) / S**k for k in range(1, k_max + 1))
+    best = max(k * (s_prime / S) ** (k - 1) / S for k in range(1, k_max + 1))
     return norm_f_S * best
 
 

@@ -145,7 +145,7 @@ def tensor_of_reference(P: NCPoly, Q: NCPoly, cap: int | None = None) -> TensorP
 
 
 def product_reference(left, right, cap: int, outer_right: bool = False):
-    """``ncpoly._product`` as one loop over all pairs of keys: ``left`` in
+    """``ncpoly.product`` as one loop over all pairs of keys: ``left`` in
     the outer loop (``right`` with ``outer_right``, joined by ``_rjoin``),
     each key summed in that order from 0j, the sums pruned; a pair beyond
     the cap is dropped and taints the result."""
@@ -393,6 +393,11 @@ def identity_matrix(num_vars: int, dim: int, cap: int) -> TensorMatrix:
         dim,
         tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim)),
     )
+
+
+def trace(Q: TensorMatrix) -> TensorPoly:
+    """The plain trace sum_i Q_ii, which ``tensor.trace_A`` weights by A."""
+    return TensorPoly.sum(Q.num_vars, (Q[i, i] for i in range(Q.dim)), Q.degree_cap)
 
 
 def mat_vec(Q: TensorMatrix, g: list[NCPoly]) -> list[NCPoly]:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nctransport import build_context
+from nctransport import arakiwoods, build_context
 from nctransport.arakiwoods import (
     _grams,
     _wick,
@@ -109,9 +109,12 @@ def test_q_gram_level_cap():
     ctx = build_context([], 2)
     with pytest.raises(LevelTooLarge):
         q_gram(ctx, 0.1, 7)
-    # N^n = 8192 is over MAX_GRAM_DIM even when the level cap allows n
-    with pytest.raises(LevelTooLarge):
-        q_gram(ctx, 0.1, 13, level_cap=20)
+    # N^n = 8192, and already 2048 at level 11, is over MAX_GRAM_DIM = 1024
+    # even when the level cap allows n
+    assert arakiwoods.MAX_GRAM_DIM == 2**10
+    for n in (11, 13):
+        with pytest.raises(LevelTooLarge):
+            q_gram(ctx, 0.1, n, level_cap=20)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.005, 0.3, -0.4])

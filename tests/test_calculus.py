@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nctransport import arakiwoods, ncpoly
+from nctransport import arakiwoods, calculus, ncpoly
 from nctransport.calculus import (
     cyclic_D,
     delta,
@@ -114,6 +114,27 @@ def test_cyclic_gradient_of_quadratic(lam2, ctx2):
         xs = generators(ctx, 8)
         for j in range(ctx.num_vars):
             assert max_coeff_diff(g[j], xs[j]) < TOL
+
+
+def test_grad_D_builds_one_plan_and_keeps_none(monkeypatch, lam2, rng):
+    # one plan per call, read by every component's cyclic_D, held by the
+    # call and kept on no polynomial
+    built = []
+    twist_plan = calculus._twist_plan
+
+    def counting(ctx, P):
+        built.append(P)
+        return twist_plan(ctx, P)
+
+    monkeypatch.setattr(calculus, "_twist_plan", counting)
+    p = random_poly(lam2, rng, 5, cap=6)
+    before = dict(vars(p))
+    for _ in range(2):
+        built.clear()
+        got = grad_D(lam2, p)
+        assert len(built) == 1 and built[0] is p
+        assert vars(p) == before
+    assert [_bits(d) for d in got] == [_bits(cyclic_D(lam2, j, p)) for j in (1, 2)]
 
 
 def test_cyclic_derivative_tracial_power(ctx1):

@@ -137,7 +137,12 @@ BAD_CONFIGS = {
     "level_cap over the Gram bound": (
         "q-isomorphism",
         {"lambdas": [2.0, 3.0], "q": 1e-5, "R": 7.0, "R_prime": 8.0, "degree_cap": 8},
-        "level 6 is the largest",
+        "level 5 is the largest",
+    ),
+    "level_cap 6 at N = 4, over 1024 rows": (
+        "q-isomorphism",
+        {"lambdas": [2.0, 3.0], "q": 1e-5, "R": 7.0, "R_prime": 8.0, "degree_cap": 6, "level_cap": 6},
+        "needs a q-Gram of 4^6 > 1024 rows; level 5 is the largest",
     ),
     "boolean as a string": (
         "q-isomorphism", {**STRICT, "strict_hypotheses": "false"}, "must be a boolean"),
@@ -387,6 +392,36 @@ def test_a_majorant_is_reported_as_one(strict_argv, tmp_path, capsys):
     # every norm of the strict run is exact
     assert run(strict_argv) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["transport"]["warnings"] == []
+
+
+@pytest.mark.parametrize("key, value, code, fields", [
+    # W's norm at R = 1e200 overflows: the hypotheses fail and the solve
+    # stops at the radius test, whose r is then NaN
+    ("R", 1e200, EXIT_HYPOTHESIS, {"norm_W_Rsigma": "inf", "xi_deviation": 0.00081075612599563552}),
+    # c sets only the radius of the kernel's bound, which overflows
+    ("c", 1e300, EXIT_OK, {"pi_bound": "inf", "xi_deviation": "inf", "norm_W_Rsigma": 0.09152715723968138}),
+])
+def test_an_overflowing_norm_or_bound_reads_inf(tmp_path, capsys, key, value, code, fields):
+    # finite values that pass the configuration's checks once ended in an
+    # OverflowError traceback
+    path = tmp_path / "c.json"
+    extra = {"R_prime": 2 * value} if key == "R" else {}
+    path.write_text(json.dumps({**BASE, "q": 3e-5, "level_cap": 4, key: value, **extra}))
+    out = tmp_path / "report.json"
+    assert run(["q-isomorphism", "--config", str(path), "--report", str(out), "--quiet"]) == code
+    report = json.loads(out.read_text())
+    assert {k: report.get(k, report["hypotheses"].get(k)) for k in fields} == fields
+    assert report["transport"]["completed"] is (code == EXIT_OK)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_huge_inversion_radius_is_a_numerical_failure(tmp_path, capsys):
+    # at R' = 1e200 the powers of S in the inversion constant once raised
+    # OverflowError in the checks; |f|_S is inf, so the constant is too
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**STRICT, "R_prime": 1e200}))
+    assert run(["q-isomorphism", "--config", str(path), "--quiet"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical error: inversion constant inf >= 1 (|f|_S = inf)\n"
 
 
 def test_report_determinism(tmp_path):

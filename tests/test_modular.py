@@ -209,8 +209,8 @@ def test_sigma_table_is_per_context(rng):
         for j in (1, 2):
             assert _bits(cyclic_D(ctx, j, p)) == _bits(cyclic_D_reference(ctx, j, p))
             assert _bits(cyclic_D(ctx, j, p)) == _bits(cyclic_D_loop(ctx, j, p))
-        # p keeps the plan of the last context it was differentiated under
-        assert p.__dict__["_twist_plan"].ctx is ctx
+        # p keeps no plan: each call builds the one of its own context
+        assert not any(isinstance(v, calculus._TwistPlan) for v in vars(p).values())
     word = NCPoly.monomial(2, next(w for w in p.coeffs if w), 1.0, cap=6)
     assert apply_sigma(a, word, 0.5) != apply_sigma(b, word, 0.5)
     assert a.A_rows != b.A_rows
@@ -238,35 +238,43 @@ def test_sigma_table_checks_and_tracial_shortcut(rng):
 
 def test_cli_runs_share_no_table_and_expand_each_word_once(strict_argv, monkeypatch):
     # each cli.run builds its own context, which the run leaves as it was
-    # built.  cyclic_D expands the tails of each polynomial it
-    # differentiates once, into the polynomial's plan, which the
-    # components of grad_D share
-    contexts, planned = [], []
-    build, twist_plan = cli.build_context, calculus._twist_plan
+    # built.  The tails of each polynomial that grad_D differentiates are
+    # expanded once, into the plan that grad_D holds and passes to the
+    # cyclic_D call of each component
+    contexts, planned, derived = [], [], []
+    build, twist_plan, derive = cli.build_context, calculus._twist_plan, calculus.cyclic_D
 
     def recording_build(*args):
         ctx = build(*args)
         contexts.append((ctx, _state(ctx)))
         planned.append([])
+        derived.append([])
         return ctx
 
     def recording_plan(ctx, P):
-        plan = P.__dict__.get("_twist_plan")
-        planned[-1].append((P, plan is not None and plan.ctx is ctx))
-        return twist_plan(ctx, P)
+        plan = twist_plan(ctx, P)
+        planned[-1].append((P, plan))
+        return plan
+
+    def recording_derive(ctx, j, P, plan=None):
+        derived[-1].append((P, plan))
+        return derive(ctx, j, P, plan)
 
     monkeypatch.setattr(cli, "build_context", recording_build)
     monkeypatch.setattr(calculus, "_twist_plan", recording_plan)
+    monkeypatch.setattr(calculus, "cyclic_D", recording_derive)
     assert cli.run(strict_argv) == cli.EXIT_OK
     assert cli.run(strict_argv) == cli.EXIT_OK
     assert len(contexts) == 2 and contexts[0][0] is not contexts[1][0]
-    for (ctx, state), plans in zip(contexts, planned):
+    for (ctx, state), plans, calls in zip(contexts, planned, derived):
         _unchanged(ctx, state)
-        # one plan per polynomial, built on its first call and read by the
-        # other components
-        built = [id(P) for P, warm in plans if not warm]
-        assert len(built) == len(set(built)) == len({id(P) for P, _ in plans}) > 0
-        assert len(plans) == ctx.num_vars * len(built)
+        # one plan per polynomial, read by the N components, kept on none
+        built = [id(P) for P, _ in plans]
+        assert len(built) == len(set(built)) > 0
+        assert [(id(P), id(plan)) for P, plan in calls] == [
+            (id(P), id(plan)) for P, plan in plans for _ in range(ctx.num_vars)
+        ]
+        assert not any("_twist_plan" in vars(P) for P, _ in plans)
     assert len(planned[0]) == len(planned[1])
 
 

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from nctransport.errors import IndexOutOfRange
+from nctransport import moments
+from nctransport.errors import IndexOutOfRange, VarCountMismatch
 from nctransport.modular import apply_sigma
 from nctransport.moments import MomentOracle
-from nctransport.ncpoly import NCPoly, generators, max_coeff_diff
+from nctransport.ncpoly import NCPoly, _Sparse, generators, max_coeff_diff
 from nctransport.randgen import random_poly, random_tensor
 from nctransport.tensor import TensorPoly
 from nctransport.calculus import delta
@@ -185,13 +186,13 @@ def test_law_values_do_not_depend_on_order(monkeypatch, lam2, max_degree):
     shuffled = list(words)
     np.random.default_rng(5).shuffle(shuffled)
     products = []
-    mul = NCPoly.__mul__
+    kernel = moments.product
 
-    def counting(a, b):
+    def counting(*args):
         products.append(1)
-        return mul(a, b)
+        return kernel(*args)
 
-    monkeypatch.setattr(NCPoly, "__mul__", counting)
+    monkeypatch.setattr(moments, "product", counting)
     values = []
     for order in (sorted(words), sorted(words, reverse=True), shuffled):
         products.clear()
@@ -202,6 +203,39 @@ def test_law_values_do_not_depend_on_order(monkeypatch, lam2, max_degree):
         if order == sorted(words):
             assert len(products) == len(words) == 126
     assert values[0] == values[1] == values[2]
+
+
+def test_law_builds_each_factors_summary_once(monkeypatch, lam2):
+    # the law multiplies each prefix by Y_j itself at the prefix's cap, so
+    # over all words of a sorted scan each Y_j builds its grade summary once
+    builds = []
+    grades = _Sparse._grades
+
+    def counting(self):
+        if "_summary" not in self.__dict__:
+            builds.append(self.coeffs)
+        return grades(self)
+
+    monkeypatch.setattr(_Sparse, "_grades", counting)
+    for max_degree in (None, 9):
+        builds.clear()
+        y = [
+            NCPoly(2, {(1,): 1.0, (2, 1, 2): 0.05, (): 0.01j}, 8),
+            NCPoly(2, {(2,): 1.0, (1, 1, 1): -0.03}, 8),
+        ]
+        law = MomentOracle(lam2, 0.1).law_of(y, max_degree)
+        for w in (w for n in range(1, 7) for w in itertools.product((1, 2), repeat=n)):
+            law(w)
+        assert [sum(b is yj.coeffs for b in builds) for yj in y] == [1, 1]
+
+
+def test_law_of_another_generator_count_is_refused(lam2):
+    # a Y over three generators on a two-generator law is refused by the
+    # products, before any value
+    y = [NCPoly.gen(3, 1, 4), NCPoly.gen(3, 2, 4)]
+    law = MomentOracle(lam2, 0.1).law_of(y)
+    with pytest.raises(VarCountMismatch):
+        law((1,))
 
 
 def test_law_truncation_option(ctx1):

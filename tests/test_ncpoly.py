@@ -289,8 +289,8 @@ PRODUCTS = {"NCPoly": (_plain_word_poly, mul), "TensorPoly": (_pair_poly, t_mul)
 @pytest.mark.parametrize("kind", sorted(PRODUCTS))
 def test_coded_views_stay_out_of_eq_and_repr_and_follow_with_cap(monkeypatch, kind):
     # a batched product carries the coded view of its map; the view is no
-    # field, shares the map's life, and with_cap passes it on only with the
-    # map itself
+    # field and shares its instance's life.  with_cap at the own cap is the
+    # instance itself; at another cap it shares the map but not the view
     make, product = PRODUCTS[kind]
     rng = np.random.default_rng(5)
     monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
@@ -304,12 +304,13 @@ def test_coded_views_stay_out_of_eq_and_repr_and_follow_with_cap(monkeypatch, ki
     assert p == plain and repr(p) == repr(plain)
     degree = p.degree()
     assert degree == plain.degree() == view[1]
-    shared = p.with_cap(degree)
-    assert shared.coeffs is p.coeffs and shared.__dict__["_view"] is view
+    assert p.with_cap(p.degree_cap) is p
+    shared = p.with_cap(p.degree_cap + 1)
+    assert shared.coeffs is p.coeffs and "_view" not in shared.__dict__
     cut = p.with_cap(degree - 1)
     assert cut.truncated and "_view" not in cut.__dict__
     coef = weakref.ref(view[3])
-    del p, shared, view
+    del p, view
     gc.collect()
     assert coef() is None
 
@@ -319,7 +320,7 @@ def test_grade_summaries_from_the_map_and_the_view_agree(monkeypatch, kind):
     # per grade, in ascending order of size: the size, the length of leg 0,
     # the largest modulus (NaN where a coefficient is NaN) and the term
     # count, whether read term by term or from the coded view; with_cap
-    # passes the summary and the rows on only with the map itself
+    # passes neither the summary nor the rows to another instance
     make, product = PRODUCTS[kind]
     rng = np.random.default_rng(9)
     monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
@@ -347,10 +348,11 @@ def test_grade_summaries_from_the_map_and_the_view_agree(monkeypatch, kind):
         assert [e[0] for e in from_map] == sorted(e[0] for e in from_map)
     degree = p.degree()
     rows = p._rows((from_map[0][4],))
-    shared, cut = p.with_cap(degree), p.with_cap(degree - 1)
-    assert shared.__dict__["_summary"] is p.__dict__["_summary"]
-    assert shared._rows((from_map[0][4],)) is rows
-    assert "_summary" not in cut.__dict__ and "_grade_rows" not in cut.__dict__
+    shared, cut = p.with_cap(p.degree_cap + 1), p.with_cap(degree - 1)
+    assert p.with_cap(p.degree_cap)._rows((from_map[0][4],)) is rows
+    assert shared.coeffs is p.coeffs and "_summary" in p.__dict__
+    for other in (shared, cut):
+        assert not {"_view", "_summary", "_grade_rows"} & set(other.__dict__)
 
 
 @pytest.mark.parametrize("kind", sorted(PRODUCTS))
@@ -516,9 +518,9 @@ def test_product_matches_the_all_pairs_loop(monkeypatch, kind, outer_right, cap,
     assert any(c != c for c in want.coeffs.values()) == nan
     for limit in (10**9, 0, ncpoly.PAIR_BATCH_MIN):
         monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", limit)
-        assert _bits(ncpoly._product(left, right, cap, outer_right)) == _bits(want)
+        assert _bits(ncpoly.product(left, right, cap, outer_right)) == _bits(want)
     # the summaries and rows the routes kept on the operands give it again
-    assert _bits(ncpoly._product(left, right, cap, outer_right)) == _bits(want)
+    assert _bits(ncpoly.product(left, right, cap, outer_right)) == _bits(want)
 
 
 @pytest.mark.parametrize("kind", [NCPoly, TensorPoly], ids=["NCPoly", "TensorPoly"])
@@ -553,17 +555,29 @@ def test_each_route_forms_exactly_the_live_pairs(monkeypatch, kind, outer_right,
     monkeypatch.setattr(kind, name, staticmethod(counting_join))
     monkeypatch.setattr(ncpoly, "pair_sums", counting_sums)
     monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 10**9)
-    loop = ncpoly._product(left, right, cap, outer_right)
+    loop = ncpoly.product(left, right, cap, outer_right)
     assert len(joined) == live and not summed
     monkeypatch.setattr(ncpoly, "PAIR_BATCH_MIN", 0)
-    batched = ncpoly._product(left, right, cap, outer_right)
+    batched = ncpoly.product(left, right, cap, outer_right)
     assert summed == [live]
     assert _bits(loop) == _bits(batched)
 
 
 def test_mul_var_mismatch():
-    with pytest.raises(VarCountMismatch):
-        NCPoly.gen(1, 1, 4) * NCPoly.gen(2, 1, 4)
+    # the kernel makes the check, so the wrappers and its direct callers
+    # refuse operands over differing generator counts alike
+    one, two = NCPoly.gen(1, 1, 4), NCPoly.gen(2, 1, 4)
+    s, t = TensorPoly.one(1, 4), TensorPoly.one(2, 4)
+    entries = [
+        lambda: one * two,
+        lambda: ncpoly.product(one, two, 4),
+        lambda: ncpoly.product(t, s, 4, outer_right=True),
+        lambda: t_mul(s, t),
+        lambda: tensor_of(one, two),
+    ]
+    for entry in entries:
+        with pytest.raises(VarCountMismatch):
+            entry()
 
 
 def test_adjoint():
@@ -650,6 +664,11 @@ def test_norm_R():
     for r in (0.5, 1.0, 3.0):
         assert norm_R(p, r) == pytest.approx(r * r + 2 * r)
     assert norm_R(x(1), 2.5) == pytest.approx(2.5)
+    # a power of R that overflows reads +inf, and with a NaN coefficient NaN
+    assert norm_R(p, 1e200) == float("inf") and norm_R(x(1), 1e200) == 1e200
+    nan = NCPoly._pruned(2, {(1, 2): 1.0 + 0j, (): complex("nan")}, 4)
+    assert norm_R(nan, 1e200) != norm_R(nan, 1e200)
+    assert norm_R(TensorPoly.elementary(2, (1,), (2,), 1.0, 4), 1e200) == float("inf")
 
 
 @pytest.mark.parametrize("kind", [NCPoly, TensorPoly])

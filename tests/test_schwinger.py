@@ -14,9 +14,9 @@ from nctransport.calculus import grad_D, partial_bar, partial_sigma
 from nctransport.errors import BadGamma, NotCyclicallySymmetric
 from nctransport.modular import apply_sigma
 from nctransport.moments import MomentOracle
-from nctransport.ncpoly import NCPoly, max_coeff_diff, quadratic_potential
+from nctransport.ncpoly import NCPoly, _Sparse, max_coeff_diff, quadratic_potential
 from nctransport.randgen import random_poly, random_tensor
-from nctransport.schwinger import gibbs_distance, ibp_residual, sd_residual
+from nctransport.schwinger import deformed_adjoint, gibbs_distance, ibp_residual, sd_residual
 from nctransport.tensor import TensorMatrix, TensorPoly, t_sigma, t_star
 from oracles import (
     identity_matrix,
@@ -65,6 +65,28 @@ def test_adjoint_matches_reference(lambdas, q, rng):
     for j, got in enumerate(conjugate_vars(ctx, xi, o), start=1):
         ref = partial_q_star_reference(o, ctx, j, eta, xi.xi)
         assert max_coeff_diff(got, ref) < 1e-12
+
+
+def test_adjoint_builds_the_kernels_summary_once(monkeypatch, lam2):
+    # every contracted leg's # product is taken on Xi itself, so over one
+    # call Xi builds its grade summary once
+    o = MomentOracle(lam2, 0.05)
+    xi = build_xi(lam2, 0.05, 2)
+    invert_xi(xi, natural_radius(0.05, 1.0), 1e-12, 1.0, lam2)
+    eta = t_sigma(lam2, t_star(xi.xi_inv), -1.0, 0.0)
+    # a fresh instance of the kernel, which has built nothing yet
+    kernel = TensorPoly._pruned(2, xi.xi.coeffs, xi.xi.degree_cap)
+    builds = []
+    grades = _Sparse._grades
+
+    def counting(self):
+        if "_summary" not in self.__dict__:
+            builds.append(self.coeffs)
+        return grades(self)
+
+    monkeypatch.setattr(_Sparse, "_grades", counting)
+    deformed_adjoint(o, lam2, 1, eta, kernel)
+    assert sum(b is kernel.coeffs for b in builds) == 1
 
 
 def test_adjoint_pairing_identity(lam2, rng):

@@ -24,7 +24,6 @@ from nctransport.tensor import (
     t_sigma,
     t_star,
     tensor_of,
-    trace,
     trace_A,
     trace_Ainv,
     vec_dot,
@@ -36,6 +35,7 @@ from oracles import (
     t_apply,
     t_flip_m,
     t_sigma_reference,
+    trace,
     views_equal,
 )
 

@@ -96,6 +96,16 @@ def test_q_series_zero(ctx1):
     assert q_series(ctx1, o, zero, jacobian(ctx1, zero), 4.0, 1e-10).is_zero()
 
 
+def test_q_series_refuses_a_nan_radius_test(ctx1):
+    # once |ghat| is inf and R * R overflows, r = inf / inf is NaN, which
+    # the radius test refuses as it refuses r >= 1
+    o = MomentOracle(ctx1, 0.0)
+    ghat = quartic(1e-6)
+    b = jacobian(ctx1, ghat)
+    with pytest.raises(NormTooLarge, match="= inf exceeds R\\^2/2 = inf"):
+        q_series(ctx1, o, ghat, b, 1e200, 1e-10)
+
+
 def test_q_series_leading_order(ctx1):
     # the m = 0 term is half the weighted traces of the squared Jacobian
     from nctransport.tensor import mat_mul, trace_A, trace_Ainv
