@@ -17,6 +17,7 @@ import numpy as np
 
 from .calculus import grad_D, sigma_inv_op
 from .errors import (
+    ContractionFailure,
     DenominatorNonpositive,
     GramNotPositive,
     LevelTooLarge,
@@ -50,6 +51,7 @@ from .tensor import (
     t_star,
 )
 from .transport import (
+    RATIO_WARN,
     TransportConfig,
     check_hypotheses,
     invert_series,
@@ -57,8 +59,6 @@ from .transport import (
     monotonicity_certificate,
     solve_transport,
 )
-
-DEFAULT_LEVEL_CAP = 6
 
 # Hard bound on the per-level Gram dimension N^n.
 MAX_GRAM_DIM = 1024
@@ -140,7 +140,7 @@ def _grams(ctx: ModularContext, q: float, top: int):
         yield gram.reshape(nv**m, nv**m).astype(complex)
 
 
-def q_gram(ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL_CAP) -> np.ndarray:
+def q_gram(ctx: ModularContext, q: float, n: int) -> np.ndarray:
     """Gram matrix of the plain tensor words at level n under the q-inner
     product: entry (u, v) sums q^{inversions} over permutations pairing the
     letters of u against the permuted letters of v,
@@ -154,9 +154,10 @@ def q_gram(ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL
     so P_n is the sum over k < n of q^k times the columns of 1 (x) P_{n-1}
     taken at the words with letter k moved to the front.  The generator
     inner product then acts on each tensor factor, G = inner_U^{(x) n} P_n.
+    A level of more than MAX_GRAM_DIM words is refused.
     """
     nv = ctx.num_vars
-    if n > level_cap or nv**n > MAX_GRAM_DIM:
+    if nv**n > MAX_GRAM_DIM:
         raise LevelTooLarge(f"level {n} over {nv} generators")
     gram = np.ones((1, 1), complex)
     for gram in _grams(ctx, q, n):
@@ -175,14 +176,12 @@ def _orthonormal_columns(gram: np.ndarray) -> np.ndarray:
     return v / np.sqrt(w)
 
 
-def orthonormal_basis(
-    ctx: ModularContext, q: float, n: int, level_cap: int = DEFAULT_LEVEL_CAP
-) -> list[NCPoly]:
+def orthonormal_basis(ctx: ModularContext, q: float, n: int) -> list[NCPoly]:
     """Orthonormal family spanning the level-n Wick polynomials under the
     q-state: the Wick polynomials combined by ``_orthonormal_columns``."""
     if n == 0:
         return [NCPoly.one(ctx.num_vars, 1)]
-    cols = _orthonormal_columns(q_gram(ctx, q, n, level_cap))
+    cols = _orthonormal_columns(q_gram(ctx, q, n))
     words = _level_words(ctx.num_vars, n)
     memo: dict[Word, NCPoly] = {}
     wicks = [_wick(ctx, q, w, memo) for w in words]
@@ -393,7 +392,9 @@ def q_isomorphism_pipeline(
     ``law_degree`` truncates law evaluation; None keeps it exact.  A
     negative degree, and at q != 0 a level_cap whose q-Gram exceeds
     MAX_GRAM_DIM, is refused before any work.  ``pass`` needs the transport
-    and every check: the conjugate-variable check when it is computed.
+    and every check: the conjugate-variable check when it is computed.  A
+    series inversion that fails its contraction test leaves
+    ``inverse_residual`` null and gives its message as ``inversion_error``.
     """
     if sd_degree < 0 or (conjugate_check_degree is not None and conjugate_check_degree < 0):
         raise ValueError("degree must be >= 0")
@@ -468,7 +469,12 @@ def q_isomorphism_pipeline(
 
     def certify():
         cert = monotonicity_certificate(ctx, sol.f, cfg.R)
-        return cert, inversion_residual(sol.Y, invert_series(sol.Y, cfg), cfg.degree_cap)
+        try:
+            h = invert_series(sol.Y, cfg)
+        except ContractionFailure as exc:
+            # a failed inversion fails its check; the report is still written
+            return cert, {"inverse_residual": None, "inversion_error": str(exc)}
+        return cert, {"inverse_residual": inversion_residual(sol.Y, h, cfg.degree_cap)}
 
     # The checks only read finished results: the Schwinger-Dyson residual
     # runs here while a child process runs the others (see forkjoin).
@@ -480,14 +486,15 @@ def q_isomorphism_pipeline(
     report["monotone_bound"] = cert.bound
     report["monotone_lambda_min"] = cert.lambda_min
     report["monotone_certified"] = cert.certified
-    report["inverse_residual"] = inv
+    report.update(inv)
 
     max_ratio = max(sol.contraction_ratios, default=0.0)
     report["pass"] = bool(
         sol.fixed_point_residual < max(cfg.tolerance, 1e-9) * 10
-        and max_ratio <= 0.55
+        and max_ratio <= RATIO_WARN
         and report["sd_residual"] < 1e-5
         and cert.certified
+        and "inversion_error" not in report
         and report["inverse_residual"] < 1e-8
         and report.get("conjugate_check", 0.0) < 1e-5
     )

@@ -597,11 +597,11 @@ def _product_batched(
     return prod
 
 
-def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
+def substitute(P: NCPoly, Y: list[NCPoly], cap: int) -> NCPoly:
     """Composition P(Y_1, ..., Y_N); each word maps to the ordered product.
 
-    The result lives over the Y's generators.  ``cap`` defaults to the
-    smallest cap among the Y_j; truncation taints propagate.
+    The result lives over the Y's generators, truncated at ``cap``; the
+    Y_j are cut to it first, and truncation taints propagate.
     """
     if len(Y) != P.num_vars:
         raise VarCountMismatch(f"need {P.num_vars} substituends, got {len(Y)}")
@@ -609,8 +609,6 @@ def substitute(P: NCPoly, Y: list[NCPoly], cap: int | None = None) -> NCPoly:
     for y in Y:
         if y.num_vars != nv:
             raise VarCountMismatch("substituends over differing generator counts")
-    if cap is None:
-        cap = min(y.degree_cap for y in Y)
     taint = P.truncated or any(y.truncated for y in Y)
     capped = [y.with_cap(cap) for y in Y]
 

@@ -217,24 +217,22 @@ def F_map(
     W: NCPoly,
     ghat: NCPoly,
     cfg: TransportConfig,
-    f: list[NCPoly] | None = None,
+    f: list[NCPoly],
 ) -> NCPoly:
     """One application of the transport self-map (before symmetrization).
 
     Four pieces: the recentred perturbation -W(X + f), the quadratic
     correction -1/4 {(1+A) # f} # f, the linear trace contraction of the
-    Jacobian, and minus the alternating series; f is the cyclic gradient of
-    Sigma ghat, computed here unless the caller passes it, and its Jacobian
-    B feeds both trace terms.  At ghat = 0 this returns -W(X).
+    Jacobian, and minus the alternating series.  The caller passes f, the
+    cyclic gradient D(Sigma ghat), and its Jacobian B feeds both trace
+    terms.  At ghat = 0 (so f = 0) this returns -W(X).
     """
     if not is_cyclically_symmetric(ctx, ghat):
         raise NotCyclicallySymmetric("iterate left the cyclically symmetric cone")
     cap = cfg.degree_cap
-    if f is None:
-        f = grad_D(ctx, sigma_inv_op(ghat))
     xs = generators(ctx, cap)
     shifted = [xs[j] + f[j].with_cap(cap) for j in range(ctx.num_vars)]
-    t_w = substitute(W, shifted, cap=cap).scale(-1.0)
+    t_w = substitute(W, shifted, cap).scale(-1.0)
 
     one_plus_a = ctx.A + np.eye(ctx.num_vars)
     af = [
@@ -265,6 +263,11 @@ def solve_transport(
 ) -> TransportSolution:
     """Iterate ghat -> SymPi F(ghat) from the seed ghat = W to a fixed point.
 
+    Each pass takes g = Sigma^{-1} ghat and f = D g, applies the map and
+    measures the step's delta.  The pass after convergence records nothing:
+    its delta is the fixed-point residual and its f gives Y = X + f.  A zero
+    W starts converged, so its one pass is the residual.
+
     With ``enforce_hypotheses`` the sufficient inequalities must hold before
     iterating; without it they are still evaluated and recorded, and the
     contraction is measured empirically (a ratio at or above one aborts).
@@ -277,81 +280,55 @@ def solve_transport(
     if enforce_hypotheses and not rep.pass_:
         raise HypothesisViolation(
             f"|W|_Rsigma = {rep.norm_W_Rsigma:.6g} (needs < {rep.bound_W:.6g}), "
-            f"sum delta bound = {rep.sum_delta_pi_norm:.6g} (needs < 0.125), "
+            f"sum delta bound = {rep.sum_delta_pi_norm:.6g} (needs < {rep.bound_delta:.6g}), "
             f"radius_ok = {rep.radius_ok}"
         )
     warn_list: list[str] = []
     if not rep.pass_:
         warn_list.append("contractivity hypotheses not satisfied; measuring anyway")
 
-    if W.is_zero():
-        xs = generators(ctx, cfg.degree_cap)
-        zero = NCPoly.zero(ctx.num_vars, cfg.degree_cap)
-        return TransportSolution(
-            ghat=zero,
-            g=zero,
-            f=[zero] * ctx.num_vars,
-            Y=xs,
-            iterations=0,
-            delta_history=[],
-            contraction_ratios=[],
-            fixed_point_residual=0.0,
-            norm_ghat=0.0,
-            bound_6W_ok=True,
-            hypotheses=rep,
-            truncated=False,
-            warnings=warn_list,
-        )
-
     ghat = W.with_cap(cfg.degree_cap)
     deltas: list[float] = []
     ratios: list[float] = []
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        nxt = symmetrize_S(ctx, pi_op(F_map(ctx, o, W, ghat, cfg)))
+    converged = W.is_zero()
+    while True:
+        g = sigma_inv_op(ghat)
+        f = grad_D(ctx, g)
+        nxt = symmetrize_S(ctx, pi_op(F_map(ctx, o, W, ghat, cfg, f)))
         d, exact = norm_R_sigma(ctx, nxt - ghat, cfg.R)
-        deltas.append(d)
+        if converged:
+            break
         if not exact:
-            warn_list.append(f"delta at iteration {iterations} is the off-centralizer majorant")
+            warn_list.append(f"delta at iteration {len(deltas)} is the off-centralizer majorant")
             warnings.warn(warn_list[-1], stacklevel=2)
-        if len(deltas) >= 2 and deltas[-2] > 0.0:
-            ratio = deltas[-1] / deltas[-2]
+        if deltas and deltas[-1] > 0.0:
+            ratio = d / deltas[-1]
             ratios.append(ratio)
             if ratio >= 1.0:
-                raise NoConvergence(
-                    f"contraction ratio {ratio:.4f} >= 1 at iteration {iterations}"
-                )
+                raise NoConvergence(f"contraction ratio {ratio:.4f} >= 1 at iteration {len(deltas)}")
             if ratio > RATIO_WARN:
                 msg = f"contraction ratio {ratio:.4f} above {RATIO_WARN}"
                 warn_list.append(msg)
                 warnings.warn(msg, stacklevel=2)
+        deltas.append(d)
         ghat = nxt
-        iterations += 1
-        if d < cfg.tolerance:
-            break
-    else:
-        raise NoConvergence(
-            f"no fixed point within {cfg.max_iterations} iterations; last delta {deltas[-1]:.3g}"
-        )
+        converged = d < cfg.tolerance
+        if not converged and len(deltas) == cfg.max_iterations:
+            msg = f"no fixed point within {cfg.max_iterations} iterations; last delta {d:.3g}"
+            raise NoConvergence(msg)
 
-    g = sigma_inv_op(ghat)
-    f = grad_D(ctx, g)
-    residual = norm_R_sigma(
-        ctx, symmetrize_S(ctx, pi_op(F_map(ctx, o, W, ghat, cfg, f))) - ghat, cfg.R
-    ).value
     xs = generators(ctx, cfg.degree_cap)
     Y = [xs[j] + f[j].with_cap(cfg.degree_cap) for j in range(ctx.num_vars)]
-
     norm_ghat = norm_R_sigma(ctx, ghat, cfg.R).value
     return TransportSolution(
         ghat=ghat,
         g=g,
         f=f,
         Y=Y,
-        iterations=iterations,
+        iterations=len(deltas),
         delta_history=deltas,
         contraction_ratios=ratios,
-        fixed_point_residual=residual,
+        fixed_point_residual=d,
         norm_ghat=norm_ghat,
         bound_6W_ok=norm_ghat <= 6.0 * rep.norm_W_Rsigma + cfg.tolerance,
         hypotheses=rep,
@@ -398,14 +375,17 @@ def monotonicity_certificate(
 
 
 def _inversion_constant(norm_f_S: float, s_prime: float, S: float) -> float:
-    """C(S') = |f|_S max_k k S'^{k-1} S^{-k}; the max is over integers.
+    """C(S') = |f|_S max_k k S'^{k-1} S^{-k}; the max is over integers k >= 1.
 
-    Terms decrease once k exceeds S' / (S - S'), so the scan is finite; as
-    k (S'/S)^{k-1} / S, a term overflows for no S.
+    Term k+1 over term k is (k+1) S' / (k S), at least one exactly when
+    k <= S' / (S - S'), so the terms peak at k* = floor(S' / (S - S')) + 1.
+    Only k* and its two neighbours, which absorb the rounding of k*, are
+    evaluated, however large k* is; as k (S'/S)^{k-1} / S, a term overflows
+    for no S.
     """
-    k_max = int(s_prime / (S - s_prime)) + 2
-    best = max(k * (s_prime / S) ** (k - 1) / S for k in range(1, k_max + 1))
-    return norm_f_S * best
+    k_star = int(s_prime / (S - s_prime)) + 1
+    ks = range(max(k_star - 1, 1), k_star + 2)
+    return norm_f_S * max(k * (s_prime / S) ** (k - 1) / S for k in ks)
 
 
 def invert_series(Y: list[NCPoly], cfg: TransportConfig) -> list[NCPoly]:
@@ -414,7 +394,8 @@ def invert_series(Y: list[NCPoly], cfg: TransportConfig) -> list[NCPoly]:
     Iterates H_k = Y - f(H_{k-1}) symbolically (the indeterminates reuse the
     same machinery), truncated at the degree cap, until successive norms at
     radius R settle below tolerance.  The contraction constant C(S') must be
-    below one for some S' between |Y|_R and S = R_prime.
+    below one for some S' between lo = max(|Y|_R, R) and S = R_prime.  C
+    grows with S', so it is evaluated once, at S' = lo + (S - lo) / 4.
     """
     nv = Y[0].num_vars
     cap = cfg.degree_cap
@@ -428,8 +409,7 @@ def invert_series(Y: list[NCPoly], cfg: TransportConfig) -> list[NCPoly]:
         lo = max(norm_Y_R, cfg.R)
         if lo >= S:
             raise ContractionFailure(f"|Y|_R = {norm_Y_R} leaves no room below {S}")
-        candidates = [lo + (S - lo) * t for t in (0.25, 0.5, 0.75)]
-        c_val = min(_inversion_constant(norm_f_S, sp, S) for sp in candidates)
+        c_val = _inversion_constant(norm_f_S, lo + (S - lo) * 0.25, S)
         if c_val >= 1.0:
             raise ContractionFailure(
                 f"inversion constant {c_val:.4g} >= 1 (|f|_S = {norm_f_S:.4g})"
@@ -437,7 +417,7 @@ def invert_series(Y: list[NCPoly], cfg: TransportConfig) -> list[NCPoly]:
 
     H = list(xs)
     for _ in range(cfg.max_iterations):
-        nxt = [xs[j] - substitute(f[j], H, cap=cap) for j in range(nv)]
+        nxt = [xs[j] - substitute(f[j], H, cap) for j in range(nv)]
         diff = max(norm_R(nxt[j] - H[j], cfg.R) for j in range(nv))
         H = nxt
         if diff < cfg.tolerance:
@@ -452,5 +432,5 @@ def inversion_residual(Y: list[NCPoly], H: list[NCPoly], cap: int) -> float:
     NaN when an error is NaN."""
     nv = Y[0].num_vars
     return max_or_nan(
-        max_coeff_diff(substitute(H[j], Y, cap=cap), NCPoly.gen(nv, j + 1, cap)) for j in range(nv)
+        max_coeff_diff(substitute(H[j], Y, cap), NCPoly.gen(nv, j + 1, cap)) for j in range(nv)
     )

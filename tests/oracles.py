@@ -782,3 +782,12 @@ def load_config_reference(raw: dict) -> dict:
         "law_degree": int(raw["law_degree"]) if raw.get("law_degree") is not None else None,
         "strict_hypotheses": bool(raw.get("strict_hypotheses", False)),
     }
+
+
+def inversion_constant_reference(norm_f_S: float, s_prime: float, S: float) -> float:
+    """C(S') = |f|_S max_k k S'^{k-1} S^{-k} by a scan of every k from 1 up
+    to one past floor(S' / (S - S')) + 1, where the terms stop growing;
+    ``transport._inversion_constant`` evaluates three k around that peak."""
+    k_max = int(s_prime / (S - s_prime)) + 2
+    best = max(k * (s_prime / S) ** (k - 1) / S for k in range(1, k_max + 1))
+    return norm_f_S * best

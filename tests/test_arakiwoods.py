@@ -106,15 +106,14 @@ def test_q_gram_kron_at_zero(lam2):
 
 
 def test_q_gram_level_cap():
+    # level 10 has N^n = 1024 = MAX_GRAM_DIM words and is built; level 11
+    # (2048) and level 13 (8192) are over the bound and refused
     ctx = build_context([], 2)
-    with pytest.raises(LevelTooLarge):
-        q_gram(ctx, 0.1, 7)
-    # N^n = 8192, and already 2048 at level 11, is over MAX_GRAM_DIM = 1024
-    # even when the level cap allows n
     assert arakiwoods.MAX_GRAM_DIM == 2**10
+    assert q_gram(ctx, 0.1, 10).shape == (1024, 1024)
     for n in (11, 13):
-        with pytest.raises(LevelTooLarge):
-            q_gram(ctx, 0.1, n, level_cap=20)
+        with pytest.raises(LevelTooLarge, match=f"level {n} over 2 generators"):
+            q_gram(ctx, 0.1, n)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.005, 0.3, -0.4])
@@ -136,7 +135,7 @@ def test_grams_share_one_recursion(q):
         grams = list(_grams(ctx, q, top))
         assert len(grams) == top
         for n, gram in enumerate(grams, 1):
-            for want in (q_gram(ctx, q, n, top), q_gram_levelwise_reference(ctx, q, n)):
+            for want in (q_gram(ctx, q, n), q_gram_levelwise_reference(ctx, q, n)):
                 assert (gram.dtype, gram.shape, gram.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
@@ -188,7 +187,7 @@ def test_q_gram_single_generator_closed_form(ctx1):
         for n in range(9):
             if n:
                 fact *= sum(q**k for k in range(n))
-            assert q_gram(ctx1, q, n, level_cap=8)[0, 0] == pytest.approx(fact, rel=1e-12)
+            assert q_gram(ctx1, q, n)[0, 0] == pytest.approx(fact, rel=1e-12)
 
 
 def test_orthonormal_basis_single_generator(ctx1):

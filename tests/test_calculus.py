@@ -228,7 +228,8 @@ def two_block():
     V = potential_W(ctx, conjugate_vars(ctx, xi, MomentOracle(ctx, q))).V
     cfg = TransportConfig(R=7.0, R_prime=8.0, degree_cap=6, tolerance=1e-9)
     W = (V - quadratic_potential(ctx, V.degree_cap)).with_cap(cfg.degree_cap)
-    ghat = symmetrize_S(ctx, pi_op(F_map(ctx, MomentOracle(ctx, 0.0), W, W, cfg)))
+    f = grad_D(ctx, sigma_inv_op(W))
+    ghat = symmetrize_S(ctx, pi_op(F_map(ctx, MomentOracle(ctx, 0.0), W, W, cfg, f)))
     return ctx, {"V": V, "iterate": sigma_inv_op(ghat)}
 
 

@@ -415,13 +415,30 @@ def test_an_overflowing_norm_or_bound_reads_inf(tmp_path, capsys, key, value, co
     assert capsys.readouterr().err == ""
 
 
-def test_a_huge_inversion_radius_is_a_numerical_failure(tmp_path, capsys):
+def test_a_huge_inversion_radius_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     # at R' = 1e200 the powers of S in the inversion constant once raised
-    # OverflowError in the checks; |f|_S is inf, so the constant is too
+    # OverflowError in the checks; |f|_S is inf, so the constant is too.
+    # The failed inversion is a failed check: the report is written, with
+    # the checks run in a forked child and in this process alike
     path = tmp_path / "c.json"
     path.write_text(json.dumps({**STRICT, "R_prime": 1e200}))
-    assert run(["q-isomorphism", "--config", str(path), "--quiet"]) == EXIT_NUMERICAL
-    assert capsys.readouterr().err == "numerical error: inversion constant inf >= 1 (|f|_S = inf)\n"
+    reports = []
+    for can in (True, False):
+        monkeypatch.setattr(forkjoin, "can_fork", lambda: can)
+        reports.append(tmp_path / f"{can}.json")
+        argv = ["q-isomorphism", "--config", str(path), "--report", str(reports[-1]), "--quiet"]
+        assert run(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ""
+        rep = json.loads(reports[-1].read_text())
+        assert rep["inverse_residual"] is None
+        assert rep["inversion_error"] == "inversion constant inf >= 1 (|f|_S = inf)"
+        assert rep["transport"]["completed"] and rep["hypotheses"]["pass"]
+        assert rep["monotone_certified"] is True and rep["pass"] is False
+        keys = list(rep)
+        assert keys[keys.index("inverse_residual") + 1] == "inversion_error"
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_report_determinism(tmp_path):

@@ -617,11 +617,11 @@ def test_substitute_identity_and_binomial(ctx2):
     rng = np.random.default_rng(5)
     p = random_poly(ctx2, rng, 3, cap=8)
     xs = [NCPoly.gen(2, 1, 8), NCPoly.gen(2, 2, 8)]
-    assert max_coeff_diff(substitute(p, xs), p) < TOL
+    assert max_coeff_diff(substitute(p, xs, 8), p) < TOL
     # (X + c)^2 = X^2 + 2cX + c^2 in one generator
     c = 0.75
     shifted = NCPoly(1, {(1,): 1.0, (): c}, 8)
-    sq = substitute(NCPoly.monomial(1, (1, 1), 1.0, cap=8), [shifted])
+    sq = substitute(NCPoly.monomial(1, (1, 1), 1.0, cap=8), [shifted], 8)
     expected = NCPoly(1, {(1, 1): 1.0, (1,): 2 * c, (): c * c}, 8)
     assert max_coeff_diff(sq, expected) < TOL
 
@@ -645,7 +645,7 @@ def test_substitute_matches_product_fold(monkeypatch, lam2):
                 assert _bits(substitute(Q, Y, cap)) == _bits(substitute_reference(Q, Y, cap))
         assert substitute(x(2, cap=6), Y, 5).truncated
         tainted = [Y[0], NCPoly(2, Y[1].coeffs, 6, truncated=True)]
-        assert _bits(substitute(P, tainted)) == _bits(substitute_reference(P, tainted, 6))
+        assert _bits(substitute(P, tainted, 6)) == _bits(substitute_reference(P, tainted, 6))
 
 
 def test_substitute_matches_modular_action(lam2):
@@ -655,8 +655,8 @@ def test_substitute_matches_modular_action(lam2):
     for j in range(2):
         row = lam2.A[j]
         ax.append(NCPoly(2, {(1,): complex(row[0]), (2,): complex(row[1])}, 6))
-    assert max_coeff_diff(substitute(v0, ax), apply_sigma(lam2, v0, -1.0)) < TOL
-    assert max_coeff_diff(substitute(v0, ax), v0) < TOL
+    assert max_coeff_diff(substitute(v0, ax, 6), apply_sigma(lam2, v0, -1.0)) < TOL
+    assert max_coeff_diff(substitute(v0, ax, 6), v0) < TOL
 
 
 def test_norm_R():

@@ -1,9 +1,10 @@
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from nctransport import build_context
+from nctransport import build_context, transport
 from nctransport.calculus import grad_D, jac_J, pi_op, sigma_inv_op, symmetrize_S
 from nctransport.errors import (
     ContractionFailure,
@@ -26,6 +27,7 @@ from nctransport.schwinger import sd_residual
 from nctransport.transport import (
     TransportConfig,
     F_map,
+    _inversion_constant,
     check_hypotheses,
     invert_series,
     inversion_residual,
@@ -34,7 +36,7 @@ from nctransport.transport import (
     solve_transport,
 )
 
-from oracles import constant, is_centralizer, mat_vec
+from oracles import constant, inversion_constant_reference, is_centralizer, mat_vec
 
 CFG = TransportConfig(R=4.0, R_prime=5.0, rho=1.0, degree_cap=8, tolerance=1e-10, max_iterations=80)
 
@@ -85,9 +87,14 @@ def test_check_hypotheses_rejects_asymmetric(lam2):
         check_hypotheses(lam2, NCPoly.gen(2, 1, 6), cfg)
 
 
+def gradient(ctx, ghat):
+    """The cyclic gradient of Sigma ghat, as the solver passes it to F_map."""
+    return grad_D(ctx, sigma_inv_op(ghat))
+
+
 def jacobian(ctx, ghat):
     """The Jacobian of the cyclic gradient of Sigma ghat, as F_map builds it."""
-    return jac_J(ctx, grad_D(ctx, sigma_inv_op(ghat)))
+    return jac_J(ctx, gradient(ctx, ghat))
 
 
 def test_q_series_zero(ctx1):
@@ -184,9 +191,8 @@ def test_q_series_batched_matches_loop(monkeypatch, lambdas, trivial, cap, make,
         assert not powers[3].truncated and powers[4].truncated
 
 
-def test_f_map_builds_the_gradient_once(lam2, monkeypatch):
-    import nctransport.transport as transport
-
+def test_f_map_builds_no_gradient(lam2, monkeypatch):
+    # the solver's pass builds f once and hands it over; F_map reads it
     calls = []
 
     def counted(ctx, p):
@@ -198,15 +204,13 @@ def test_f_map_builds_the_gradient_once(lam2, monkeypatch):
     w = random_centralizer(lam2, np.random.default_rng(3), 4, cap=6, cyclically_symmetric=True)
     w = w.scale(0.05 / norm_R_sigma(lam2, w, 6.0).value)
     cfg = TransportConfig(R=6.0, R_prime=7.0, degree_cap=6)
-    F_map(lam2, o, w, w, cfg)
-    assert len(calls) == 1
+    F_map(lam2, o, w, w, cfg, gradient(lam2, w))
+    assert calls == []
 
 
 def test_solve_transport_reuses_the_last_gradient(lam2, monkeypatch):
     # the residual's F_map takes the cyclic gradient of the final ghat that
     # the solution reports, so each F_map costs one gradient and no more
-    import nctransport.transport as transport
-
     calls, fmaps = [], []
 
     def counted(ctx, p):
@@ -243,9 +247,9 @@ def test_q_series_rejects_large_argument(ctx1):
 def test_f_map_at_zero(ctx1):
     o = MomentOracle(ctx1, 0.0)
     zero = NCPoly.zero(1, 8)
-    assert F_map(ctx1, o, zero, zero, CFG).is_zero()
+    assert F_map(ctx1, o, zero, zero, CFG, gradient(ctx1, zero)).is_zero()
     w = quartic(1e-3)
-    got = F_map(ctx1, o, w, zero, CFG)
+    got = F_map(ctx1, o, w, zero, CFG, gradient(ctx1, zero))
     assert max_coeff_diff(got, w.scale(-1.0)) < 1e-15
 
 
@@ -254,7 +258,7 @@ def test_f_map_first_iterate_expansion(ctx1):
     o = MomentOracle(ctx1, 0.0)
     eps = 1e-6
     w = quartic(eps)
-    got = symmetrize_S(ctx1, pi_op(F_map(ctx1, o, w, w, CFG)))
+    got = symmetrize_S(ctx1, pi_op(F_map(ctx1, o, w, w, CFG, gradient(ctx1, w))))
     expected = NCPoly(1, {(1, 1): 2 * eps, (1, 1, 1, 1): -eps}, 8)
     assert max_coeff_diff(got, expected) < 10 * eps**2
 
@@ -267,7 +271,7 @@ def test_f_map_lands_in_centralizer(lam2, rng):
         w = w.scale(1e-3 / max(norm_R_sigma(lam2, w, 6.0).value, 1e-12))
         ghat = random_centralizer(lam2, rng, 4, cap=6, cyclically_symmetric=True)
         ghat = ghat.scale(1e-3 / max(norm_R_sigma(lam2, ghat, 6.0).value, 1e-12))
-        got = F_map(lam2, o, w, ghat, cfg)
+        got = F_map(lam2, o, w, ghat, cfg, gradient(lam2, ghat))
         assert is_centralizer(lam2, got, tol=1e-8)
 
 
@@ -278,6 +282,48 @@ def test_solve_zero_perturbation(ctx1):
     assert sol.g.is_zero()
     xs = generators(ctx1, 8)
     assert max_coeff_diff(sol.Y[0], xs[0]) == 0.0
+
+
+def _counted_f_map(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return F_map(*args)
+
+    monkeypatch.setattr(transport, "F_map", counted)
+    return calls
+
+
+def test_a_zero_perturbation_is_one_residual_pass(lam2, monkeypatch):
+    # W = 0 enters the loop converged: its one evaluation is the residual
+    calls = _counted_f_map(monkeypatch)
+    cfg = TransportConfig(R=6.0, R_prime=7.0, degree_cap=6)
+    sol = solve_transport(lam2, MomentOracle(lam2, 0.0), NCPoly.zero(2, 6), cfg)
+    assert len(calls) == 1
+    assert (sol.iterations, sol.delta_history, sol.contraction_ratios) == (0, [], [])
+    assert (sol.fixed_point_residual, sol.norm_ghat) == (0.0, 0.0)
+    assert sol.bound_6W_ok and not sol.truncated and sol.ghat.is_zero()
+    for y, x in zip(sol.Y, generators(lam2, 6)):
+        assert list(y.coeffs.items()) == list(x.coeffs.items())
+
+
+def test_a_tainted_zero_perturbation_reports_truncated(ctx1):
+    # a zero W whose cut dropped terms keeps that taint through the solve
+    w = NCPoly(1, {}, 8, truncated=True)
+    sol = solve_transport(ctx1, MomentOracle(ctx1, 0.0), w, CFG)
+    assert sol.iterations == 0 and sol.fixed_point_residual == 0.0
+    assert sol.truncated
+
+
+def test_no_convergence_stops_at_max_iterations(ctx1, monkeypatch):
+    # the quartic needs more than two passes; the second delta is the last
+    # evaluation, and no third pass runs for the residual
+    calls = _counted_f_map(monkeypatch)
+    cfg = TransportConfig(R=4.0, R_prime=5.0, degree_cap=8, tolerance=1e-10, max_iterations=2)
+    with pytest.raises(NoConvergence, match="no fixed point within 2 iterations; last delta"):
+        solve_transport(ctx1, MomentOracle(ctx1, 0.0), quartic(1e-4), cfg)
+    assert len(calls) == 2
 
 
 def test_solve_small_quartic(ctx1):
@@ -373,6 +419,51 @@ def test_invert_contraction_failure(ctx1):
     y = [NCPoly(1, {(1,): 1.0, (1, 1): 5.0}, 6)]
     with pytest.raises(ContractionFailure):
         invert_series(y, TransportConfig(R=1.0, R_prime=1.5, degree_cap=6))
+
+
+def test_inversion_constant_matches_the_scan():
+    # three k around the peak k* = floor(S'/(S - S')) + 1 give the scan's
+    # maximum bit for bit, for k* from 1 to 1e5
+    for S in (1.5, 6.0, 7.0, 1e3):
+        for k_star in (1, 2, 3, 10, 99, 1000, 12345, 10**5):
+            for frac in (0.0, 0.3, 0.999):
+                x = k_star - 1 + frac  # S'/(S - S')
+                s_prime = S * x / (1.0 + x)
+                if s_prime <= 0.0:
+                    continue
+                got = _inversion_constant(0.7, s_prime, S)
+                assert got == inversion_constant_reference(0.7, s_prime, S)
+    # where two terms tie up to rounding, the float maximum sits one above
+    # the computed k* (the first two) or one below it (the last two)
+    for S, s_prime in ((6.0, 5.88), (6.0, 5.76), (6.0, 5.971291866028708), (1.5, 1.46875)):
+        got = _inversion_constant(0.7, s_prime, S)
+        assert got == inversion_constant_reference(0.7, s_prime, S)
+
+
+def test_inversion_constant_is_least_at_the_smallest_point():
+    # the constant grows with S', so of the points lo + (S - lo) t the
+    # first is the minimum
+    for lo, S in ((6.0, 7.0), (1.0, 1.5), (6.0, 6.001), (6.000216, 6.0003), (2.0, 40.0)):
+        values = [inversion_constant_reference(0.01, lo + (S - lo) * t, S) for t in (0.25, 0.5, 0.75)]
+        assert values[0] == min(values)
+        assert _inversion_constant(0.01, lo + (S - lo) * 0.25, S) == values[0]
+
+
+@pytest.mark.parametrize("R_prime, message", [
+    (6.0003, "inversion constant 1.261 >= 1"),
+    (6.000217, "inversion constant 106 >= 1"),
+    (6.00021601, "inversion constant .* >= 1"),
+])
+def test_an_inversion_radius_near_the_series_norm_fails_at_once(lam2, R_prime, message):
+    # Y_j = X_j + 1e-6 X_j X_k X_j has |Y|_6 = 6.000216, so the peak k* of
+    # the constant's terms is about 8e6 at R' = 6.000217 and 8e8 at
+    # R' = 6.00021601: far more terms than a scan over k can evaluate here
+    y = [NCPoly(2, {(1,): 1.0, (1, 2, 1): 1e-6}, 4), NCPoly(2, {(2,): 1.0, (2, 1, 2): 1e-6}, 4)]
+    cfg = TransportConfig(R=6.0, R_prime=R_prime, degree_cap=4)
+    start = time.perf_counter()
+    with pytest.raises(ContractionFailure, match=message):
+        invert_series(y, cfg)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_gradient_quadratic_identity(lam2, rng):
