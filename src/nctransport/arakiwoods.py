@@ -21,14 +21,13 @@ from .errors import (
     DenominatorNonpositive,
     GramNotPositive,
     LevelTooLarge,
-    MissingInverse,
     NeumannDivergence,
     NoConvergence,
     NormTooLarge,
     NotCyclicallySymmetric,
 )
 from .forkjoin import fork_join
-from .modular import ModularContext
+from .modular import ModularContext, build_context
 from .moments import MomentOracle
 from . import ncpoly
 from .ncpoly import (
@@ -51,6 +50,7 @@ from .tensor import (
     t_star,
 )
 from .transport import (
+    BOUND_DELTA,
     RATIO_WARN,
     TransportConfig,
     check_hypotheses,
@@ -68,6 +68,42 @@ GRAM_EIG_FLOOR = 1e-12
 # V is cyclically symmetric up to the kernel's truncation: at level 4, cap 6
 # its defect is 3.4e-15 at lambda = 2, q = 3e-5, but 8.6e-10 at q = 0.01.
 POTENTIAL_CS_TOL = 1e-7
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(TransportConfig):
+    """A transport configuration with the modular data, the deformation q
+    and the kernel and verification parameters, all checked before any work."""
+
+    lambdas: list[float]
+    num_trivial: int = 0
+    q: float = 0.0
+    gamma: float = 0.25
+    level_cap: int
+    c: float = 1.0
+    law_degree: int | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        for ok, message in (
+            (all(l > 0.0 for l in self.lambdas), f"every lambda must be > 0, got {self.lambdas}"),
+            (self.num_trivial >= 0, f"num_trivial must be >= 0, got {self.num_trivial}"),
+            (self.num_vars > 0, "configuration describes zero generators"),
+            (-1.0 < self.q < 1.0, f"q must lie in (-1, 1), got {self.q}"),
+            (self.level_cap >= 0, f"level_cap must be >= 0, got {self.level_cap}"),
+            (0.0 < self.gamma < 1.0 / 3.0, f"gamma must lie in (0, 1/3), got {self.gamma}"),
+            (self.c > -2.0, f"c must be > -2 for a positive natural radius, got {self.c}"),
+            (self.law_degree is None or self.law_degree >= 0, "law_degree must be >= 0"),
+        ):
+            if not ok:
+                raise ValueError(message)
+
+    @property
+    def num_vars(self) -> int:
+        return 2 * len(self.lambdas) + self.num_trivial
+
+    def context(self) -> ModularContext:
+        return build_context(self.lambdas, self.num_trivial)
 
 
 def _wick(ctx: ModularContext, q: float, word: Word, memo: dict) -> NCPoly:
@@ -195,17 +231,27 @@ def orthonormal_basis(ctx: ModularContext, q: float, n: int) -> list[NCPoly]:
     ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class XiData:
-    """The level-sum kernel at deformation q, truncated at max_level."""
+    """The level-sum kernel Xi at deformation q, truncated at max_level."""
 
     q: float
     max_level: int
     xi: TensorPoly
-    xi_inv: TensorPoly | None = None
-    pi_bound_value: float | None = None
-    inverse_residual: float | None = None
-    neumann_terms: int = 0
+
+
+@dataclass(frozen=True)
+class XiInverse:
+    """The Neumann inverse of a kernel Xi and what was measured on the way:
+    the closed-form majorant at t = 0, the projective-norm bound of 1 - Xi
+    at the inversion radius, the worst coefficient of Xi # inverse - 1 and
+    the number of Neumann terms past the unit."""
+
+    inverse: TensorPoly
+    pi_bound: float
+    deviation: float
+    residual: float
+    neumann_terms: int
 
 
 def build_xi(ctx: ModularContext, q: float, d: int) -> XiData:
@@ -252,10 +298,10 @@ def build_xi(ctx: ModularContext, q: float, d: int) -> XiData:
     return XiData(q=q, max_level=d, xi=xi)
 
 
-def pi_bound(q: float, N: int, A_norm: float, A_t_norm: float, c: float) -> float:
-    """Closed-form majorant for the projective distance of the (twisted)
-    kernel from the unit at the natural radius."""
-    base = A_t_norm * (3.0 + c) ** 2 * (1.0 + A_norm) * N * N
+def pi_bound(q: float, N: int, A_norm: float, c: float) -> float:
+    """Closed-form majorant for the projective distance of the kernel from
+    the unit at the natural radius, at t = 0 (the twist's power norm is 1)."""
+    base = (3.0 + c) ** 2 * (1.0 + A_norm) * N * N
     den = 2.0 - (4.0 + base) * abs(q)
     if den <= 0.0:
         raise DenominatorNonpositive(f"bound undefined: denominator {den:.4g}")
@@ -267,20 +313,20 @@ def natural_radius(q: float, c: float) -> float:
     return (1.0 + 0.5 * c) * 2.0 / (1.0 - abs(q))
 
 
-def invert_xi(xi: XiData, R: float, tol: float, c: float, ctx: ModularContext) -> XiData:
-    """Neumann inverse of the kernel in the # algebra, updated in place.
+def invert_xi(ctx: ModularContext, xi: XiData, R: float, tol: float, c: float) -> XiInverse:
+    """Neumann inverse of the kernel in the # algebra, returned with its
+    measurements (see ``XiInverse``); ``xi`` is left as it is.
 
-    Requires the closed-form bound at t = 0 below one; stops when the
-    projective-norm bound of the next increment falls below tol.  The
-    product of kernel and inverse is re-checked against the unit up to the
-    degree cap and the residual is stored.
+    The series sums the powers of e = 1 - Xi and stops when the
+    projective-norm bound of the next increment at radius R falls below
+    tol.  The deviation is the bound of e itself.  The product of kernel and
+    inverse is re-checked against the unit up to the degree cap.
     """
     try:
-        pb = pi_bound(xi.q, ctx.num_vars, ctx.norm_A, 1.0, c)
+        pb = pi_bound(xi.q, ctx.num_vars, ctx.norm_A, c)
     except (DenominatorNonpositive, OverflowError):
         # no bound holds, or (3 + c)^2 overflows: the bound reads +inf
         pb = float("inf")
-    xi.pi_bound_value = pb
     one = TensorPoly.one(ctx.num_vars, xi.xi.degree_cap)
     e = one - xi.xi
     # In the truncated algebra the series terminates whenever the scalar
@@ -304,25 +350,27 @@ def invert_xi(xi: XiData, R: float, tol: float, c: float, ctx: ModularContext) -
         if len(terms) > 501:
             raise NeumannDivergence("Neumann series did not settle in 500 terms")
     acc = TensorPoly.sum(ctx.num_vars, terms, one.degree_cap)
-    xi.xi_inv = acc
-    xi.neumann_terms = len(terms) - 1
-    prodt = t_mul(xi.xi, acc)
-    xi.inverse_residual = max_pair_diff(prodt, one)
-    return xi
+    return XiInverse(
+        inverse=acc,
+        pi_bound=pb,
+        deviation=pi_norm_bound(e, R),
+        residual=max_pair_diff(t_mul(xi.xi, acc), one),
+        neumann_terms=len(terms) - 1,
+    )
 
 
-def conjugate_vars(ctx: ModularContext, xi: XiData, o_q: MomentOracle) -> list[NCPoly]:
+def conjugate_vars(
+    ctx: ModularContext, xi: XiData, inv: XiInverse, o_q: MomentOracle
+) -> list[NCPoly]:
     """Conjugate variables of the generators for the twisted difference
-    quotient under the q-state.
+    quotient under the q-state, from the kernel Xi and its inverse ``inv``.
 
     With eta the left-twisted adjoint of the kernel inverse, component j is
     the deformed adjoint of eta (``schwinger.deformed_adjoint``), contracted
     through the q-state.  The taint of the inverse carries over.  At q = 0
     this collapses to the generators themselves.
     """
-    if xi.xi_inv is None:
-        raise MissingInverse("kernel inverse not computed; run invert_xi first")
-    eta = t_sigma(ctx, t_star(xi.xi_inv), -1.0, 0.0)
+    eta = t_sigma(ctx, t_star(inv.inverse), -1.0, 0.0)
     return [deformed_adjoint(o_q, ctx, j, eta, xi.xi) for j in range(1, ctx.num_vars + 1)]
 
 
@@ -372,24 +420,19 @@ def potential_W(ctx: ModularContext, xi_vec: list[NCPoly]) -> PotentialResult:
 
 
 def q_isomorphism_pipeline(
-    ctx: ModularContext,
-    q: float,
-    cfg: TransportConfig,
-    level_cap: int,
-    c: float = 1.0,
-    sd_degree: int = 4,
-    law_degree: int | None = None,
-    enforce_hypotheses: bool = False,
-    conjugate_check_degree: int | None = None,
+    cfg: RunConfig, sd_degree: int, conjugate_check_degree: int | None
 ) -> dict:
-    """Run the full reduction of the q-deformed state to transport.
+    """Run the full reduction of the q-deformed state to transport, as
+    ``cfg`` describes it: its modular data, q, level_cap, c, law_degree and
+    the transport parameters, the strict gate included.
 
     Stages: kernel build and inversion (at the natural radius), conjugate
     variables, potential assembly, contractivity report, transport solve,
-    then the checks: the Schwinger-Dyson residual, and beside it (see
-    ``fork_join``) the conjugate-variable check, the monotonicity
+    then the checks: the Schwinger-Dyson residual up to ``sd_degree``, and
+    beside it (see ``fork_join``) the conjugate-variable check up to
+    ``conjugate_check_degree`` (None skips it), the monotonicity
     certificate and the series inversion.  Returns a flat report dict.
-    ``law_degree`` truncates law evaluation; None keeps it exact.  A
+    ``cfg.law_degree`` truncates law evaluation; None keeps it exact.  A
     negative degree, and at q != 0 a level_cap whose q-Gram exceeds
     MAX_GRAM_DIM, is refused before any work.  ``pass`` needs the transport
     and every check: the conjugate-variable check when it is computed.  A
@@ -398,11 +441,13 @@ def q_isomorphism_pipeline(
     """
     if sd_degree < 0 or (conjugate_check_degree is not None and conjugate_check_degree < 0):
         raise ValueError("degree must be >= 0")
-    nv = ctx.num_vars
+    q, level_cap, c = cfg.q, cfg.level_cap, cfg.c
+    nv = cfg.num_vars
     if q != 0.0 and nv**level_cap > MAX_GRAM_DIM:
         fits = max(n for n in range(level_cap) if nv**n <= MAX_GRAM_DIM)
         msg = f"level_cap {level_cap} needs a q-Gram of {nv}^{level_cap} > {MAX_GRAM_DIM} rows"
         raise ValueError(f"{msg}; level {fits} is the largest that fits")
+    ctx = cfg.context()
     r_nat = natural_radius(q, c)
     report: dict = {"q": q, "num_vars": nv, "level_cap": level_cap, "c": c}
 
@@ -410,14 +455,14 @@ def q_isomorphism_pipeline(
     oq = MomentOracle(ctx, q)
 
     xi = build_xi(ctx, q, level_cap)
-    invert_xi(xi, r_nat, cfg.tolerance, c, ctx)
-    report["pi_bound"] = xi.pi_bound_value
+    inv = invert_xi(ctx, xi, r_nat, cfg.tolerance, c)
+    report["pi_bound"] = inv.pi_bound
     report["natural_radius"] = r_nat
-    report["xi_deviation"] = pi_norm_bound(xi.xi - TensorPoly.one(nv, xi.xi.degree_cap), r_nat)
-    report["xi_inverse_residual"] = xi.inverse_residual
-    report["neumann_terms"] = xi.neumann_terms
+    report["xi_deviation"] = inv.deviation
+    report["xi_inverse_residual"] = inv.residual
+    report["neumann_terms"] = inv.neumann_terms
 
-    xi_vec = conjugate_vars(ctx, xi, oq)
+    xi_vec = conjugate_vars(ctx, xi, inv, oq)
     # checked once the solve is done, beside the other checks; reported here
     checked = [] if conjugate_check_degree is None else ["conjugate_check"]
     report.update(dict.fromkeys(checked))
@@ -435,11 +480,9 @@ def q_isomorphism_pipeline(
         if not hyp.pass_ and q != 0.0:
             # W is linear in q to leading order: where both would start to hold
             factors = [hyp.bound_W / max(hyp.norm_W_Rsigma, 1e-300),
-                       hyp.bound_delta / max(hyp.sum_delta_pi_norm, 1e-300)]
+                       BOUND_DELTA / max(hyp.sum_delta_pi_norm, 1e-300)]
             report["hypotheses"]["q_estimate_pass"] = abs(q) * min(min(factors), 1.0)
-        sol = solve_transport(
-            ctx, o0, w_capped, cfg, enforce_hypotheses=enforce_hypotheses, hypotheses=hyp
-        )
+        sol = solve_transport(ctx, o0, w_capped, cfg, hypotheses=hyp)
     except Exception as exc:
         # the conjugate-variable check comes first in serial order, so its
         # error wins, and a failed solve still reports it
@@ -465,7 +508,7 @@ def q_isomorphism_pipeline(
     }
 
     v_target = quadratic_potential(ctx, cfg.degree_cap) + w_capped
-    law = o0.law_of(sol.Y, max_degree=law_degree)
+    law = o0.law_of(sol.Y, max_degree=cfg.law_degree)
 
     def certify():
         cert = monotonicity_certificate(ctx, sol.f, cfg.R)

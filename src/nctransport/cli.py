@@ -11,20 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
-from .arakiwoods import q_isomorphism_pipeline
+from .arakiwoods import RunConfig, q_isomorphism_pipeline
 from .errors import (
     HypothesisViolation,
     NCTransportError,
 )
-from .modular import ModularContext, build_context, modular_norm
+from .modular import ModularContext, modular_norm
 from .moments import MomentOracle
 from .ncpoly import NCPoly, quadratic_potential
 from .schwinger import gibbs_distance, sd_residual
 from .serialize import dumps_report, is_number, load_json, poly_from_terms, poly_to_terms, sanitize
 from .transport import (
-    TransportConfig,
     invert_series,
     inversion_residual,
     solve_transport,
@@ -34,43 +33,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass(frozen=True, kw_only=True)
-class RunConfig(TransportConfig):
-    """A transport configuration with the modular data, the deformation q
-    and the kernel and verification parameters, all checked before any work."""
-
-    lambdas: list[float]
-    num_trivial: int = 0
-    q: float = 0.0
-    gamma: float = 0.25
-    level_cap: int
-    c: float = 1.0
-    law_degree: int | None = None
-    strict_hypotheses: bool = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        for ok, message in (
-            (all(l > 0.0 for l in self.lambdas), f"every lambda must be > 0, got {self.lambdas}"),
-            (self.num_trivial >= 0, f"num_trivial must be >= 0, got {self.num_trivial}"),
-            (self.num_vars > 0, "configuration describes zero generators"),
-            (-1.0 < self.q < 1.0, f"q must lie in (-1, 1), got {self.q}"),
-            (self.level_cap >= 0, f"level_cap must be >= 0, got {self.level_cap}"),
-            (0.0 < self.gamma < 1.0 / 3.0, f"gamma must lie in (0, 1/3), got {self.gamma}"),
-            (self.c > -2.0, f"c must be > -2 for a positive natural radius, got {self.c}"),
-            (self.law_degree is None or self.law_degree >= 0, "law_degree must be >= 0"),
-        ):
-            if not ok:
-                raise ValueError(message)
-
-    @property
-    def num_vars(self) -> int:
-        return 2 * len(self.lambdas) + self.num_trivial
-
-    def context(self) -> ModularContext:
-        return build_context(self.lambdas, self.num_trivial)
 
 
 # The JSON type of each field annotation: its name, a test of the parsed
@@ -180,7 +142,7 @@ def cmd_solve_transport(args, cfg: RunConfig) -> int:
         if args.potential == "v0"
         else _load_potential(args.potential, cfg, ctx)
     )
-    sol = solve_transport(ctx, oracle, w, cfg, enforce_hypotheses=cfg.strict_hypotheses)
+    sol = solve_transport(ctx, oracle, w, cfg)
     v = quadratic_potential(ctx, cfg.degree_cap) + w
     law = oracle.law_of(sol.Y, max_degree=cfg.law_degree)
     res = sd_residual(law, ctx, v, args.degree)
@@ -226,18 +188,7 @@ def cmd_invert(args, cfg: RunConfig) -> int:
 
 
 def cmd_q_isomorphism(args, cfg: RunConfig) -> int:
-    ctx = cfg.context()
-    report = q_isomorphism_pipeline(
-        ctx,
-        cfg.q,
-        cfg,
-        c=cfg.c,
-        level_cap=cfg.level_cap,
-        sd_degree=args.degree,
-        law_degree=cfg.law_degree,
-        enforce_hypotheses=cfg.strict_hypotheses,
-        conjugate_check_degree=args.conjugate_degree,
-    )
+    report = q_isomorphism_pipeline(cfg, args.degree, args.conjugate_degree)
     report = {"command": "q-isomorphism", **report}
     _emit(report, args)
     if not report["pass"]:

@@ -67,7 +67,3 @@ class NeumannDivergence(NCTransportError):
 
 class DenominatorNonpositive(NCTransportError):
     """Closed-form bound evaluated outside its domain."""
-
-
-class MissingInverse(NCTransportError):
-    """Operation requires an inverse that has not been computed yet."""

@@ -68,10 +68,15 @@ RATIO_WARN = 0.55
 # rounding: 4.2e-12 in the strict lambda = 2, q = 3e-5 pipeline.
 GRADIENT_TOL = 1e-8
 
+# The summed projective-norm bound of the difference quotients of W must stay
+# below this at radius R + rho.
+BOUND_DELTA = 0.125
+
 
 @dataclass(frozen=True)
 class TransportConfig:
-    """Numerical parameters of a transport solve."""
+    """Numerical parameters of a transport solve.  With ``strict_hypotheses``
+    the contractivity inequalities are a hard gate before the solve."""
 
     R: float
     R_prime: float
@@ -79,6 +84,7 @@ class TransportConfig:
     degree_cap: int = 8
     tolerance: float = 1e-9
     max_iterations: int = 200
+    strict_hypotheses: bool = False
 
     def __post_init__(self):
         for ok, message in (
@@ -95,7 +101,7 @@ class TransportConfig:
         return self.R >= 4.0 * ctx.norm_A**0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class HypothesisReport:
     """The two contractivity quantities and whether both inequalities hold."""
 
@@ -103,8 +109,7 @@ class HypothesisReport:
     sum_delta_pi_norm: float
     radius_ok: bool
     bound_W: float
-    bound_delta: float = 0.125
-    pass_: bool = False
+    pass_: bool
 
     def as_dict(self) -> dict:
         """The report's "hypotheses" entry, in report key order."""
@@ -112,7 +117,7 @@ class HypothesisReport:
             "norm_W_Rsigma": self.norm_W_Rsigma,
             "sum_delta_pi_norm": self.sum_delta_pi_norm,
             "bound_W": self.bound_W,
-            "bound_delta": self.bound_delta,
+            "bound_delta": BOUND_DELTA,
             "radius_ok": self.radius_ok,
             "pass": self.pass_,
         }
@@ -141,8 +146,9 @@ def check_hypotheses(ctx: ModularContext, W: NCPoly, cfg: TransportConfig) -> Hy
     """Evaluate the sufficient contractivity inequalities for W.
 
     Passing requires the twisted norm of W below rho/2N, the summed
-    projective-norm bound of its difference quotients below 1/8 at radius
-    R + rho, and R at least 4 sqrt(norm A).
+    projective-norm bound of its difference quotients below BOUND_DELTA at
+    radius R + rho, and R at least 4 sqrt(norm A).  The report is built
+    whole, its verdict included.
     """
     if not is_cyclically_symmetric(ctx, W):
         raise NotCyclicallySymmetric("perturbation is not cyclically symmetric")
@@ -152,14 +158,13 @@ def check_hypotheses(ctx: ModularContext, W: NCPoly, cfg: TransportConfig) -> Hy
     sum_delta = sum(pi_norm_bound(delta(j, W), s) for j in range(1, n + 1))
     radius_ok = cfg.radius_ok(ctx)
     bound_w = cfg.rho / (2.0 * n)
-    rep = HypothesisReport(
+    return HypothesisReport(
         norm_W_Rsigma=norm_w,
         sum_delta_pi_norm=sum_delta,
         radius_ok=radius_ok,
         bound_W=bound_w,
+        pass_=radius_ok and norm_w < bound_w and sum_delta < BOUND_DELTA,
     )
-    rep.pass_ = radius_ok and norm_w < bound_w and sum_delta < rep.bound_delta
-    return rep
 
 
 def _trace_contractions(ctx: ModularContext, o: MomentOracle, B: TensorMatrix) -> NCPoly:
@@ -258,7 +263,6 @@ def solve_transport(
     o: MomentOracle,
     W: NCPoly,
     cfg: TransportConfig,
-    enforce_hypotheses: bool = True,
     hypotheses: HypothesisReport | None = None,
 ) -> TransportSolution:
     """Iterate ghat -> SymPi F(ghat) from the seed ghat = W to a fixed point.
@@ -268,19 +272,19 @@ def solve_transport(
     its delta is the fixed-point residual and its f gives Y = X + f.  A zero
     W starts converged, so its one pass is the residual.
 
-    With ``enforce_hypotheses`` the sufficient inequalities must hold before
-    iterating; without it they are still evaluated and recorded, and the
-    contraction is measured empirically (a ratio at or above one aborts).
+    With ``cfg.strict_hypotheses`` the sufficient inequalities must hold
+    before iterating; without it they are still evaluated and recorded, and
+    the contraction is measured empirically (a ratio at or above one aborts).
     A caller that has already evaluated them for this W and ``cfg`` passes
     its report as ``hypotheses``.
     """
     if o.q != 0.0:
         raise ValueError("transport solves against the undeformed state")
     rep = check_hypotheses(ctx, W, cfg) if hypotheses is None else hypotheses
-    if enforce_hypotheses and not rep.pass_:
+    if cfg.strict_hypotheses and not rep.pass_:
         raise HypothesisViolation(
             f"|W|_Rsigma = {rep.norm_W_Rsigma:.6g} (needs < {rep.bound_W:.6g}), "
-            f"sum delta bound = {rep.sum_delta_pi_norm:.6g} (needs < {rep.bound_delta:.6g}), "
+            f"sum delta bound = {rep.sum_delta_pi_norm:.6g} (needs < {BOUND_DELTA:.6g}), "
             f"radius_ok = {rep.radius_ok}"
         )
     warn_list: list[str] = []
@@ -394,8 +398,8 @@ def invert_series(Y: list[NCPoly], cfg: TransportConfig) -> list[NCPoly]:
     Iterates H_k = Y - f(H_{k-1}) symbolically (the indeterminates reuse the
     same machinery), truncated at the degree cap, until successive norms at
     radius R settle below tolerance.  The contraction constant C(S') must be
-    below one for some S' between lo = max(|Y|_R, R) and S = R_prime.  C
-    grows with S', so it is evaluated once, at S' = lo + (S - lo) / 4.
+    below one for some S' in [lo, S), lo = max(|Y|_R, R) and S = R_prime.
+    C grows with S', so it is least at lo, and C(lo) < 1 is that test.
     """
     nv = Y[0].num_vars
     cap = cfg.degree_cap
@@ -409,7 +413,7 @@ def invert_series(Y: list[NCPoly], cfg: TransportConfig) -> list[NCPoly]:
         lo = max(norm_Y_R, cfg.R)
         if lo >= S:
             raise ContractionFailure(f"|Y|_R = {norm_Y_R} leaves no room below {S}")
-        c_val = _inversion_constant(norm_f_S, lo + (S - lo) * 0.25, S)
+        c_val = _inversion_constant(norm_f_S, lo, S)
         if c_val >= 1.0:
             raise ContractionFailure(
                 f"inversion constant {c_val:.4g} >= 1 (|f|_S = {norm_f_S:.4g})"

@@ -14,6 +14,7 @@ import pytest
 
 from nctransport import build_context
 from nctransport.arakiwoods import (
+    RunConfig,
     build_xi,
     conjugate_check,
     conjugate_vars,
@@ -155,7 +156,7 @@ def quartic_solution():
     w = NCPoly.monomial(1, (1, 1, 1, 1), 1e-3, cap=8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve_transport(CTX1, o, w, cfg, enforce_hypotheses=False)
+        sol = solve_transport(CTX1, o, w, cfg)
     return cfg, o, w, sol
 
 
@@ -193,7 +194,7 @@ def test_acceptance_06_transport_correctness():
             w = NCPoly.monomial(1, (1, 1, 1, 1), eps, cap=cap)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sol = solve_transport(CTX1, o, w, cfg, enforce_hypotheses=False)
+                sol = solve_transport(CTX1, o, w, cfg)
             v = quadratic_potential(CTX1, cap) + w
             per_cap.append(sd_residual(o.law_of(sol.Y), CTX1, v, 4))
         residuals[eps] = per_cap
@@ -277,7 +278,7 @@ def test_acceptance_08_trace_gradient_identities():
 def test_acceptance_09_kernel_bound():
     t0 = time.time()
     c = 1.0
-    pb_ref = pi_bound(0.01, 1, 1.0, 1.0, c)
+    pb_ref = pi_bound(0.01, 1, 1.0, c)
     closed_ok = abs(pb_ref - 0.195122) < 1e-6
     bound_ok = True
     product_ok = True
@@ -285,9 +286,9 @@ def test_acceptance_09_kernel_bound():
         r = natural_radius(q, c)
         xi = build_xi(CTX1, q, 6)
         dev = pi_norm_bound(xi.xi - TensorPoly.one(1, xi.xi.degree_cap), r)
-        bound_ok = bound_ok and dev <= pi_bound(q, 1, 1.0, 1.0, c)
-        invert_xi(xi, r, 1e-12, c, CTX1)
-        prod = t_mul(xi.xi, xi.xi_inv)
+        bound_ok = bound_ok and dev <= pi_bound(q, 1, 1.0, c)
+        inv = invert_xi(CTX1, xi, r, 1e-12, c)
+        prod = t_mul(xi.xi, inv.inverse)
         dev6 = max(
             (
                 abs(v - (1.0 if (a, b) == ((), ()) else 0.0))
@@ -313,15 +314,15 @@ def test_acceptance_10_conjugate_variables():
     c = 1.0
     o = MomentOracle(CTX1, 0.01)
     xi = build_xi(CTX1, 0.01, 8)
-    invert_xi(xi, natural_radius(0.01, c), 1e-12, c, CTX1)
-    xv = conjugate_vars(CTX1, xi, o)
+    inv = invert_xi(CTX1, xi, natural_radius(0.01, c), 1e-12, c)
+    xv = conjugate_vars(CTX1, xi, inv, o)
     check = conjugate_check(CTX1, o, xv, 4)
     norms = {}
     for q in (0.01, 0.005, 0.002):
         oq = MomentOracle(CTX1, q)
         xq = build_xi(CTX1, q, 8)
-        invert_xi(xq, natural_radius(q, c), 1e-12, c, CTX1)
-        pot = potential_W(CTX1, conjugate_vars(CTX1, xq, oq))
+        inv = invert_xi(CTX1, xq, natural_radius(q, c), 1e-12, c)
+        pot = potential_W(CTX1, conjugate_vars(CTX1, xq, inv, oq))
         norms[q] = norm_R_sigma(CTX1, pot.W.with_cap(8), 4.0).value
     decreasing = norms[0.01] > norms[0.005] > norms[0.002] > 0.0
     slope = norms[0.01] / 0.01
@@ -339,14 +340,13 @@ def test_acceptance_10_conjugate_variables():
 
 def test_acceptance_11_pipeline():
     t0 = time.time()
-    cfg = TransportConfig(
-        R=4.0, R_prime=5.0, rho=1.0, degree_cap=8, tolerance=1e-9, max_iterations=80
+    cfg = RunConfig(
+        lambdas=[], num_trivial=1, q=0.01, R=4.0, R_prime=5.0, rho=1.0, degree_cap=8,
+        tolerance=1e-9, max_iterations=80, level_cap=8, c=1.0,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = q_isomorphism_pipeline(
-            CTX1, 0.01, cfg, c=1.0, level_cap=8, sd_degree=4, conjugate_check_degree=4
-        )
+        rep = q_isomorphism_pipeline(cfg, 4, 4)
     # the sufficient inequalities are evaluated and recorded; at this q they
     # cannot hold (the perturbation norm scales like 80 q at radius 4), so
     # the hypothesis gate is demonstrated at a smaller deformation instead
@@ -355,8 +355,8 @@ def test_acceptance_11_pipeline():
     )
     oq = MomentOracle(CTX1, 5e-4)
     xs = build_xi(CTX1, 5e-4, 6)
-    invert_xi(xs, natural_radius(5e-4, 1.0), 1e-12, 1.0, CTX1)
-    pot = potential_W(CTX1, conjugate_vars(CTX1, xs, oq))
+    inv = invert_xi(CTX1, xs, natural_radius(5e-4, 1.0), 1e-12, 1.0)
+    pot = potential_W(CTX1, conjugate_vars(CTX1, xs, inv, oq))
     strict_small_q = check_hypotheses(CTX1, pot.W.with_cap(8), cfg).pass_
     max_ratio = max(rep["transport"]["contraction_ratios"])
     elapsed = time.time() - t0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 
 from nctransport import arakiwoods, build_context
 from nctransport.arakiwoods import (
+    RunConfig,
+    XiData,
+    XiInverse,
     _grams,
     _wick,
     build_xi,
@@ -23,7 +27,6 @@ from nctransport.errors import (
     DenominatorNonpositive,
     GramNotPositive,
     LevelTooLarge,
-    MissingInverse,
 )
 from nctransport.modular import apply_sigma
 from nctransport.moments import MomentOracle
@@ -37,7 +40,7 @@ from nctransport.tensor import (
     t_mul,
     t_sigma,
 )
-from nctransport.transport import TransportConfig
+from nctransport.transport import HypothesisReport, check_hypotheses
 from oracles import (
     build_xi_per_vector_reference,
     build_xi_reference,
@@ -285,20 +288,18 @@ def test_xi_is_modular_invariant(lam2):
 
 
 def test_pi_bound_values():
-    assert pi_bound(0.0, 1, 1.0, 1.0, 1.0) == 0.0
-    assert pi_bound(0.01, 1, 1.0, 1.0, 1.0) == pytest.approx(0.32 / 1.64)
-    # monotone in the power norm
-    assert pi_bound(0.01, 1, 1.0, 1.0, 1.0) <= pi_bound(0.01, 1, 1.0, 2.0, 1.0)
+    assert pi_bound(0.0, 1, 1.0, 1.0) == 0.0
+    assert pi_bound(0.01, 1, 1.0, 1.0) == pytest.approx(0.32 / 1.64)
     with pytest.raises(DenominatorNonpositive):
-        pi_bound(0.5, 2, 2.0, 1.0, 1.0)
+        pi_bound(0.5, 2, 2.0, 1.0)
 
 
 def test_invert_xi_neumann(ctx1):
     q = 0.05
     xi = build_xi(ctx1, q, 6)
-    invert_xi(xi, natural_radius(q, 1.0), 1e-12, 1.0, ctx1)
-    assert xi.inverse_residual < 1e-10
-    prod = t_mul(xi.xi, xi.xi_inv)
+    inv = invert_xi(ctx1, xi, natural_radius(q, 1.0), 1e-12, 1.0)
+    assert inv.residual < 1e-10
+    prod = t_mul(xi.xi, inv.inverse)
     one = TensorPoly.one(1, prod.degree_cap)
     assert max_pair_diff(prod, one) < 1e-10
 
@@ -308,23 +309,17 @@ def test_xi_deviation_below_closed_form(ctx1):
         r = natural_radius(q, 1.0)
         xi = build_xi(ctx1, q, 6)
         dev = pi_norm_bound(xi.xi - TensorPoly.one(1, xi.xi.degree_cap), r)
-        assert dev <= pi_bound(q, 1, 1.0, 1.0, 1.0)
+        assert dev <= pi_bound(q, 1, 1.0, 1.0)
 
 
 def test_conjugate_vars_trivial(ctx1, lam2):
     for ctx in (ctx1, lam2):
         xi = build_xi(ctx, 0.0, 4)
-        invert_xi(xi, 3.0, 1e-12, 1.0, ctx)
+        inv = invert_xi(ctx, xi, 3.0, 1e-12, 1.0)
         o = MomentOracle(ctx, 0.0)
-        got = conjugate_vars(ctx, xi, o)
+        got = conjugate_vars(ctx, xi, inv, o)
         for j in range(ctx.num_vars):
             assert max_coeff_diff(got[j], NCPoly.gen(ctx.num_vars, j + 1, got[j].degree_cap)) < TOL
-
-
-def test_conjugate_vars_require_inverse(ctx1):
-    xi = build_xi(ctx1, 0.1, 3)
-    with pytest.raises(MissingInverse):
-        conjugate_vars(ctx1, xi, MomentOracle(ctx1, 0.1))
 
 
 def test_conjugate_vars_carry_truncation(lam2):
@@ -332,9 +327,9 @@ def test_conjugate_vars_carry_truncation(lam2):
     # built from it must say so
     q = 3e-5
     xi = build_xi(lam2, q, 4)
-    invert_xi(xi, natural_radius(q, 1.0), 1e-9, 1.0, lam2)
-    assert xi.xi_inv.truncated
-    xv = conjugate_vars(lam2, xi, MomentOracle(lam2, q))
+    inv = invert_xi(lam2, xi, natural_radius(q, 1.0), 1e-9, 1.0)
+    assert inv.inverse.truncated
+    xv = conjugate_vars(lam2, xi, inv, MomentOracle(lam2, q))
     assert all(p.truncated for p in xv)
 
 
@@ -342,8 +337,8 @@ def test_conjugate_pairing_single_generator(ctx1):
     q = 0.05
     o = MomentOracle(ctx1, q)
     xi = build_xi(ctx1, q, 6)
-    invert_xi(xi, natural_radius(q, 1.0), 1e-12, 1.0, ctx1)
-    xv = conjugate_vars(ctx1, xi, o)
+    inv = invert_xi(ctx1, xi, natural_radius(q, 1.0), 1e-12, 1.0)
+    xv = conjugate_vars(ctx1, xi, inv, o)
     assert conjugate_check(ctx1, o, xv, 4) < 1e-6
     # self-adjoint
     assert max_coeff_diff(xv[0], xv[0].adjoint()) < 1e-10
@@ -358,8 +353,8 @@ def lam2_conjugates(lam2):
     Level 3 is too coarse at this q (the symmetry check trips), so level 4."""
     o = MomentOracle(lam2, LAM2_Q)
     xi = build_xi(lam2, LAM2_Q, 4)
-    invert_xi(xi, natural_radius(LAM2_Q, 1.0), 1e-12, 1.0, lam2)
-    xv = conjugate_vars(lam2, xi, o)
+    inv = invert_xi(lam2, xi, natural_radius(LAM2_Q, 1.0), 1e-12, 1.0)
+    xv = conjugate_vars(lam2, xi, inv, o)
     return o, xi, xv
 
 
@@ -415,12 +410,12 @@ def test_distance_to_generator_bound(ctx1):
     o = MomentOracle(ctx1, q)
     r = natural_radius(q, c)
     xi = build_xi(ctx1, q, 6)
-    invert_xi(xi, r, 1e-12, c, ctx1)
-    xv = conjugate_vars(ctx1, xi, o)
+    inv = invert_xi(ctx1, xi, r, 1e-12, c)
+    xv = conjugate_vars(ctx1, xi, inv, o)
     from nctransport.ncpoly import norm_R
 
     lhs = norm_R(xv[0] - NCPoly.gen(1, 1, xv[0].degree_cap), r)
-    twisted = t_sigma(ctx1, xi.xi_inv, 1.0, 0.0)
+    twisted = t_sigma(ctx1, inv.inverse, 1.0, 0.0)
     dev = pi_norm_bound(twisted - TensorPoly.one(1, twisted.degree_cap), r)
     bound = dev * (r + (2 * (1 - q) / c) * pi_norm_bound(xi.xi, r))
     assert lhs <= bound + 1e-9
@@ -443,16 +438,17 @@ def test_potential_norm_shrinks_with_q(ctx1):
     for q in (0.01, 0.005, 0.002):
         o = MomentOracle(ctx1, q)
         xi = build_xi(ctx1, q, 6)
-        invert_xi(xi, natural_radius(q, 1.0), 1e-12, 1.0, ctx1)
-        xv = conjugate_vars(ctx1, xi, o)
+        inv = invert_xi(ctx1, xi, natural_radius(q, 1.0), 1e-12, 1.0)
+        xv = conjugate_vars(ctx1, xi, inv, o)
         pot = potential_W(ctx1, xv)
         norms.append(norm_R_sigma(ctx1, pot.W.with_cap(6), 4.0).value)
     assert norms[0] > norms[1] > norms[2] > 0
 
 
-def test_pipeline_trivial(ctx1):
-    cfg = TransportConfig(R=4.0, R_prime=5.0, rho=1.0, degree_cap=6, tolerance=1e-10)
-    rep = q_isomorphism_pipeline(ctx1, 0.0, cfg, level_cap=4)
+def test_pipeline_trivial():
+    cfg = RunConfig(lambdas=[], num_trivial=1, R=4.0, R_prime=5.0, rho=1.0, degree_cap=6,
+                    tolerance=1e-10, level_cap=4)
+    rep = q_isomorphism_pipeline(cfg, 4, None)
     assert rep["pass"]
     assert rep["sd_residual"] < 1e-12
     assert rep["norm_W_Rsigma"] == 0.0
@@ -461,17 +457,19 @@ def test_pipeline_trivial(ctx1):
     assert rep["inverse_residual"] < 1e-12
 
 
-def test_pipeline_nontracial_strict_regime(lam2):
+LAM2_RUN = dict(lambdas=[2.0], R=6.0, R_prime=7.0, rho=1.0, degree_cap=6, tolerance=1e-9,
+                level_cap=4)
+
+
+def test_pipeline_nontracial_strict_regime():
     # small enough deformation that the sufficient inequalities hold and the
     # whole chain runs with the hypothesis gate enforced
     import warnings
 
-    cfg = TransportConfig(R=6.0, R_prime=7.0, rho=1.0, degree_cap=6, tolerance=1e-9)
+    cfg = RunConfig(**LAM2_RUN, q=3e-5, strict_hypotheses=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = q_isomorphism_pipeline(
-            lam2, 3e-5, cfg, c=1.0, level_cap=4, sd_degree=3, enforce_hypotheses=True
-        )
+        rep = q_isomorphism_pipeline(cfg, 3, None)
     assert rep["hypotheses"]["pass"]
     assert rep["pass"]
     assert rep["sd_residual"] < 1e-9
@@ -479,19 +477,43 @@ def test_pipeline_nontracial_strict_regime(lam2):
     assert rep["inverse_residual"] < 1e-12
 
 
-def test_pipeline_nontracial_reports_gap(lam2):
+def test_pipeline_nontracial_reports_gap():
     # here the perturbation norm is far outside the contractive ball at the
     # smallest admissible radius, so the pipeline must come back with a
     # quantified hypothesis report instead of crashing
     import warnings
 
-    cfg = TransportConfig(R=6.0, R_prime=7.0, rho=1.0, degree_cap=6, tolerance=1e-9)
+    cfg = RunConfig(**LAM2_RUN, q=0.005)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = q_isomorphism_pipeline(lam2, 0.005, cfg, c=1.0, level_cap=4, sd_degree=3)
+        rep = q_isomorphism_pipeline(cfg, 3, None)
     assert not rep["pass"]
     hyp = rep["hypotheses"]
     assert not hyp["pass"] and hyp["norm_W_Rsigma"] > hyp["bound_W"]
     assert 0.0 < hyp["q_estimate_pass"] < 0.005
     assert rep["transport"]["completed"] is False
     assert "error" in rep["transport"]
+
+
+@pytest.mark.parametrize("lambdas, q", [([2.0], 3e-5), ([2.0], 0.005), ([2.0, 3.0], 1e-5)])
+def test_xi_deviation_is_the_bound_of_xi_minus_one(lambdas, q):
+    # the inversion's deviation is |1 - Xi|, bit for bit the |Xi - 1| the
+    # pipeline reports as xi_deviation
+    ctx = build_context(lambdas)
+    r = natural_radius(q, 1.0)
+    xi = build_xi(ctx, q, 4)
+    inv = invert_xi(ctx, xi, r, 1e-9, 1.0)
+    want = pi_norm_bound(xi.xi - TensorPoly.one(ctx.num_vars, xi.xi.degree_cap), r)
+    assert inv.deviation.hex() == want.hex()
+
+
+def test_stage_results_are_frozen(lam2):
+    xi = build_xi(lam2, 3e-5, 2)
+    inv = invert_xi(lam2, xi, natural_radius(3e-5, 1.0), 1e-9, 1.0)
+    cfg = RunConfig(**LAM2_RUN)
+    hyp = check_hypotheses(lam2, NCPoly.zero(2, 6), cfg)
+    for value, kind, name in ((xi, XiData, "xi"), (inv, XiInverse, "inverse"),
+                              (hyp, HypothesisReport, "pass_")):
+        assert type(value) is kind
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)

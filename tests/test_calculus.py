@@ -224,8 +224,8 @@ def two_block():
     ctx = build_context([2.0, 3.0])
     q = 1e-5
     xi = build_xi(ctx, q, 4)
-    invert_xi(xi, natural_radius(q, 1.0), 1e-9, 1.0, ctx)
-    V = potential_W(ctx, conjugate_vars(ctx, xi, MomentOracle(ctx, q))).V
+    inv = invert_xi(ctx, xi, natural_radius(q, 1.0), 1e-9, 1.0)
+    V = potential_W(ctx, conjugate_vars(ctx, xi, inv, MomentOracle(ctx, q))).V
     cfg = TransportConfig(R=7.0, R_prime=8.0, degree_cap=6, tolerance=1e-9)
     W = (V - quadratic_potential(ctx, V.degree_cap)).with_cap(cfg.degree_cap)
     f = grad_D(ctx, sigma_inv_op(W))

@@ -336,12 +336,31 @@ def test_nan_in_the_kernel_fails_the_run(strict_argv, monkeypatch, capsys, posit
         xi = build(ctx, q, d)
         key = list(xi.xi.coeffs)[position]
         coeffs = {**xi.xi.coeffs, key: complex("nan")}
-        xi.xi = TensorPoly._pruned(xi.xi.num_vars, coeffs, xi.xi.degree_cap, xi.xi.truncated)
-        return xi
+        nan_xi = TensorPoly._pruned(xi.xi.num_vars, coeffs, xi.xi.degree_cap, xi.xi.truncated)
+        return dataclasses.replace(xi, xi=nan_xi)
 
     monkeypatch.setattr(arakiwoods, "build_xi", with_nan)
     assert run(strict_argv) == EXIT_NUMERICAL
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_the_run_hands_its_configuration_to_one_pipeline_call(strict_argv, monkeypatch):
+    # every run-level choice reaches the pipeline inside the configuration;
+    # the two degrees are the only other arguments
+    calls = []
+    pipeline = cli.q_isomorphism_pipeline
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "q_isomorphism_pipeline", recorded)
+    assert run(strict_argv) == EXIT_OK
+    assert len(calls) == 1
+    (cfg, sd_degree, conjugate_degree), kwargs = calls[0]
+    assert kwargs == {} and (sd_degree, conjugate_degree) == (3, 4)
+    assert isinstance(cfg, arakiwoods.RunConfig) and cfg == load_config(strict_argv[2])
+    assert cfg.strict_hypotheses and cfg.q == 3e-5 and cfg.level_cap == 4
 
 
 def test_the_pipeline_checks_the_hypotheses_once(strict_argv, tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nctransport import build_context, calculus, cli, selftest
+from nctransport import arakiwoods, build_context, calculus, cli, selftest
 from nctransport.calculus import cyclic_D, partial_bar, partial_sigma
 from nctransport.errors import EmptyContext, NonPositiveLambda, VarCountMismatch
 from nctransport.modular import apply_sigma, matrix_power, twist_paths
@@ -242,7 +242,7 @@ def test_cli_runs_share_no_table_and_expand_each_word_once(strict_argv, monkeypa
     # expanded once, into the plan that grad_D holds and passes to the
     # cyclic_D call of each component
     contexts, planned, derived = [], [], []
-    build, twist_plan, derive = cli.build_context, calculus._twist_plan, calculus.cyclic_D
+    build, twist_plan, derive = arakiwoods.build_context, calculus._twist_plan, calculus.cyclic_D
 
     def recording_build(*args):
         ctx = build(*args)
@@ -260,7 +260,7 @@ def test_cli_runs_share_no_table_and_expand_each_word_once(strict_argv, monkeypa
         derived[-1].append((P, plan))
         return derive(ctx, j, P, plan)
 
-    monkeypatch.setattr(cli, "build_context", recording_build)
+    monkeypatch.setattr(arakiwoods, "build_context", recording_build)
     monkeypatch.setattr(calculus, "_twist_plan", recording_plan)
     monkeypatch.setattr(calculus, "cyclic_D", recording_derive)
     assert cli.run(strict_argv) == cli.EXIT_OK

@@ -60,9 +60,9 @@ def test_adjoint_matches_reference(lambdas, q, rng):
                 got = partial_q_star(o, ctx, j, t, kernel)
                 ref = partial_q_star_reference(o, ctx, j, t, kernel)
                 assert max_coeff_diff(got, ref) < 1e-12
-    invert_xi(xi, natural_radius(q, 1.0), 1e-12, 1.0, ctx)
-    eta = t_sigma(ctx, t_star(xi.xi_inv), -1.0, 1.0)
-    for j, got in enumerate(conjugate_vars(ctx, xi, o), start=1):
+    inv = invert_xi(ctx, xi, natural_radius(q, 1.0), 1e-12, 1.0)
+    eta = t_sigma(ctx, t_star(inv.inverse), -1.0, 1.0)
+    for j, got in enumerate(conjugate_vars(ctx, xi, inv, o), start=1):
         ref = partial_q_star_reference(o, ctx, j, eta, xi.xi)
         assert max_coeff_diff(got, ref) < 1e-12
 
@@ -72,8 +72,8 @@ def test_adjoint_builds_the_kernels_summary_once(monkeypatch, lam2):
     # call Xi builds its grade summary once
     o = MomentOracle(lam2, 0.05)
     xi = build_xi(lam2, 0.05, 2)
-    invert_xi(xi, natural_radius(0.05, 1.0), 1e-12, 1.0, lam2)
-    eta = t_sigma(lam2, t_star(xi.xi_inv), -1.0, 0.0)
+    inv = invert_xi(lam2, xi, natural_radius(0.05, 1.0), 1e-12, 1.0)
+    eta = t_sigma(lam2, t_star(inv.inverse), -1.0, 0.0)
     # a fresh instance of the kernel, which has built nothing yet
     kernel = TensorPoly._pruned(2, xi.xi.coeffs, xi.xi.degree_cap)
     builds = []

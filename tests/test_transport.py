@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import warnings
 
@@ -229,7 +230,7 @@ def test_solve_transport_reuses_the_last_gradient(lam2, monkeypatch):
     cfg = TransportConfig(R=6.0, R_prime=7.0, degree_cap=6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve_transport(lam2, o, w, cfg, enforce_hypotheses=False)
+        sol = solve_transport(lam2, o, w, cfg)
     assert len(fmaps) == sol.iterations + 1 == len(calls)
     assert fmaps[-1][-1] is sol.f
     fresh = grad_D(lam2, sigma_inv_op(sol.ghat))
@@ -347,7 +348,23 @@ def test_solve_small_quartic(ctx1):
 def test_solve_enforces_hypotheses(ctx1):
     o = MomentOracle(ctx1, 0.0)
     with pytest.raises(HypothesisViolation):
-        solve_transport(ctx1, o, quartic(1e-3), CFG, enforce_hypotheses=True)
+        solve_transport(ctx1, o, quartic(1e-3), dataclasses.replace(CFG, strict_hypotheses=True))
+
+
+def test_solve_reads_the_strict_gate_from_the_config(ctx1):
+    # the gate is off unless the configuration sets it: the same W that the
+    # strict solve refuses is solved, with the failed hypotheses recorded
+    o = MomentOracle(ctx1, 0.0)
+    assert not CFG.strict_hypotheses
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve_transport(ctx1, o, quartic(1e-3), CFG)
+    assert not sol.hypotheses.pass_
+    assert sol.warnings[0] == "contractivity hypotheses not satisfied; measuring anyway"
+    assert sol.fixed_point_residual < CFG.tolerance
+    strict = dataclasses.replace(CFG, strict_hypotheses=True)
+    with pytest.raises(HypothesisViolation, match=r"needs < 0\.125"):
+        solve_transport(ctx1, o, quartic(1e-3), strict)
 
 
 def test_solve_diverges_loudly(ctx1):
@@ -355,7 +372,7 @@ def test_solve_diverges_loudly(ctx1):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises((NoConvergence, NormTooLarge)):
-            solve_transport(ctx1, o, quartic(0.5), CFG, enforce_hypotheses=False)
+            solve_transport(ctx1, o, quartic(0.5), CFG)
 
 
 def test_monotonicity_certificate_trivial(ctx1, lam2):
@@ -442,28 +459,37 @@ def test_inversion_constant_matches_the_scan():
 
 def test_inversion_constant_is_least_at_the_smallest_point():
     # the constant grows with S', so of the points lo + (S - lo) t the
-    # first is the minimum
+    # first, lo itself, is the minimum
     for lo, S in ((6.0, 7.0), (1.0, 1.5), (6.0, 6.001), (6.000216, 6.0003), (2.0, 40.0)):
-        values = [inversion_constant_reference(0.01, lo + (S - lo) * t, S) for t in (0.25, 0.5, 0.75)]
+        values = [inversion_constant_reference(0.01, lo + (S - lo) * t, S) for t in (0.0, 0.25, 0.5, 0.75)]
         assert values[0] == min(values)
-        assert _inversion_constant(0.01, lo + (S - lo) * 0.25, S) == values[0]
+        assert _inversion_constant(0.01, lo, S) == values[0]
+
+
+# Y_j = X_j + 1e-6 X_j X_k X_j has |Y|_6 = 6.000216
+GAP_SERIES = [NCPoly(2, {(1,): 1.0, (1, 2, 1): 1e-6}, 4), NCPoly(2, {(2,): 1.0, (2, 1, 2): 1e-6}, 4)]
 
 
 @pytest.mark.parametrize("R_prime, message", [
-    (6.0003, "inversion constant 1.261 >= 1"),
-    (6.000217, "inversion constant 106 >= 1"),
-    (6.00021601, "inversion constant .* >= 1"),
+    (6.000217, "inversion constant 79.47 >= 1"),
+    (6.00021601, "inversion constant 7947 >= 1"),
 ])
-def test_an_inversion_radius_near_the_series_norm_fails_at_once(lam2, R_prime, message):
-    # Y_j = X_j + 1e-6 X_j X_k X_j has |Y|_6 = 6.000216, so the peak k* of
-    # the constant's terms is about 8e6 at R' = 6.000217 and 8e8 at
-    # R' = 6.00021601: far more terms than a scan over k can evaluate here
-    y = [NCPoly(2, {(1,): 1.0, (1, 2, 1): 1e-6}, 4), NCPoly(2, {(2,): 1.0, (2, 1, 2): 1e-6}, 4)]
+def test_an_inversion_radius_near_the_series_norm_fails_at_once(R_prime, message):
+    # the peak k* of the constant's terms is about 8e6 at R' = 6.000217 and
+    # 8e8 at R' = 6.00021601: far more terms than a scan over k can evaluate
     cfg = TransportConfig(R=6.0, R_prime=R_prime, degree_cap=4)
     start = time.perf_counter()
     with pytest.raises(ContractionFailure, match=message):
-        invert_series(y, cfg)
+        invert_series(GAP_SERIES, cfg)
     assert time.perf_counter() - start < 5.0
+
+
+def test_an_inversion_radius_just_above_the_series_norm_inverts():
+    # the constant is 0.946 at S' = |Y|_R, below one, so the bound admits
+    # the inversion; a quarter of the way to S it is 1.261
+    cfg = TransportConfig(R=6.0, R_prime=6.0003, degree_cap=4)
+    h = invert_series(GAP_SERIES, cfg)
+    assert inversion_residual(GAP_SERIES, h, 4) == 0.0
 
 
 def test_gradient_quadratic_identity(lam2, rng):
