@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -22,7 +23,7 @@ from .modular import ModularContext, modular_norm
 from .moments import MomentOracle
 from .ncpoly import NCPoly, quadratic_potential
 from .schwinger import gibbs_distance, sd_residual
-from .serialize import dumps_report, is_number, load_json, poly_from_terms, poly_to_terms, sanitize
+from .serialize import dumps_report, is_number, load_json, poly_from_terms, poly_to_terms
 from .transport import (
     invert_series,
     inversion_residual,
@@ -82,7 +83,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def _emit(report: dict, args) -> None:
-    text = dumps_report(sanitize(report)) + "\n"
+    text = dumps_report(report) + "\n"
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(text)
@@ -212,6 +213,14 @@ def cmd_selftest(args, cfg) -> int:
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
+def degree(text: str) -> int:
+    """The argparse type of --degree and --conjugate-degree: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"degree must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nctransport",
@@ -232,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-sd", help="Schwinger-Dyson residual of the state against a potential")
     common(sp)
     sp.add_argument("--potential", default="v0", help="'v0' or a polynomial JSON file")
-    sp.add_argument("--degree", type=int, default=4)
+    sp.add_argument("--degree", type=degree, default=4)
     sp.set_defaults(fn=cmd_verify_sd)
 
     sp = sub.add_parser("solve-transport", help="fixed-point transport solve for a perturbation W")
     common(sp)
     sp.add_argument("--potential", default="v0", help="perturbation W: 'v0' means W = 0, else a polynomial JSON file")
-    sp.add_argument("--degree", type=int, default=4, help="degree of the verification residual scan")
+    sp.add_argument("--degree", type=degree, default=4, help="degree of the verification residual scan")
     sp.set_defaults(fn=cmd_solve_transport)
 
     sp = sub.add_parser("invert", help="compositional inverse of a power-series tuple Y = X + f")
@@ -248,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("q-isomorphism", help="full q-deformation to transport pipeline")
     common(sp)
-    sp.add_argument("--degree", type=int, default=4, help="Schwinger-Dyson verification degree")
-    sp.add_argument("--conjugate-degree", type=int, default=None, dest="conjugate_degree",
+    sp.add_argument("--degree", type=degree, default=4, help="Schwinger-Dyson verification degree")
+    sp.add_argument("--conjugate-degree", type=degree, default=None, dest="conjugate_degree",
                     help="optionally check the conjugate-variable pairing up to this degree")
     sp.set_defaults(fn=cmd_q_isomorphism)
 
@@ -267,6 +276,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # refused before any work; the report is still written only at the
+        # end, so a failed run never truncates an existing one
+        if args.report and (os.path.isdir(args.report) or not os.path.isdir(os.path.dirname(args.report) or ".")):
+            raise ValueError(f"--report {args.report}: not a file in an existing directory")
         cfg = load_config(args.config) if getattr(args, "config", None) else None
         return args.fn(args, cfg)
     except HypothesisViolation as exc:

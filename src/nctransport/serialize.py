@@ -1,14 +1,16 @@
 """JSON formats for polynomials and reports.
 
-Reports are emitted with a fixed key order (insertion order of the dicts
-built by the callers) and floats printed with 17 significant digits, so an
-identical configuration produces a byte-identical report.  Complex numbers
-are {"re": ..., "im": ...} objects.
+A report is the standard encoder's output after one normalizing pass, in
+the key order of the dicts the callers build, so an identical configuration
+gives a byte-identical report.  Floats take the shortest form that reads
+back to the same float (a whole-number float keeps its ".0").
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from typing import Any
 
 from .ncpoly import NCPoly
@@ -59,56 +61,27 @@ def poly_from_terms(num_vars: int, terms, cap: int) -> NCPoly:
     return NCPoly(num_vars, coeffs, cap)
 
 
-def _fmt_float(x: float) -> str:
-    if x != x:
-        return '"nan"'
-    if x in (float("inf"), float("-inf")):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
-
-
-def dumps_report(obj: Any, indent: int = 0) -> str:
-    """Serialize with deterministic float formatting and key order."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def normalize(obj: Any) -> Any:
+    """The value in JSON's own types: a complex as {"re": ..., "im": ...},
+    a NaN or infinite float as "nan", "inf" or "-inf", a tuple as a list,
+    and any other number (a numpy scalar too) as a bool, int or float
+    through the ``numbers`` ABCs.  Anything else is returned unchanged."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{inner}{json.dumps(str(k))}: {dumps_report(v, indent + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, complex):
-        return dumps_report({"re": obj.real, "im": obj.imag}, indent)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
+        return {k: normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{dumps_report(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
-
-
-def sanitize(obj: Any) -> Any:
-    """Recursively convert numpy scalars and complexes to plain types."""
-    import numpy as np
-
-    if isinstance(obj, dict):
-        return {k: sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+        return [normalize(v) for v in obj]
+    if isinstance(obj, bool) or not isinstance(obj, numbers.Number):
+        return obj
+    if isinstance(obj, numbers.Integral):
         return int(obj)
-    if isinstance(obj, (np.complexfloating,)):
-        return complex(obj)
-    return obj
+    if isinstance(obj, numbers.Real):
+        x = float(obj)
+        return x if math.isfinite(x) else "nan" if x != x else "inf" if x > 0 else "-inf"
+    z = complex(obj)
+    return {"re": normalize(z.real), "im": normalize(z.imag)}
+
+
+def dumps_report(obj: Any) -> str:
+    """The report as JSON text: two-space indent, the dicts' key order, and
+    each float in the shortest form that reads back to the same float."""
+    return json.dumps(normalize(obj), indent=2, allow_nan=False)

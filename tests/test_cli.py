@@ -316,14 +316,40 @@ def test_pass_gate_reads_the_conjugate_check(strict_argv, tmp_path, capsys):
     assert rep["pass"] is False
 
 
-@pytest.mark.parametrize("flag", ["--degree", "--conjugate-degree"])
-def test_negative_degree_is_refused_before_any_work(strict_argv, monkeypatch, capsys, flag):
-    def no_kernel(*args, **kwargs):
-        raise AssertionError("the kernel was built")
+@pytest.mark.parametrize("command, flag, stage", [
+    pytest.param("q-isomorphism", "--degree", (arakiwoods, "build_xi"), id="--degree"),
+    pytest.param("q-isomorphism", "--conjugate-degree", (arakiwoods, "build_xi"), id="--conjugate-degree"),
+    pytest.param("verify-sd", "--degree", (cli, "sd_residual"), id="verify-sd --degree"),
+    pytest.param("solve-transport", "--degree", (cli, "solve_transport"), id="solve-transport --degree"),
+])
+def test_negative_degree_is_refused_before_any_work(strict_argv, monkeypatch, capsys, command, flag, stage):
+    # the parser refuses the degree, so the stage that would read it never runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work was started")
 
-    monkeypatch.setattr(arakiwoods, "build_xi", no_kernel)
-    assert run([*strict_argv[:3], flag, "-1", "--quiet"]) == EXIT_USAGE
+    monkeypatch.setattr(*stage, no_work)
+    assert run([command, *strict_argv[1:3], flag, "-1", "--quiet"]) == EXIT_USAGE
     assert "degree must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("command, stage", [
+    ("q-isomorphism", (arakiwoods, "build_xi")),
+    ("selftest", ("nctransport.selftest.run_selftest",)),
+], ids=["q-isomorphism", "selftest"])
+def test_an_unwritable_report_path_is_refused_before_any_work(
+    strict_argv, tmp_path, monkeypatch, capsys, command, stage, where
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work was started")
+
+    monkeypatch.setattr(*stage, no_work)
+    path = tmp_path / "missing" / "r.json" if where == "missing directory" else tmp_path
+    argv = strict_argv[1:3] if command == "q-isomorphism" else []
+    assert run([command, *argv, "--report", str(path), "--quiet"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: --report {path}")
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("position", [0, 5, -1])
@@ -491,12 +517,40 @@ def test_usage_errors(tmp_path, capsys):
 
 
 def test_float_formatting_roundtrip():
+    # the standard encoder after one normalizing pass: floats stay floats in
+    # their shortest round-trip form, and every report is strict JSON
+    import numpy as np
+
     from nctransport.serialize import dumps_report
 
-    text = dumps_report({"x": 0.1 + 0.2, "c": complex(1 / 3, -2 / 7)})
-    data = json.loads(text)
-    assert data["x"] == 0.1 + 0.2
-    assert data["c"]["re"] == 1 / 3 and data["c"]["im"] == -2 / 7
+    report = {
+        "z": 0.1 + 0.2, "third": 1 / 3, "one": 1.0, "zero": 0.0, "negative_zero": -0.0,
+        "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+        "c": complex(1 / 3, -2 / 7), "c_nan": complex(float("nan"), 1.0), "pair": (1, 2.5),
+        "flag": True, "none": None, "empty_list": [], "empty_dict": {},
+        "np": [np.float64(0.1), np.int64(7), np.complex128(2 - 0.5j), np.float64("inf")],
+    }
+    text = dumps_report(report)
+
+    def refuse(literal):
+        raise ValueError(f"{literal} is not a JSON number")
+
+    data = json.loads(text, parse_constant=refuse)
+    assert list(data) == list(report)
+    assert data["z"] == 0.1 + 0.2 and data["third"] == 1 / 3
+    assert type(data["one"]) is float and type(data["zero"]) is float
+    assert '"one": 1.0,' in text and '"zero": 0.0,' in text and '"negative_zero": -0.0,' in text
+    assert str(data["negative_zero"]) == "-0.0"
+    assert [data["nan"], data["inf"], data["-inf"]] == ["nan", "inf", "-inf"]
+    assert data["c"] == {"re": 1 / 3, "im": -2 / 7}
+    assert data["c_nan"] == {"re": "nan", "im": 1.0}
+    assert data["pair"] == [1, 2.5]
+    assert data["flag"] is True and data["none"] is None
+    assert '"empty_list": [],' in text and '"empty_dict": {},' in text
+    assert data["np"] == [0.1, 7, {"re": 2.0, "im": -0.5}, "inf"]
+    assert type(data["np"][1]) is int
+    assert text.startswith('{\n  "z": 0.30000000000000004,\n')
+    assert dumps_report(report).encode() == text.encode()
 
 
 @pytest.mark.parametrize("name, literal", [
